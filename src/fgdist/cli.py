@@ -11,10 +11,9 @@ Subcommands
 
 All tabular output is CSV with floats at 17 significant digits; repeated
 identical invocations emit byte-identical files.  Sweep runs with --fit
-and --out also write a JSON sidecar next to the CSV.  Pair loops use
-FGDIST_THREADS worker threads (default 1; the count never changes the
-numbers).  Exit codes: 0 success, 2 invalid arguments or parameters,
-3 request exceeds a dense-size guard.
+and --out also write a JSON sidecar next to the CSV.  Exit codes:
+0 success, 2 invalid arguments or parameters, 3 request exceeds a
+dense-size guard.
 """
 
 from __future__ import annotations
@@ -89,7 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgdist",
         description="Subsystem distances between eigenstates of integrable chains.",
-        epilog="FGDIST_THREADS sets the worker-thread count for pair loops.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,12 +28,17 @@ The fidelity of two states is computed by branch dispatch:
 
 Unit modes must be split off first because (1-Gamma)/(1+Gamma) degenerates
 there (0 * inf in the determinant formula).
+
+Sweeps evaluate many pairs through :func:`pair_fidelities`.  It computes
+each state's canonical form and half state once, runs the regular branch on
+stacks of pairs, and returns exactly what :func:`fidelity` returns pair by
+pair; :func:`fidelity` itself runs the regular branch on a stack of one.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -48,11 +53,13 @@ __all__ = [
     "gaussian_product_trace",
     "gaussian_compose",
     "fidelity",
+    "pair_fidelities",
     "fidelity_single_mode",
     "fidelity_pure",
     "fidelity_regular",
     "reduce_unit_modes",
     "bures_distance",
+    "bures_distances",
 ]
 
 logger = logging.getLogger(__name__)
@@ -69,6 +76,10 @@ CANONICAL_RECONSTRUCTION_TOL = 1e-10
 ORTHOGONAL_CUTOFF = 1e-14
 IMAG_RESIDUE_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-12
+
+# Regular-branch pairs are evaluated in stacks of at most this many matrix
+# elements, pairs x (2 ell)^2, so temporaries stay small at large ell.
+STACK_ELEMENTS = 4096
 
 
 class CorrelationMatrix:
@@ -146,12 +157,17 @@ class CanonicalForm:
     rotation: np.ndarray
 
     def blocks(self) -> np.ndarray:
-        n = 2 * len(self.pair_values)
-        b = np.zeros((n, n))
-        for j, g in enumerate(self.pair_values):
-            b[2 * j, 2 * j + 1] = g
-            b[2 * j + 1, 2 * j] = -g
-        return b
+        return _block_matrix(self.pair_values)
+
+
+def _block_matrix(values: np.ndarray) -> np.ndarray:
+    """Direct sum of [[0, g_j], [-g_j, 0]] over the values g_j."""
+    n = len(values)
+    b = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    b[2 * idx, 2 * idx + 1] = values
+    b[2 * idx + 1, 2 * idx] = -values
+    return b
 
 
 def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
@@ -211,23 +227,25 @@ class ModePartition:
     s_bulk: np.ndarray
     s_unit_bulk: np.ndarray
     s_bulk_unit: np.ndarray
-    rotation: np.ndarray = field(repr=False, default=None)
 
 
 def classify_modes(
     state_r: CorrelationMatrix,
     state_s: CorrelationMatrix,
     tol: float = UNIT_MODE_TOL,
+    form: CanonicalForm | None = None,
 ) -> ModePartition:
     """Split the mode space by the unit pairs of the first state.
 
     The first state's canonical rotation is applied to both; pairs of the
     first state with value >= 1 - tol form the X block and are snapped to
-    exactly 1 there.
+    exactly 1 there.  ``form`` is the first state's canonical form when the
+    caller already has it.
     """
     if state_r.ell != state_s.ell:
         raise ValueError("states must have the same number of modes")
-    form = canonical_form(state_r)
+    if form is None:
+        form = canonical_form(state_r)
     x = int(np.sum(form.pair_values >= 1.0 - tol))
     nx = 2 * x
     r_rot = form.blocks()
@@ -244,7 +262,6 @@ def classify_modes(
         s_bulk=s_rot[nx:, nx:],
         s_unit_bulk=s_rot[:nx, nx:],
         s_bulk_unit=s_rot[nx:, :nx],
-        rotation=form.rotation,
     )
 
 
@@ -258,14 +275,21 @@ class GaussianProduct:
 
     def __init__(self, gamma: np.ndarray):
         gamma = np.asarray(gamma, dtype=complex)
-        dev = np.abs(gamma + gamma.T).max()
-        if dev > IMAG_RESIDUE_TOL:
-            logger.warning("composite correlation antisymmetry deviation %.3e", dev)
-        self.gamma = (gamma - gamma.T) / 2.0
+        self.gamma = _antisymmetrize(gamma)
         self.ell = gamma.shape[0] // 2
 
     def __repr__(self):
         return f"GaussianProduct(ell={self.ell})"
+
+
+def _antisymmetrize(gamma: np.ndarray) -> np.ndarray:
+    """(gamma - gamma^T) / 2 over the last two axes, warning per matrix
+    whose antisymmetry deviation exceeds IMAG_RESIDUE_TOL."""
+    flipped = np.swapaxes(gamma, -1, -2)
+    dev = np.atleast_1d(np.abs(gamma + flipped).max(axis=(-2, -1)))
+    for d in dev[dev > IMAG_RESIDUE_TOL]:
+        logger.warning("composite correlation antisymmetry deviation %.3e", d)
+    return (gamma - flipped) / 2.0
 
 
 def _gamma_of(state) -> np.ndarray:
@@ -279,10 +303,11 @@ def _gamma_of(state) -> np.ndarray:
 def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b with extended-precision iterative refinement.
 
-    Near-unit pair values push the condition number of the compose and
-    reduction solves to ~(1-g)^{-1/2} and ~(1-g)^{-1}; computing residuals
-    in long double removes the resulting kappa*u forward error, which the
-    fidelity would otherwise amplify by another 1/sqrt(1-g).
+    Works on single systems and on stacks (..., n, n).  Near-unit pair
+    values push the condition number of the compose and reduction solves to
+    ~(1-g)^{-1/2} and ~(1-g)^{-1}; computing residuals in long double
+    removes the resulting kappa*u forward error, which the fidelity would
+    otherwise amplify by another 1/sqrt(1-g).
     """
     x = np.linalg.solve(a, b)
     high = np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(b) else np.longdouble
@@ -292,6 +317,30 @@ def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         residual = b_h - a_h @ x.astype(high)
         x = x + np.linalg.solve(a, residual.astype(x.dtype))
     return x
+
+
+def _require_invertible(core: np.ndarray):
+    if np.any(1.0 / np.linalg.cond(core) < INVERTIBILITY_TOL):
+        raise ValueError("product state undefined: 1 + Gamma_2 Gamma_1 is singular")
+
+
+def _compose_real(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Gamma of rho_1 rho_2 / tr(rho_1 rho_2) from real m_1, m_2 (single or
+    stacked), before antisymmetrization; every solve is real."""
+    eye = np.eye(m1.shape[-1])
+    core = eye - m2 @ m1  # real form of 1 + Gamma_2 Gamma_1
+    _require_invertible(core)
+    a = _solve_refined(core, eye)
+    return (eye - a + m1 @ a @ m2) + 1j * (a @ m2 + m1 @ a)
+
+
+def _compose_complex(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Gamma of the normalized product from complex Gamma_1, Gamma_2 (single
+    or stacked), before antisymmetrization."""
+    eye = np.eye(g1.shape[-1])
+    core = eye + g2 @ g1
+    _require_invertible(core)
+    return eye - (eye - g1) @ _solve_refined(core, eye - g2)
 
 
 def gaussian_product_trace(state_1, state_2) -> float:
@@ -333,21 +382,9 @@ def gaussian_compose(state_1, state_2) -> GaussianProduct:
     g1, g2 = _gamma_of(state_1), _gamma_of(state_2)
     if g1.shape != g2.shape:
         raise ValueError("states must have the same number of modes")
-    n = g1.shape[0]
     if isinstance(state_1, CorrelationMatrix) and isinstance(state_2, CorrelationMatrix):
-        m1, m2 = state_1.m, state_2.m
-        core = np.eye(n) - m2 @ m1  # real form of 1 + Gamma_2 Gamma_1
-        if 1.0 / np.linalg.cond(core) < INVERTIBILITY_TOL:
-            raise ValueError("product state undefined: 1 + Gamma_2 Gamma_1 is singular")
-        a = _solve_refined(core, np.eye(n))
-        real_part = np.eye(n) - a + m1 @ a @ m2
-        imag_part = a @ m2 + m1 @ a
-        return GaussianProduct(real_part + 1j * imag_part)
-    core = np.eye(n) + g2 @ g1
-    if 1.0 / np.linalg.cond(core) < INVERTIBILITY_TOL:
-        raise ValueError("product state undefined: 1 + Gamma_2 Gamma_1 is singular")
-    comp = np.eye(n) - (np.eye(n) - g1) @ _solve_refined(core, np.eye(n) - g2)
-    return GaussianProduct(comp)
+        return GaussianProduct(_compose_real(state_1.m, state_2.m))
+    return GaussianProduct(_compose_complex(g1, g2))
 
 
 def fidelity_single_mode(g1: float, g2: float) -> float:
@@ -368,49 +405,56 @@ def fidelity_pure(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: f
     return float(np.sqrt(gaussian_product_trace(state_1, state_2)))
 
 
-def _log_det_half_one_plus_gamma(state: CorrelationMatrix) -> float:
-    """log det((1 + Gamma)/2) from the pair values: sum log((1 - g^2)/4)."""
-    g = state.pair_values
-    one_minus = np.maximum(1.0 - g * g, 0.0)
-    if np.any(one_minus == 0.0):
-        raise ValueError("state has a unit pair value; reduce before the mixed formula")
-    return float(np.sum(np.log(one_minus / 4.0)))
-
-
-def _half_state(state: CorrelationMatrix) -> CorrelationMatrix:
-    """Correlation matrix of sqrt(rho)/tr sqrt(rho).
+def _half_matrix(form: CanonicalForm) -> np.ndarray:
+    """Matrix m of sqrt(rho)/tr sqrt(rho), from rho's canonical form.
 
     Taking the square root halves every mode's log-occupation ratio, which
     maps each pair value g to g / (1 + sqrt(1 - g^2)) in the same canonical
     basis.  A pair value 1 - e moves down to roughly 1 - sqrt(2 e).
     """
-    form = canonical_form(state)
     g = form.pair_values
     half = g / (1.0 + np.sqrt(np.maximum(1.0 - g * g, 0.0)))
-    n = len(half)
-    b = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    b[2 * idx, 2 * idx + 1] = half
-    b[2 * idx + 1, 2 * idx] = -half
-    return CorrelationMatrix(form.rotation.T @ b @ form.rotation, validate=False)
+    return form.rotation.T @ _block_matrix(half) @ form.rotation
 
 
-def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
-    if float(np.max(state_1.pair_values, initial=0.0)) > float(np.max(state_2.pair_values, initial=0.0)):
-        state_1, state_2 = state_2, state_1
-    half = _half_state(state_1)
-    sandwich = gaussian_compose(gaussian_compose(half, state_2), half)
-    m_z = -1j * sandwich.gamma
-    residue = float(np.abs(m_z.imag).max())
-    if residue > 1e-8:
-        logger.warning("sandwich correlation matrix has imaginary residue %.3e", residue)
-    zeta = np.linalg.svd(np.ascontiguousarray(m_z.real), compute_uv=False)[0::2]
+def _half_state(state: CorrelationMatrix) -> CorrelationMatrix:
+    """Correlation matrix of sqrt(rho)/tr sqrt(rho)."""
+    return CorrelationMatrix(_half_matrix(canonical_form(state)), validate=False)
+
+
+def _more_mixed_second(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> bool:
+    """Whether state_2 is the more mixed one, i.e. the regular branch swaps."""
+    return float(np.max(state_1.pair_values, initial=0.0)) > float(np.max(state_2.pair_values, initial=0.0))
+
+
+def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Regular-branch fidelities of a stack of pairs.
+
+    ``m1`` and ``m2`` stack the two states of each pair, the more mixed one
+    first, and ``half`` stacks the half states of ``m1``; see
+    :func:`fidelity_regular` for the formula.
+    """
+    product = _antisymmetrize(_compose_real(half, m2))
+    m_z = -1j * _antisymmetrize(_compose_complex(product, 1j * half))
+    residue = np.abs(m_z.imag).max(axis=(-2, -1))
+    for r in residue[residue > 1e-8]:
+        logger.warning("sandwich correlation matrix has imaginary residue %.3e", r)
+    zeta = np.linalg.svd(np.ascontiguousarray(m_z.real), compute_uv=False)[..., 0::2]
     zeta = np.minimum(zeta, 1.0)
-    sign, logabs = np.linalg.slogdet((np.eye(2 * state_1.ell) - state_1.m @ state_2.m) / 2.0)
-    if sign <= 0.0:
+    sign, logabs = np.linalg.slogdet((np.eye(m1.shape[-1]) - m1 @ m2) / 2.0)
+    if np.any(sign <= 0.0):
         raise ValueError("overlap determinant is not positive; states are not both strictly mixed")
-    log_f = 0.25 * logabs + float(np.sum(np.log(np.sqrt((1.0 + zeta) / 2.0) + np.sqrt((1.0 - zeta) / 2.0))))
-    return float(min(np.exp(log_f), 1.0))
+    log_f = 0.25 * logabs + np.sum(np.log(np.sqrt((1.0 + zeta) / 2.0) + np.sqrt((1.0 - zeta) / 2.0)), axis=-1)
+    return np.minimum(np.exp(log_f), 1.0)
+
+
+def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, form_of) -> float:
+    """The regular formula for one pair, as a stack of one; ``form_of`` maps
+    a state to its canonical form."""
+    if _more_mixed_second(state_1, state_2):
+        state_1, state_2 = state_2, state_1
+    half = _half_matrix(form_of(state_1))
+    return float(_regular_fidelities(half[None], state_1.m[None], state_2.m[None])[0])
 
 
 def fidelity_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
@@ -434,7 +478,7 @@ def fidelity_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol
     """
     if state_1.unit_pair_count(tol) or state_2.unit_pair_count(tol):
         raise ValueError("fidelity_regular requires strictly mixed states; reduce unit modes first")
-    return _regular_fidelity(state_1, state_2)
+    return _regular_fidelity(state_1, state_2, canonical_form)
 
 
 def reduce_unit_modes(partition: ModePartition):
@@ -469,31 +513,29 @@ def reduce_unit_modes(partition: ModePartition):
     )
 
 
-def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
-    """Uhlmann fidelity F(rho_1, rho_2) of two fermionic Gaussian states.
+def _is_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float) -> bool:
+    return state_1.ell > 1 and state_1.unit_pair_count(tol) == 0 and state_2.unit_pair_count(tol) == 0
 
-    Dispatches on system size and on how many canonical pair values of each
-    state sit within ``tol`` of 1; see the module docstring.  The result is
-    clamped into [0, 1].
-    """
+
+def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float, form_of) -> float:
+    """Branch dispatch of :func:`fidelity`; ``form_of`` maps either input
+    state to its canonical form."""
     if state_1.ell != state_2.ell:
         raise ValueError("states must have the same number of modes")
     if state_1.ell == 1:
         return fidelity_single_mode(state_1.m[0, 1], state_2.m[0, 1])
-    x1 = state_1.unit_pair_count(tol)
-    x2 = state_2.unit_pair_count(tol)
-    if x1 == 0 and x2 == 0:
-        return fidelity_regular(state_1, state_2, tol)
-    if x1 == state_1.ell or x2 == state_2.ell:
+    if _is_regular(state_1, state_2, tol):
+        return _regular_fidelity(state_1, state_2, form_of)
+    if state_1.is_pure(tol) or state_2.is_pure(tol):
         return fidelity_pure(state_1, state_2, tol)
-    if x2 > x1:
+    if state_2.unit_pair_count(tol) > state_1.unit_pair_count(tol):
         state_1, state_2 = state_2, state_1
-    partition = classify_modes(state_1, state_2, tol)
+    partition = classify_modes(state_1, state_2, tol, form_of(state_1))
     # the svd-based dispatch counts and the Schur-based partition can read a
     # value within a few ulp of the threshold differently; fall through
     # instead of crashing on the knife edge
     if partition.unit_pairs == 0:
-        return _regular_fidelity(state_1, state_2)
+        return _regular_fidelity(state_1, state_2, form_of)
     if partition.bulk_pairs == 0:
         return float(min(np.sqrt(gaussian_product_trace(state_1, state_2)), 1.0))
     prefactor, bulk_r, bulk_s = reduce_unit_modes(partition)
@@ -503,7 +545,81 @@ def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float 
     return float(np.clip(value, 0.0, 1.0))
 
 
+def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
+    """Uhlmann fidelity F(rho_1, rho_2) of two fermionic Gaussian states.
+
+    Dispatches on system size and on how many canonical pair values of each
+    state sit within ``tol`` of 1; see the module docstring.  The result is
+    clamped into [0, 1].
+    """
+    return _dispatch(state_1, state_2, tol, canonical_form)
+
+
+def pair_fidelities(states, pairs, tol: float = UNIT_MODE_TOL) -> np.ndarray:
+    """Fidelities F(states[i], states[j]) for every (i, j) in ``pairs``.
+
+    Each value equals ``fidelity(states[i], states[j], tol)`` bit for bit.
+    Regular-branch pairs are evaluated together, in stacks of at most
+    STACK_ELEMENTS matrix elements; the other branches go through the
+    scalar dispatch.  A state's canonical form and half state are computed
+    at most once, when a pair first needs them, and dropped after the last
+    pair that uses the state, so a sweep over consecutive pairs holds about
+    one stack's worth of them.
+    """
+    pairs = [(int(i), int(j)) for i, j in pairs]
+    values = np.empty(len(pairs))
+    if len({states[k].ell for pair in pairs for k in pair}) > 1:
+        raise ValueError("states must have the same number of modes")
+    last_use = {k: p for p, pair in enumerate(pairs) for k in pair}
+    forms, halves = {}, {}
+    stack = []  # (position, more mixed state index, other state index)
+
+    def form_of(k):
+        if k not in forms:
+            forms[k] = canonical_form(states[k])
+        return forms[k]
+
+    def release(indices, position):
+        for k in indices:
+            if last_use[k] <= position:
+                forms.pop(k, None)
+                halves.pop(k, None)
+
+    def evaluate_stack(position):
+        positions, firsts, seconds = zip(*stack)
+        for k in firsts:
+            if k not in halves:
+                halves[k] = _half_matrix(form_of(k))
+        values[list(positions)] = _regular_fidelities(
+            np.stack([halves[k] for k in firsts]),
+            np.stack([states[k].m for k in firsts]),
+            np.stack([states[k].m for k in seconds]),
+        )
+        stack.clear()
+        release(set(firsts + seconds), position)
+
+    for p, (i, j) in enumerate(pairs):
+        a, b = states[i], states[j]
+        if _is_regular(a, b, tol):
+            stack.append((p, j, i) if _more_mixed_second(a, b) else (p, i, j))
+            if len(stack) >= max(1, STACK_ELEMENTS // (2 * a.ell) ** 2):
+                evaluate_stack(p)
+            continue
+        values[p] = _dispatch(a, b, tol, lambda state: form_of(i if state is a else j))
+        release({i, j}.difference(k for entry in stack for k in entry[1:]), p)
+    if stack:
+        evaluate_stack(len(pairs) - 1)
+    return values
+
+
 def bures_distance(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
     """Bures distance sqrt(2 (1 - F)) between two Gaussian states."""
     gap = max(1.0 - fidelity(state_1, state_2, tol), 0.0)
     return float(np.sqrt(2.0 * gap))
+
+
+def bures_distances(states, pairs, tol: float = UNIT_MODE_TOL) -> np.ndarray:
+    """Bures distances of ``states[i], states[j]`` for every (i, j) in
+    ``pairs``; see :func:`pair_fidelities`."""
+    gap = np.maximum(1.0 - pair_fidelities(states, pairs, tol), 0.0)
+    return np.sqrt(2.0 * gap)

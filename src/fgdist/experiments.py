@@ -23,21 +23,22 @@ invocations serialize byte-identically and round-trip losslessly.  The
 param column holds h for Ising, Delta for XXZ, and the ensemble seed for
 random sweeps.  A JSON sidecar mirrors the run parameters and the fit.
 
-Pair loops honor FGDIST_THREADS (default 1); results are accumulated by
-pair index, so the thread count never changes the output.
+Bures sweeps hand all pairs of one ell to
+:func:`fgdist.correlation.bures_distances`, which evaluates the regular
+branch on stacks of pairs and returns the same values as a per-pair loop.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import CorrelationMatrix, bures_distance, fidelity
+# bures_distance is not called here, but perfbench/tracing.py wraps the name
+# in this namespace
+from .correlation import CorrelationMatrix, bures_distance, bures_distances  # noqa: F401
 from .dense import density_from_gamma, trace_distance
 from .ising import SpectrumTable, enumerate_spectrum, sort_spectrum, subsystem_correlations
 from .random_ensemble import RandomEnsembleSpec, sample_ensemble
@@ -62,25 +63,6 @@ CSV_HEADER = "model,L,param,sector,ordering,metric,ell,x,average,pairs"
 
 def _fmt(value) -> str:
     return f"{value:.17g}"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FGDIST_THREADS", "").strip()
-    if not raw:
-        return 1
-    count = int(raw)
-    if count < 1:
-        raise ValueError(f"FGDIST_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
-def _map_indexed(fn, count: int) -> np.ndarray:
-    """fn(i) for i < count, in index order regardless of thread count."""
-    workers = _thread_count()
-    if workers == 1 or count < 4:
-        return np.array([fn(i) for i in range(count)])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(fn, range(count))))
 
 
 @dataclass
@@ -207,11 +189,10 @@ def average_consecutive_distance(table: SpectrumTable, ell: int, metric: str) ->
         raise ValueError("need at least two states")
     if metric == "bures":
         states = _gaussian_states(table, ell)
-        values = _map_indexed(lambda i: bures_distance(states[i], states[i + 1]), len(table) - 1)
+        values = bures_distances(states, zip(range(len(states) - 1), range(1, len(states))))
     elif metric == "trace":
-        states = _gaussian_states(table, ell)
-        rhos = [density_from_gamma(s) for s in states]
-        values = _map_indexed(lambda i: trace_distance(rhos[i], rhos[i + 1]), len(table) - 1)
+        rhos = [density_from_gamma(s) for s in _gaussian_states(table, ell)]
+        values = np.array([trace_distance(a, b) for a, b in zip(rhos, rhos[1:])])
     else:
         raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
     return float(values.mean()), len(table) - 1
@@ -297,10 +278,10 @@ def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False)
     for ell in ells:
         blocks = [s.restrict(ell) for s in states]
         if metric == "bures":
-            values = _map_indexed(lambda n: bures_distance(blocks[pairs[n][0]], blocks[pairs[n][1]]), len(pairs))
+            values = bures_distances(blocks, pairs)
         else:
             rhos = [density_from_gamma(b) for b in blocks]
-            values = _map_indexed(lambda n: trace_distance(rhos[pairs[n][0]], rhos[pairs[n][1]]), len(pairs))
+            values = np.array([trace_distance(rhos[i], rhos[j]) for i, j in pairs])
         result.rows.append((ell, float(values.mean()), len(pairs)))
     return result.attach_fit() if fit else result
 

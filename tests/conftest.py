@@ -1,8 +1,22 @@
 """Shared builders for randomized Gaussian-state tests."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import fgdist
 from fgdist.correlation import CorrelationMatrix
+
+
+def package_env() -> dict:
+    """Environment for a ``python -m fgdist`` subprocess that imports the
+    same fgdist as the tests, whether it is installed or only on pytest's
+    ``pythonpath``."""
+    env = dict(os.environ)
+    root = str(Path(fgdist.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    return env
 
 
 def rand_rotation(n: int, rng) -> np.ndarray:

@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from conftest import (
+    package_env,
     planted_state,
     rand_rotation,
     rand_special_rotation,
@@ -465,6 +466,7 @@ def test_criterion_12_cli_reruns_are_byte_identical(tmp_path):
             [sys.executable, "-m", "fgdist", *args, "--out", str(out)],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         files = {p.name: p.read_bytes() for p in sorted(d.iterdir())}

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 
+from conftest import package_env
 from fgdist.cli import build_parser, main
 from fgdist.experiments import CSV_HEADER
 
@@ -115,7 +116,7 @@ def test_module_entry_point_byte_identical(tmp_path):
         sys.executable, "-m", "fgdist", "sweep", "--model", "random",
         "--L", "5", "--count", "5", "--seed", "3", "--ell-max", "3",
     ]
-    runs = [subprocess.run(args, capture_output=True, timeout=120) for _ in range(2)]
+    runs = [subprocess.run(args, capture_output=True, timeout=120, env=package_env()) for _ in range(2)]
     for r in runs:
         assert r.returncode == 0, r.stderr.decode()
     assert runs[0].stdout == runs[1].stdout

@@ -4,6 +4,8 @@ Reference values come from the 4^ell dense oracle in fgdist.dense and, for
 commuting inputs, from the exact per-mode product formula.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,12 @@ from conftest import (
     rand_special_rotation,
     random_mixed_state,
 )
+from fgdist import correlation
 from fgdist.correlation import (
+    STACK_ELEMENTS,
     CorrelationMatrix,
     bures_distance,
+    bures_distances,
     canonical_form,
     classify_modes,
     fidelity,
@@ -26,6 +31,7 @@ from fgdist.correlation import (
     fidelity_single_mode,
     gaussian_compose,
     gaussian_product_trace,
+    pair_fidelities,
     reduce_unit_modes,
     _half_state,
 )
@@ -35,6 +41,8 @@ from fgdist.dense import (
     gamma_from_density,
     trace_distance,
 )
+from fgdist.experiments import random_sweep
+from fgdist.random_ensemble import RandomEnsembleSpec, sample_ensemble
 
 
 def dense_fidelity_of(state_1, state_2):
@@ -435,6 +443,89 @@ def test_dispatch_knife_edge_no_crash():
 def test_fidelity_shape_mismatch():
     with pytest.raises(ValueError):
         fidelity(planted_state([0.1]), planted_state([0.1, 0.2]))
+
+
+# ---------------------------------------------------------- batched pair kernel
+
+
+def scalar_fidelities(states, pairs):
+    return np.array([fidelity(states[i], states[j]) for i, j in pairs])
+
+
+def test_pair_kernel_partial_last_stack():
+    rng = np.random.default_rng(111)
+    ell = 3
+    per_stack = STACK_ELEMENTS // (2 * ell) ** 2
+    states = [random_mixed_state(ell, rng) for _ in range(40)]
+    pairs = [(int(i), int(j)) for i, j in rng.integers(0, 40, size=(2 * per_stack + 7, 2))]
+    assert len(pairs) % per_stack != 0
+    got = pair_fidelities(states, pairs)
+    assert np.array_equal(got, scalar_fidelities(states, pairs))
+
+
+def test_pair_kernel_stack_of_one():
+    rng = np.random.default_rng(112)
+    states = [random_mixed_state(4, rng) for _ in range(2)]
+    got = pair_fidelities(states, [(0, 1)])
+    assert got.shape == (1,)
+    assert got[0] == fidelity(states[0], states[1])
+    assert pair_fidelities(states, []).shape == (0,)
+
+
+def test_pair_kernel_swaps_roles_within_a_stack():
+    # the regular formula puts the more mixed state first; a stack holding
+    # both orders of the same pairs must give identical values per order
+    rng = np.random.default_rng(113)
+    sharp = [planted_state([0.9, 0.3, 0.1], rng=rng) for _ in range(3)]
+    broad = [planted_state([0.5, 0.3, 0.1], rng=rng) for _ in range(3)]
+    states = sharp + broad
+    forward = [(i, 3 + i) for i in range(3)]  # state_1 is the less mixed one
+    backward = [(j, i) for i, j in forward]
+    got = pair_fidelities(states, forward + backward)
+    assert np.array_equal(got[:3], got[3:])
+    assert np.array_equal(got, scalar_fidelities(states, forward + backward))
+
+
+def test_pair_kernel_matches_scalar_fidelity_bitwise():
+    rng = np.random.default_rng(114)
+    pure = planted_state(np.ones(3), rotation=rand_special_rotation(6, rng))
+    partial = planted_state([1.0, 0.6, 0.2], rng=rng)
+    edge = planted_state([1.0 - 1e-10, 0.5, 0.1], rng=rng)
+    states = [pure, partial, edge] + [random_mixed_state(3, rng) for _ in range(6)]
+    # every ordered pair: regular, reduce and pure pairs interleaved
+    pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
+    got = pair_fidelities(states, pairs)
+    assert np.array_equal(got, scalar_fidelities(states, pairs))
+    gap = np.maximum(1.0 - got, 0.0)
+    assert np.array_equal(bures_distances(states, pairs), np.sqrt(2.0 * gap))
+    single = [planted_state([g]) for g in (0.3, -0.8, 1.0)]
+    single_pairs = [(0, 1), (1, 2), (2, 0)]
+    assert np.array_equal(pair_fidelities(single, single_pairs), scalar_fidelities(single, single_pairs))
+
+
+def test_pair_kernel_shape_mismatch():
+    with pytest.raises(ValueError):
+        pair_fidelities([planted_state([0.1, 0.2]), planted_state([0.1, 0.2, 0.3])], [(0, 1)])
+
+
+def test_sweep_computes_each_canonical_form_once(monkeypatch):
+    spec = RandomEnsembleSpec(L=8, count=6, seed=3)
+    calls = Counter()
+    original = correlation.canonical_form
+
+    def counting(state):
+        calls[state.m.tobytes()] += 1
+        return original(state)
+
+    monkeypatch.setattr(correlation, "canonical_form", counting)
+    states = sample_ensemble(spec)
+    # ell <= L/2: all pairs regular, so every call is on a sweep state
+    random_sweep(spec, "bures", [2, 3, 4])
+    assert 0 < sum(calls.values()) <= 3 * spec.count
+    # ell > L/2: reduce pairs also decompose their bulk states, once per pair
+    random_sweep(spec, "bures", [5, 6])
+    for ell in (2, 3, 4, 5, 6):
+        assert all(calls[s.restrict(ell).m.tobytes()] <= 1 for s in states)
 
 
 # ------------------------------------------------------------------- distances

@@ -22,7 +22,7 @@ from fgdist.experiments import (
     xxz_sweep,
 )
 from fgdist.ising import enumerate_spectrum, sort_spectrum, subsystem_correlations
-from fgdist.random_ensemble import RandomEnsembleSpec
+from fgdist.random_ensemble import RandomEnsembleSpec, sample_ensemble
 
 
 # ------------------------------------------------------------------ fit window
@@ -226,21 +226,38 @@ def test_write_charge_profiles():
     assert np.any(np.diff(q0s) < 0)
 
 
-# ----------------------------------------------------------------- parallelism
+# ------------------------------------------------------------- batched pairs
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    monkeypatch.setenv("FGDIST_THREADS", "1")
-    serial = ising_sweep(6, 1.0, "bures", [1, 2, 3]).csv_text()
-    monkeypatch.setenv("FGDIST_THREADS", "4")
-    threaded = ising_sweep(6, 1.0, "bures", [1, 2, 3]).csv_text()
-    assert serial == threaded
+def _branch(a, b):
+    if a.ell == 1:
+        return "single"
+    x1, x2 = a.unit_pair_count(), b.unit_pair_count()
+    if x1 == 0 and x2 == 0:
+        return "regular"
+    return "pure" if a.ell in (x1, x2) else "reduce"
 
 
-def test_thread_count_env_validation(monkeypatch):
-    from fgdist.experiments import _thread_count
+def test_sweep_averages_match_per_pair_loop():
+    # ell = 1 is single-mode, 2..3 regular, 4..5 reduce and ell = L = 6 pure
+    table = apply_ordering(enumerate_spectrum(1.0, 6), "charges:default")
+    res = ising_sweep(6, 1.0, "bures", range(1, 7))
+    branches = set()
+    for ell, average, _ in res.rows:
+        states = [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, ell)]
+        pairs = list(zip(states, states[1:]))
+        branches.update(_branch(a, b) for a, b in pairs)
+        assert average == float(np.mean([bures_distance(a, b) for a, b in pairs]))
+    assert branches == {"single", "regular", "reduce", "pure"}
 
-    monkeypatch.setenv("FGDIST_THREADS", "3")
-    assert _thread_count() == 3
-    monkeypatch.delenv("FGDIST_THREADS")
-    assert _thread_count() >= 1
+    spec = RandomEnsembleSpec(L=8, count=6, seed=3)
+    ells = [2, 3, 4, 5, 6]
+    res = random_sweep(spec, "bures", ells)
+    states = sample_ensemble(spec)
+    branches = set()
+    for ell, average, _ in res.rows:
+        blocks = [s.restrict(ell) for s in states]
+        pairs = [(blocks[i], blocks[j]) for i in range(spec.count) for j in range(i + 1, spec.count)]
+        branches.update(_branch(a, b) for a, b in pairs)
+        assert average == float(np.mean([bures_distance(a, b) for a, b in pairs]))
+    assert branches == {"regular", "reduce"}
