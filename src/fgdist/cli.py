@@ -5,14 +5,13 @@ Subcommands
     sweep         averaged subsystem distances (ising, xxz, or random)
     degeneracy    degeneracy ratio r against sorting depth m
     charges       per-state conserved-charge profiles in table order
-    random-sweep  all-pairs averages over a random Gaussian ensemble
-    xxz-sweep     all-pairs averages within one XXZ sector
     mode-diff     mean adjacent difference of excited-mode counts
 
 All tabular output is CSV with floats at 17 significant digits; repeated
-identical invocations emit byte-identical files.  Sweep runs with --fit
-and --out also write a JSON sidecar next to the CSV.  Exit codes:
-0 success, 2 invalid arguments or parameters, 3 request exceeds a
+identical invocations emit byte-identical files.  Sweep runs with --out
+also write a JSON sidecar next to the CSV (carrying the fit under --fit);
+--sector-out, with --model xxz only, exports the sector's energies.  Exit
+codes: 0 success, 2 invalid arguments or parameters, 3 request exceeds a
 dense-size guard.
 """
 
@@ -29,6 +28,7 @@ from . import experiments
 from .errors import GuardExceeded
 from .ising import degeneracy_ratio, enumerate_spectrum, mode_number_difference, sort_spectrum
 from .random_ensemble import RandomEnsembleSpec
+from .xxz import xxz_eigenstates, xxz_sector_basis
 
 __all__ = ["main", "build_parser"]
 
@@ -70,20 +70,6 @@ def _write_text(path: str | None, text: str):
         Path(path).write_text(text)
 
 
-def _emit_sweep(result, args):
-    _write_text(args.out, result.csv_text())
-    if args.out is not None:
-        Path(args.out).with_suffix(".json").write_text(result.sidecar_text())
-
-
-def _add_common_sweep_flags(cmd):
-    cmd.add_argument("--metric", choices=("bures", "trace"), default="bures")
-    cmd.add_argument("--ell-min", type=int, default=None)
-    cmd.add_argument("--ell-max", type=int, default=None)
-    cmd.add_argument("--fit", action="store_true", help="attach an OLS slope over the 0.2L..0.4L window")
-    cmd.add_argument("--out", default=None, help="CSV path (default: stdout)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fgdist",
@@ -109,7 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--ordering", default="charges:default", help="charges:i,j,... or random:SEED")
     cmd.add_argument("--count", type=int, default=32, help="random-ensemble size")
     cmd.add_argument("--seed", type=int, default=0, help="random-ensemble seed")
-    _add_common_sweep_flags(cmd)
+    cmd.add_argument("--metric", choices=("bures", "trace"), default="bures")
+    cmd.add_argument("--ell-min", type=int, default=None)
+    cmd.add_argument("--ell-max", type=int, default=None)
+    cmd.add_argument("--fit", action="store_true", help="attach an OLS slope over the 0.2L..0.4L window")
+    cmd.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    cmd.add_argument("--sector-out", default=None, help="xxz: also export sector energies as CSV")
 
     cmd = sub.add_parser("degeneracy", help="degeneracy ratio vs sorting depth")
     cmd.add_argument("--L", type=int, required=True)
@@ -124,21 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--ordering", default="charges:default")
     cmd.add_argument("--indices", default="0,1,2", help="comma-separated charge indices")
     cmd.add_argument("--out", default=None)
-
-    cmd = sub.add_parser("random-sweep", help="random pure Gaussian ensemble averages")
-    cmd.add_argument("--L", type=int, required=True)
-    cmd.add_argument("--count", type=int, default=32)
-    cmd.add_argument("--seed", type=int, default=0)
-    _add_common_sweep_flags(cmd)
-
-    cmd = sub.add_parser("xxz-sweep", help="all-pairs averages in one XXZ sector")
-    cmd.add_argument("--L", type=int, required=True)
-    cmd.add_argument("--K", type=int, required=True)
-    cmd.add_argument("--n-down", type=int, required=True)
-    cmd.add_argument("--delta", type=float, default=float(np.sqrt(2.0)))
-    cmd.add_argument("--h-z", type=float, default=0.0)
-    cmd.add_argument("--sector-out", default=None, help="also export sector energies as CSV")
-    _add_common_sweep_flags(cmd)
 
     cmd = sub.add_parser("mode-diff", help="mean adjacent excited-mode-count difference")
     cmd.add_argument("--L", type=int, required=True)
@@ -159,6 +135,8 @@ def _run_spectrum(args) -> int:
 
 
 def _run_sweep(args) -> int:
+    if args.sector_out is not None and args.model != "xxz":
+        raise ValueError(f"--sector-out needs --model xxz, got --model {args.model}")
     if args.model == "ising":
         sector = _parse_ising_sector(args.sector) if args.sector else None
         result = experiments.ising_sweep(
@@ -173,10 +151,18 @@ def _run_sweep(args) -> int:
             args.L, momentum, n_down, args.delta, args.metric, _ells(args, args.L),
             h_z=args.h_z, fit=args.fit,
         )
+        if args.sector_out is not None:
+            energies, _, _ = xxz_eigenstates(xxz_sector_basis(args.L, momentum, n_down), args.delta, args.h_z)
+            lines = ["L,K,n_down,delta,index,energy"]
+            for i, energy in enumerate(energies):
+                lines.append(f"{args.L},{momentum},{n_down},{args.delta:.17g},{i},{energy:.17g}")
+            Path(args.sector_out).write_text("\n".join(lines) + "\n")
     else:
         spec = RandomEnsembleSpec(L=args.L, count=args.count, seed=args.seed)
         result = experiments.random_sweep(spec, args.metric, _ells(args, args.L), fit=args.fit)
-    _emit_sweep(result, args)
+    _write_text(args.out, result.csv_text())
+    if args.out is not None:
+        Path(args.out).with_suffix(".json").write_text(result.sidecar_text())
     return 0
 
 
@@ -203,31 +189,6 @@ def _run_charges(args) -> int:
     return 0
 
 
-def _run_random_sweep(args) -> int:
-    spec = RandomEnsembleSpec(L=args.L, count=args.count, seed=args.seed)
-    result = experiments.random_sweep(spec, args.metric, _ells(args, args.L), fit=args.fit)
-    _emit_sweep(result, args)
-    return 0
-
-
-def _run_xxz_sweep(args) -> int:
-    result = experiments.xxz_sweep(
-        args.L, args.K, args.n_down, args.delta, args.metric, _ells(args, args.L),
-        h_z=args.h_z, fit=args.fit,
-    )
-    if args.sector_out is not None:
-        from .xxz import xxz_eigenstates, xxz_sector_basis
-
-        sector = xxz_sector_basis(args.L, args.K, args.n_down)
-        energies, _, _ = xxz_eigenstates(sector, args.delta, args.h_z)
-        lines = ["L,K,n_down,delta,index,energy"]
-        for i, energy in enumerate(energies):
-            lines.append(f"{args.L},{args.K},{args.n_down},{args.delta:.17g},{i},{energy:.17g}")
-        Path(args.sector_out).write_text("\n".join(lines) + "\n")
-    _emit_sweep(result, args)
-    return 0
-
-
 def _run_mode_diff(args) -> int:
     table = sort_spectrum(enumerate_spectrum(args.h, args.L))
     value = mode_number_difference(table)
@@ -240,8 +201,6 @@ _RUNNERS = {
     "sweep": _run_sweep,
     "degeneracy": _run_degeneracy,
     "charges": _run_charges,
-    "random-sweep": _run_random_sweep,
-    "xxz-sweep": _run_xxz_sweep,
     "mode-diff": _run_mode_diff,
 }
 

@@ -14,20 +14,22 @@ is pure exactly when every pair value equals 1.
 Every quantity here stays in real arithmetic where the algebra allows it:
 products Gamma_1 Gamma_2 = -m_1 m_2 are real, so overlap traces, the pure
 fidelity and the unit-mode reduction never touch complex matrices.  Only the
-general mixed-state fidelity needs the complex ratio K = (1-Gamma)/(1+Gamma).
+general mixed-state fidelity composes complex correlation matrices, for the
+sandwich sqrt(rho_1) rho_2 sqrt(rho_1).
 
 The fidelity of two states is computed by branch dispatch:
 
 * one mode: closed form in the two signed pair values;
-* no pair value of either state near 1: log-space determinant formula in
-  K_1 K_2 (positive spectrum; the matrix itself is non-normal);
+* no pair value of either state near 1: the composition sandwich of
+  :func:`fidelity_regular`, whose matrices all stay bounded by 1 in norm;
 * every pair value of one state near 1: quartic-root overlap determinant;
 * otherwise: rotate into the canonical basis of the state with more
   near-unit pairs, split off those modes exactly, and recurse on a strictly
   smaller problem.
 
-Unit modes must be split off first because (1-Gamma)/(1+Gamma) degenerates
-there (0 * inf in the determinant formula).
+Unit modes must be split off first because the overlap determinant and the
+composition solve (1 + Gamma_2 Gamma_1)^{-1} turn singular when an occupied
+mode meets an empty one.
 
 Sweeps evaluate many pairs through :func:`pair_fidelities`.  It computes
 each state's canonical form and half state once, runs the regular branch on
@@ -67,13 +69,11 @@ logger = logging.getLogger(__name__)
 # Tolerances.  ANTISYMMETRY_TOL guards construction; EIGENVALUE_SLACK is how
 # far above 1 a pair value may land before the input is rejected rather than
 # snapped; UNIT_MODE_TOL decides when a mode counts as exactly occupied or
-# empty for branch dispatch; ORTHOGONAL_CUTOFF short-circuits the reduction
-# prefactor to fidelity zero.
+# empty for branch dispatch.
 ANTISYMMETRY_TOL = 1e-12
 EIGENVALUE_SLACK = 1e-9
 UNIT_MODE_TOL = 1e-10
 CANONICAL_RECONSTRUCTION_TOL = 1e-10
-ORTHOGONAL_CUTOFF = 1e-14
 IMAG_RESIDUE_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-12
 
@@ -487,8 +487,9 @@ def reduce_unit_modes(partition: ModePartition):
     Returns ``(prefactor, bulk_r, bulk_s)``: the fidelity factor contributed
     by the unit block and the two correlation matrices of the remaining
     modes, with ``bulk_s`` carrying the Schur-complement correction from the
-    off-diagonal blocks.  When the unit blocks are (near) orthogonal the
-    prefactor underflows and ``(0.0, None, None)`` is returned.
+    off-diagonal blocks.  When the unit blocks are orthogonal (the overlap
+    determinant is not positive, or 1 - s_x r_x is singular to
+    INVERTIBILITY_TOL) ``(0.0, None, None)`` is returned.
     """
     x = partition.unit_pairs
     if x == 0 or partition.bulk_pairs == 0:
@@ -497,7 +498,7 @@ def reduce_unit_modes(partition: ModePartition):
     s_x = partition.s_unit
     nx = 2 * x
     sign, logabs = np.linalg.slogdet((np.eye(nx) - r_x @ s_x) / 2.0)
-    if sign <= 0.0 or np.exp(logabs) < ORTHOGONAL_CUTOFF:
+    if sign <= 0.0:
         return 0.0, None, None
     prefactor = float(np.exp(0.25 * logabs))
     core = np.eye(nx) - s_x @ r_x

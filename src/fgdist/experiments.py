@@ -23,9 +23,10 @@ invocations serialize byte-identically and round-trip losslessly.  The
 param column holds h for Ising, Delta for XXZ, and the ensemble seed for
 random sweeps.  A JSON sidecar mirrors the run parameters and the fit.
 
-Bures sweeps hand all pairs of one ell to
+Ising and random sweeps share one pair loop: Bures pairs of one ell go to
 :func:`fgdist.correlation.bures_distances`, which evaluates the regular
-branch on stacks of pairs and returns the same values as a per-pair loop.
+branch on stacks of pairs and returns the same values as a per-pair loop;
+trace pairs compare dense reduced density matrices.
 """
 
 from __future__ import annotations
@@ -183,19 +184,23 @@ def _gaussian_states(table: SpectrumTable, ell: int) -> list:
     return [CorrelationMatrix(m, validate=False) for m in stack]
 
 
+def _pair_distances(states: list, pairs: list, metric: str) -> np.ndarray:
+    """Distances between the states of each index pair, 'bures' or 'trace'."""
+    if metric == "bures":
+        return bures_distances(states, pairs)
+    if metric == "trace":
+        rhos = [density_from_gamma(s) for s in states]
+        return np.array([trace_distance(rhos[i], rhos[j]) for i, j in pairs])
+    raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
+
+
 def average_consecutive_distance(table: SpectrumTable, ell: int, metric: str) -> tuple:
     """Average metric over the d-1 consecutive pairs of the table order."""
     if len(table) < 2:
         raise ValueError("need at least two states")
-    if metric == "bures":
-        states = _gaussian_states(table, ell)
-        values = bures_distances(states, zip(range(len(states) - 1), range(1, len(states))))
-    elif metric == "trace":
-        rhos = [density_from_gamma(s) for s in _gaussian_states(table, ell)]
-        values = np.array([trace_distance(a, b) for a, b in zip(rhos, rhos[1:])])
-    else:
-        raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
-    return float(values.mean()), len(table) - 1
+    pairs = [(i, i + 1) for i in range(len(table) - 1)]
+    values = _pair_distances(_gaussian_states(table, ell), pairs, metric)
+    return float(values.mean()), len(pairs)
 
 
 def _sector_descriptor(sector_filter) -> str:
@@ -263,8 +268,6 @@ def xxz_sweep(
 
 def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False) -> SweepResult:
     """All-pairs distance averages over a random pure Gaussian ensemble."""
-    if metric not in ("bures", "trace"):
-        raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
     states = sample_ensemble(spec)
     pairs = [(i, j) for i in range(spec.count) for j in range(i + 1, spec.count)]
     result = SweepResult(
@@ -276,12 +279,7 @@ def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False)
         metric=metric,
     )
     for ell in ells:
-        blocks = [s.restrict(ell) for s in states]
-        if metric == "bures":
-            values = bures_distances(blocks, pairs)
-        else:
-            rhos = [density_from_gamma(b) for b in blocks]
-            values = np.array([trace_distance(rhos[i], rhos[j]) for i, j in pairs])
+        values = _pair_distances([s.restrict(ell) for s in states], pairs, metric)
         result.rows.append((ell, float(values.mean()), len(pairs)))
     return result.attach_fit() if fit else result
 

@@ -4,9 +4,11 @@ A pure Gaussian state on L sites is drawn by conjugating the reference
 correlation matrix (the direct sum of L blocks [[0, -1], [1, 0]]) with a
 Haar orthogonal matrix from the QR construction: factor a square matrix
 of independent standard normals and absorb the signs of R's diagonal into
-Q.  Subsystems are leading 2*ell blocks of the 2L x 2L matrix; generic
-restrictions are fully mixed in every mode, so pair distances ride the
-no-unit-modes branch of the fidelity dispatch.
+Q.  Subsystems are leading 2*ell blocks of the 2L x 2L matrix.  For
+ell <= L/2 generic restrictions are fully mixed in every mode, so pair
+distances ride the no-unit-modes branch of the fidelity dispatch; above L/2
+a restriction of a pure state has 2 ell - L unit pairs, and its pairs take
+the reduce branch (the pure branch at ell = L).
 
 Sampling is reproducible: each state draws from its own stream spawned
 from a single seed sequence, so state i never depends on how many states

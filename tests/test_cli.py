@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from conftest import package_env
 from fgdist.cli import build_parser, main
@@ -13,8 +14,14 @@ from fgdist.experiments import CSV_HEADER
 
 def test_parser_lists_all_subcommands():
     text = build_parser().format_help()
-    for name in ("spectrum", "sweep", "degeneracy", "charges", "random-sweep", "xxz-sweep", "mode-diff"):
+    for name in ("spectrum", "sweep", "degeneracy", "charges", "mode-diff"):
         assert name in text
+    # the random and xxz sweeps run as sweep --model random|xxz
+    for name in ("random-sweep", "xxz-sweep"):
+        assert name not in text
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--L", "6"])
+        assert exc.value.code == 2
 
 
 def test_sweep_writes_csv_and_sidecar(tmp_path):
@@ -43,10 +50,12 @@ def test_sweep_sector_flag(capsys):
     assert "P=+1,K=0" in out
 
 
-def test_validation_errors_exit_2(capsys):
+def test_validation_errors_exit_2(capsys, tmp_path):
     assert main(["sweep", "--model", "xxz", "--L", "8"]) == 2  # missing --sector
     assert main(["sweep", "--L", "6", "--ell-min", "4", "--ell-max", "2"]) == 2
     assert main(["sweep", "--L", "6", "--ordering", "nonsense:1"]) == 2
+    assert main(["sweep", "--model", "ising", "--L", "6", "--sector-out", str(tmp_path / "e.csv")]) == 2
+    assert not (tmp_path / "e.csv").exists()
     err = capsys.readouterr().err
     assert "fgdist:" in err
 
@@ -87,7 +96,7 @@ def test_mode_diff_command(capsys):
 
 
 def test_random_sweep_command(capsys):
-    assert main(["random-sweep", "--L", "5", "--count", "4", "--seed", "9", "--ell-max", "2"]) == 0
+    assert main(["sweep", "--model", "random", "--L", "5", "--count", "4", "--seed", "9", "--ell-max", "2"]) == 0
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert all(line.split(",")[0] == "random" for line in lines[1:])
@@ -98,7 +107,7 @@ def test_xxz_sweep_command(tmp_path):
     spec_out = tmp_path / "sector.csv"
     code = main(
         [
-            "xxz-sweep", "--L", "8", "--K", "1", "--n-down", "2",
+            "sweep", "--model", "xxz", "--L", "8", "--sector", "1,2",
             "--ell-min", "2", "--ell-max", "3", "--out", str(out),
             "--sector-out", str(spec_out),
         ]

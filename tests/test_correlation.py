@@ -407,6 +407,17 @@ def test_reduction_orthogonal_units_give_zero():
     assert prefactor == 0.0 and bulk_r is None and bulk_s is None
 
 
+def test_reduction_keeps_small_fidelities():
+    # an occupied mode against a nearly empty one: the unit-block factor is
+    # det^(1/4), so fidelities far below sqrt(det) must survive the reduction
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for eps in (1e-11, 1e-10, 1e-8, 1.9e-7, 1e-6, 1e-4):
+            g_r, g_s = [1.0, 0.5], [-1.0 + eps, 0.5]
+            s1, s2 = commuting_pair(g_r, g_s, rng)
+            assert abs(fidelity(s1, s2) - factorized_fidelity(g_r, g_s)) < 1e-9
+
+
 def test_reduce_unit_modes_guards():
     rng = np.random.default_rng(84)
     mixed = random_mixed_state(2, rng)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fgdist.correlation import CorrelationMatrix, bures_distance
-from fgdist.dense import density_from_gamma, fidelity_dense
+from fgdist.dense import density_from_gamma, fidelity_dense, trace_distance
 from fgdist.experiments import (
     CSV_HEADER,
     apply_ordering,
@@ -238,26 +238,30 @@ def _branch(a, b):
     return "pure" if a.ell in (x1, x2) else "reduce"
 
 
+def _trace_of(a, b):
+    return trace_distance(density_from_gamma(a), density_from_gamma(b))
+
+
 def test_sweep_averages_match_per_pair_loop():
     # ell = 1 is single-mode, 2..3 regular, 4..5 reduce and ell = L = 6 pure
     table = apply_ordering(enumerate_spectrum(1.0, 6), "charges:default")
-    res = ising_sweep(6, 1.0, "bures", range(1, 7))
-    branches = set()
-    for ell, average, _ in res.rows:
-        states = [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, ell)]
-        pairs = list(zip(states, states[1:]))
-        branches.update(_branch(a, b) for a, b in pairs)
-        assert average == float(np.mean([bures_distance(a, b) for a, b in pairs]))
-    assert branches == {"single", "regular", "reduce", "pure"}
-
     spec = RandomEnsembleSpec(L=8, count=6, seed=3)
-    ells = [2, 3, 4, 5, 6]
-    res = random_sweep(spec, "bures", ells)
-    states = sample_ensemble(spec)
-    branches = set()
-    for ell, average, _ in res.rows:
-        blocks = [s.restrict(ell) for s in states]
-        pairs = [(blocks[i], blocks[j]) for i in range(spec.count) for j in range(i + 1, spec.count)]
-        branches.update(_branch(a, b) for a, b in pairs)
-        assert average == float(np.mean([bures_distance(a, b) for a, b in pairs]))
-    assert branches == {"regular", "reduce"}
+    ensemble = sample_ensemble(spec)
+    for metric, distance in (("bures", bures_distance), ("trace", _trace_of)):
+        res = ising_sweep(6, 1.0, metric, range(1, 7))
+        branches = set()
+        for ell, average, _ in res.rows:
+            states = [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, ell)]
+            pairs = list(zip(states, states[1:]))
+            branches.update(_branch(a, b) for a, b in pairs)
+            assert average == float(np.mean([distance(a, b) for a, b in pairs]))
+        assert branches == {"single", "regular", "reduce", "pure"}
+
+        res = random_sweep(spec, metric, [2, 3, 4, 5, 6])
+        branches = set()
+        for ell, average, _ in res.rows:
+            blocks = [s.restrict(ell) for s in ensemble]
+            pairs = [(blocks[i], blocks[j]) for i in range(spec.count) for j in range(i + 1, spec.count)]
+            branches.update(_branch(a, b) for a, b in pairs)
+            assert average == float(np.mean([distance(a, b) for a, b in pairs]))
+        assert branches == {"regular", "reduce"}
