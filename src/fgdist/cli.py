@@ -152,7 +152,7 @@ def _run_sweep(args) -> int:
             h_z=args.h_z, fit=args.fit,
         )
         if args.sector_out is not None:
-            energies, _, _ = xxz_eigenstates(xxz_sector_basis(args.L, momentum, n_down), args.delta, args.h_z)
+            energies, _ = xxz_eigenstates(xxz_sector_basis(args.L, momentum, n_down), args.delta, args.h_z)
             lines = ["L,K,n_down,delta,index,energy"]
             for i, energy in enumerate(energies):
                 lines.append(f"{args.L},{momentum},{n_down},{args.delta:.17g},{i},{energy:.17g}")

@@ -20,9 +20,11 @@ sandwich sqrt(rho_1) rho_2 sqrt(rho_1).
 The fidelity of two states is computed by branch dispatch:
 
 * one mode: closed form in the two signed pair values;
-* no pair value of either state near 1: the composition sandwich of
-  :func:`fidelity_regular`, whose matrices all stay bounded by 1 in norm;
-* every pair value of one state near 1: quartic-root overlap determinant;
+* no pair value of either state within UNIT_MODE_TOL of 1: the composition
+  sandwich of :func:`fidelity_regular`, whose matrices all stay bounded by 1
+  in norm;
+* every pair value of one state within UNIT_MODE_TOL of 1: quartic-root
+  overlap determinant;
 * otherwise: rotate into the canonical basis of the state with more
   near-unit pairs, split off those modes exactly, and recurse on a strictly
   smaller problem.
@@ -31,10 +33,10 @@ Unit modes must be split off first because the overlap determinant and the
 composition solve (1 + Gamma_2 Gamma_1)^{-1} turn singular when an occupied
 mode meets an empty one.
 
-Sweeps evaluate many pairs through :func:`pair_fidelities`.  It computes
-each state's canonical form and half state once, runs the regular branch on
-stacks of pairs, and returns exactly what :func:`fidelity` returns pair by
-pair; :func:`fidelity` itself runs the regular branch on a stack of one.
+Every fidelity goes through :func:`pair_fidelities`.  It computes each
+state's canonical form and half state once, runs the regular branch on
+stacks of pairs and hands the other branches to the scalar dispatch;
+:func:`fidelity` is :func:`pair_fidelities` on a single pair.
 """
 
 from __future__ import annotations
@@ -125,21 +127,17 @@ class CorrelationMatrix:
             self._pair_values = svals[0::2].copy()
         return self._pair_values
 
-    def unit_pair_count(self, tol: float = UNIT_MODE_TOL) -> int:
-        return int(np.sum(self.pair_values >= 1.0 - tol))
+    def unit_pair_count(self) -> int:
+        return int(np.sum(self.pair_values >= 1.0 - UNIT_MODE_TOL))
 
-    def is_pure(self, tol: float = UNIT_MODE_TOL) -> bool:
-        return self.unit_pair_count(tol) == self.ell
+    def is_pure(self) -> bool:
+        return self.unit_pair_count() == self.ell
 
     def restrict(self, ell_keep: int) -> "CorrelationMatrix":
         """Correlation matrix of the leading ``ell_keep`` modes."""
         if not 1 <= ell_keep <= self.ell:
             raise ValueError(f"cannot keep {ell_keep} of {self.ell} modes")
         return CorrelationMatrix(self.m[: 2 * ell_keep, : 2 * ell_keep], validate=False)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return 1j * self.m
 
     def __repr__(self):
         return f"CorrelationMatrix(ell={self.ell})"
@@ -216,53 +214,39 @@ def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
 
 @dataclass
 class ModePartition:
-    """Both states rotated into the canonical basis of the first, split into
-    the first state's near-unit pairs (X, snapped exact) and the rest (Y)."""
+    """Both states rotated into the canonical basis of the first, whose
+    leading ``unit_pairs`` near-unit pairs (X, snapped exact in ``r_rot``)
+    come before the other ``bulk_pairs`` (Y)."""
 
     unit_pairs: int
     bulk_pairs: int
-    r_unit: np.ndarray
-    r_bulk: np.ndarray
-    s_unit: np.ndarray
-    s_bulk: np.ndarray
-    s_unit_bulk: np.ndarray
-    s_bulk_unit: np.ndarray
+    r_rot: np.ndarray
+    s_rot: np.ndarray
 
 
 def classify_modes(
     state_r: CorrelationMatrix,
     state_s: CorrelationMatrix,
-    tol: float = UNIT_MODE_TOL,
     form: CanonicalForm | None = None,
 ) -> ModePartition:
     """Split the mode space by the unit pairs of the first state.
 
     The first state's canonical rotation is applied to both; pairs of the
-    first state with value >= 1 - tol form the X block and are snapped to
-    exactly 1 there.  ``form`` is the first state's canonical form when the
-    caller already has it.
+    first state with value >= 1 - UNIT_MODE_TOL form the X block and are
+    snapped to exactly 1 there.  ``form`` is the first state's canonical
+    form when the caller already has it.
     """
     if state_r.ell != state_s.ell:
         raise ValueError("states must have the same number of modes")
     if form is None:
         form = canonical_form(state_r)
-    x = int(np.sum(form.pair_values >= 1.0 - tol))
-    nx = 2 * x
+    x = int(np.sum(form.pair_values >= 1.0 - UNIT_MODE_TOL))
     r_rot = form.blocks()
     for j in range(x):
         r_rot[2 * j, 2 * j + 1] = 1.0
         r_rot[2 * j + 1, 2 * j] = -1.0
     s_rot = form.rotation @ state_s.m @ form.rotation.T
-    return ModePartition(
-        unit_pairs=x,
-        bulk_pairs=state_r.ell - x,
-        r_unit=r_rot[:nx, :nx],
-        r_bulk=r_rot[nx:, nx:],
-        s_unit=s_rot[:nx, :nx],
-        s_bulk=s_rot[nx:, nx:],
-        s_unit_bulk=s_rot[:nx, nx:],
-        s_bulk_unit=s_rot[nx:, :nx],
-    )
+    return ModePartition(unit_pairs=x, bulk_pairs=state_r.ell - x, r_rot=r_rot, s_rot=s_rot)
 
 
 class GaussianProduct:
@@ -398,9 +382,9 @@ def fidelity_single_mode(g1: float, g2: float) -> float:
     return float(min(val, 1.0))
 
 
-def fidelity_pure(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
+def fidelity_pure(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     """Fidelity when at least one state is pure: sqrt of the overlap trace."""
-    if not (state_1.is_pure(tol) or state_2.is_pure(tol)):
+    if not (state_1.is_pure() or state_2.is_pure()):
         raise ValueError("fidelity_pure requires at least one pure state")
     return float(np.sqrt(gaussian_product_trace(state_1, state_2)))
 
@@ -457,8 +441,9 @@ def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, fo
     return float(_regular_fidelities(half[None], state_1.m[None], state_2.m[None])[0])
 
 
-def fidelity_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
-    """Fidelity of two strictly mixed states (no pair value within tol of 1).
+def fidelity_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
+    """Fidelity of two strictly mixed states (no pair value within
+    UNIT_MODE_TOL of 1).
 
     Evaluates tr sqrt(sqrt(rho_1) rho_2 sqrt(rho_1)) by composing correlation
     matrices: the sandwich is again Gaussian, so its trace-normalized form is
@@ -476,7 +461,7 @@ def fidelity_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol
     aligned pair value g with (1-g)^2 below double precision, where the
     sandwich value is numerically indistinguishable from 1.
     """
-    if state_1.unit_pair_count(tol) or state_2.unit_pair_count(tol):
+    if state_1.unit_pair_count() or state_2.unit_pair_count():
         raise ValueError("fidelity_regular requires strictly mixed states; reduce unit modes first")
     return _regular_fidelity(state_1, state_2, canonical_form)
 
@@ -494,9 +479,10 @@ def reduce_unit_modes(partition: ModePartition):
     x = partition.unit_pairs
     if x == 0 or partition.bulk_pairs == 0:
         raise ValueError("reduction needs 0 < unit pairs < total pairs")
-    r_x = partition.r_unit
-    s_x = partition.s_unit
     nx = 2 * x
+    r_rot, s_rot = partition.r_rot, partition.s_rot
+    r_x = r_rot[:nx, :nx]
+    s_x = s_rot[:nx, :nx]
     sign, logabs = np.linalg.slogdet((np.eye(nx) - r_x @ s_x) / 2.0)
     if sign <= 0.0:
         return 0.0, None, None
@@ -504,34 +490,27 @@ def reduce_unit_modes(partition: ModePartition):
     core = np.eye(nx) - s_x @ r_x
     if 1.0 / np.linalg.cond(core) < INVERTIBILITY_TOL:
         return 0.0, None, None
-    correction = partition.s_bulk_unit @ r_x @ _solve_refined(core, partition.s_unit_bulk)
-    s_bulk = partition.s_bulk + correction
+    correction = s_rot[nx:, :nx] @ r_x @ _solve_refined(core, s_rot[:nx, nx:])
+    s_bulk = s_rot[nx:, nx:] + correction
     s_bulk = (s_bulk - s_bulk.T) / 2.0
     return (
         prefactor,
-        CorrelationMatrix(partition.r_bulk, validate=False),
+        CorrelationMatrix(r_rot[nx:, nx:], validate=False),
         CorrelationMatrix(s_bulk, validate=False),
     )
 
 
-def _is_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float) -> bool:
-    return state_1.ell > 1 and state_1.unit_pair_count(tol) == 0 and state_2.unit_pair_count(tol) == 0
-
-
-def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float, form_of) -> float:
-    """Branch dispatch of :func:`fidelity`; ``form_of`` maps either input
-    state to its canonical form."""
-    if state_1.ell != state_2.ell:
-        raise ValueError("states must have the same number of modes")
+def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix, form_of) -> float:
+    """Fidelity of a pair of equal size that is not regular: the single,
+    pure and reduce branches; ``form_of`` maps either input state to its
+    canonical form."""
     if state_1.ell == 1:
         return fidelity_single_mode(state_1.m[0, 1], state_2.m[0, 1])
-    if _is_regular(state_1, state_2, tol):
-        return _regular_fidelity(state_1, state_2, form_of)
-    if state_1.is_pure(tol) or state_2.is_pure(tol):
-        return fidelity_pure(state_1, state_2, tol)
-    if state_2.unit_pair_count(tol) > state_1.unit_pair_count(tol):
+    if state_1.is_pure() or state_2.is_pure():
+        return fidelity_pure(state_1, state_2)
+    if state_2.unit_pair_count() > state_1.unit_pair_count():
         state_1, state_2 = state_2, state_1
-    partition = classify_modes(state_1, state_2, tol, form_of(state_1))
+    partition = classify_modes(state_1, state_2, form_of(state_1))
     # the svd-based dispatch counts and the Schur-based partition can read a
     # value within a few ulp of the threshold differently; fall through
     # instead of crashing on the knife edge
@@ -542,24 +521,24 @@ def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float
     prefactor, bulk_r, bulk_s = reduce_unit_modes(partition)
     if prefactor == 0.0:
         return 0.0
-    value = prefactor * fidelity(bulk_r, bulk_s, tol)
+    value = prefactor * fidelity(bulk_r, bulk_s)
     return float(np.clip(value, 0.0, 1.0))
 
 
-def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
+def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     """Uhlmann fidelity F(rho_1, rho_2) of two fermionic Gaussian states.
 
     Dispatches on system size and on how many canonical pair values of each
-    state sit within ``tol`` of 1; see the module docstring.  The result is
-    clamped into [0, 1].
+    state sit within UNIT_MODE_TOL of 1; see the module docstring.  The
+    result is clamped into [0, 1].
     """
-    return _dispatch(state_1, state_2, tol, canonical_form)
+    return float(pair_fidelities([state_1, state_2], [(0, 1)])[0])
 
 
-def pair_fidelities(states, pairs, tol: float = UNIT_MODE_TOL) -> np.ndarray:
+def pair_fidelities(states, pairs) -> np.ndarray:
     """Fidelities F(states[i], states[j]) for every (i, j) in ``pairs``.
 
-    Each value equals ``fidelity(states[i], states[j], tol)`` bit for bit.
+    A pair's value does not depend on the other pairs of the call.
     Regular-branch pairs are evaluated together, in stacks of at most
     STACK_ELEMENTS matrix elements; the other branches go through the
     scalar dispatch.  A state's canonical form and half state are computed
@@ -601,26 +580,25 @@ def pair_fidelities(states, pairs, tol: float = UNIT_MODE_TOL) -> np.ndarray:
 
     for p, (i, j) in enumerate(pairs):
         a, b = states[i], states[j]
-        if _is_regular(a, b, tol):
+        if a.ell > 1 and a.unit_pair_count() == 0 and b.unit_pair_count() == 0:
             stack.append((p, j, i) if _more_mixed_second(a, b) else (p, i, j))
             if len(stack) >= max(1, STACK_ELEMENTS // (2 * a.ell) ** 2):
                 evaluate_stack(p)
             continue
-        values[p] = _dispatch(a, b, tol, lambda state: form_of(i if state is a else j))
+        values[p] = _dispatch(a, b, lambda state: form_of(i if state is a else j))
         release({i, j}.difference(k for entry in stack for k in entry[1:]), p)
     if stack:
         evaluate_stack(len(pairs) - 1)
     return values
 
 
-def bures_distance(state_1: CorrelationMatrix, state_2: CorrelationMatrix, tol: float = UNIT_MODE_TOL) -> float:
+def bures_distance(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     """Bures distance sqrt(2 (1 - F)) between two Gaussian states."""
-    gap = max(1.0 - fidelity(state_1, state_2, tol), 0.0)
-    return float(np.sqrt(2.0 * gap))
+    return float(bures_distances([state_1, state_2], [(0, 1)])[0])
 
 
-def bures_distances(states, pairs, tol: float = UNIT_MODE_TOL) -> np.ndarray:
+def bures_distances(states, pairs) -> np.ndarray:
     """Bures distances of ``states[i], states[j]`` for every (i, j) in
     ``pairs``; see :func:`pair_fidelities`."""
-    gap = np.maximum(1.0 - pair_fidelities(states, pairs, tol), 0.0)
+    gap = np.maximum(1.0 - pair_fidelities(states, pairs), 0.0)
     return np.sqrt(2.0 * gap)

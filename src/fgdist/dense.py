@@ -176,7 +176,7 @@ def density_from_gamma_exponential(gamma, guard: int = DENSE_GUARD_DEFAULT) -> n
     return rho / trace
 
 
-def gamma_from_density(rho: np.ndarray, validate: bool = True):
+def gamma_from_density(rho: np.ndarray):
     """Majorana correlation matrix tr(rho d_a d_b) - delta_ab of a dense operator.
 
     Returns a CorrelationMatrix for Hermitian rho; for non-Hermitian input
@@ -200,7 +200,7 @@ def gamma_from_density(rho: np.ndarray, validate: bool = True):
     hermitian = np.abs(rho - rho.conj().T).max() < 1e-10
     if hermitian:
         m = gamma.imag
-        if validate and np.abs(gamma.real).max() > 1e-9:
+        if np.abs(gamma.real).max() > 1e-9:
             raise ValueError("correlations of a Hermitian state should be imaginary")
         return CorrelationMatrix((m - m.T) / 2.0, validate=False)
     return (gamma - gamma.T) / 2.0

@@ -291,13 +291,14 @@ def write_spectrum_csv(table: SpectrumTable, stream, charge_count: int | None = 
     count = table.charges.shape[1] if charge_count is None else charge_count
     header = "index,sector,mask,energy,parity,momentum," + ",".join(f"Q{m}" for m in range(count))
     stream.write(header + "\n")
+    parity = table.parity  # a property that rebuilds the whole column
     for i in range(len(table)):
         cells = [
             str(i),
             SECTORS[table.sector_codes[i]],
             str(int(table.masks[i])),
             _fmt(table.energy[i]),
-            str(int(table.parity[i])),
+            str(int(parity[i])),
             str(int(table.momentum[i])),
         ]
         cells.extend(_fmt(q) for q in table.charges[i, :count])

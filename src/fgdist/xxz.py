@@ -42,10 +42,7 @@ __all__ = [
     "xxz_eigenstates",
     "xxz_eigen_rdm",
     "xxz_pairwise_average",
-    "DEGENERACY_GAP",
 ]
-
-DEGENERACY_GAP = 1e-10
 
 
 def translate_bits(config: int, L: int) -> int:
@@ -148,19 +145,16 @@ def _eigensystem(L: int, K: int, n_down: int, delta: float, h_z: float):
 def xxz_eigenstates(sector: XXZSector, delta: float, h_z: float = 0.0):
     """Sector eigenvalues (ascending) and phase-fixed full-space eigenvectors.
 
-    Returns (energies, vectors, near_degenerate) where vectors holds one
-    2^L column per state and near_degenerate flags adjacent gaps below
-    1e-10 (pair distances inside such clusters depend on the arbitrary
-    eigenbasis and are reported as-is).
+    Returns (energies, vectors) where vectors holds one 2^L column per
+    state.  Inside a degenerate cluster the eigenbasis is arbitrary, and
+    pair distances there are reported as they come out.
     """
-    energies, full = _eigensystem(sector.L, sector.K, sector.n_down, float(delta), float(h_z))
-    near = np.abs(np.diff(energies)) < DEGENERACY_GAP if len(energies) > 1 else np.zeros(0, bool)
-    return energies, full, near
+    return _eigensystem(sector.L, sector.K, sector.n_down, float(delta), float(h_z))
 
 
 def xxz_eigen_rdm(sector: XXZSector, delta: float, state_index: int, ell: int, h_z: float = 0.0) -> np.ndarray:
     """Reduced density matrix of sites 1..ell of one sector eigenstate."""
-    energies, full, _ = xxz_eigenstates(sector, delta, h_z)
+    energies, full = xxz_eigenstates(sector, delta, h_z)
     if not 0 <= state_index < len(energies):
         raise ValueError(f"state index {state_index} outside 0..{len(energies) - 1}")
     return partial_trace(np.ascontiguousarray(full[:, state_index]), sector.L, ell)
@@ -178,7 +172,7 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
         raise ValueError(f"need at least two states, sector has {sector.dim}")
     if metric not in ("trace", "bures"):
         raise ValueError(f"metric must be 'trace' or 'bures', got {metric!r}")
-    energies, full, _ = xxz_eigenstates(sector, delta, h_z)
+    energies, full = xxz_eigenstates(sector, delta, h_z)
     rdms = [partial_trace(np.ascontiguousarray(full[:, i]), sector.L, ell) for i in range(sector.dim)]
     total = 0.0
     pairs = 0

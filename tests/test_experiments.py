@@ -210,6 +210,18 @@ def test_write_spectrum_csv():
     assert np.all(np.diff(energies) >= -1e-12)
 
 
+@pytest.mark.parametrize("sector_filter", [(-1, None), None])
+def test_write_spectrum_csv_parity_and_momentum_cells(sector_filter):
+    table = sort_spectrum(enumerate_spectrum(0.9, 8, sector_filter=sector_filter))
+    buf = io.StringIO()
+    write_spectrum_csv(table, buf)
+    rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
+    assert len(rows) == len(table)
+    for i, row in enumerate(rows):
+        label = table.label(i)
+        assert (row[1], int(row[4]), int(row[5])) == (label.sector, label.parity, label.momentum)
+
+
 def test_write_charge_profiles():
     table = sort_spectrum(enumerate_spectrum(1.0, 5))
     buf = io.StringIO()

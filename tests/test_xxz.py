@@ -48,7 +48,7 @@ def test_two_site_singlet_sector_energy():
     # symmetric two-site state: E = -1 + delta/2 by hand
     sector = xxz_sector_basis(2, 0, 1)
     assert sector.dim == 1
-    energies, _, _ = xxz_eigenstates(sector, np.sqrt(2.0))
+    energies, _ = xxz_eigenstates(sector, np.sqrt(2.0))
     assert abs(energies[0] - (-1.0 + np.sqrt(2.0) / 2.0)) < 1e-12
 
 
@@ -60,7 +60,7 @@ def test_block_union_matches_dense_ed():
                 sector = xxz_sector_basis(L, K, n_down)
                 if sector.dim == 0:
                     continue
-                energies, _, _ = xxz_eigenstates(sector, delta)
+                energies, _ = xxz_eigenstates(sector, delta)
                 collected.append(energies)
         union = np.sort(np.concatenate(collected))
         dense = np.linalg.eigvalsh(xxz_dense_hamiltonian(L, float(delta)).toarray())
@@ -79,8 +79,8 @@ def test_field_shifts_energies_but_not_states():
     # fixed magnetization: the field term is a constant, states cannot move
     sector = xxz_sector_basis(8, 2, 3)
     delta, h_z = 1.3, 0.7
-    e0, full0, _ = xxz_eigenstates(sector, delta, 0.0)
-    e1, full1, _ = xxz_eigenstates(sector, delta, h_z)
+    e0, full0 = xxz_eigenstates(sector, delta, 0.0)
+    e1, full1 = xxz_eigenstates(sector, delta, h_z)
     shift = -0.5 * h_z * (sector.L - 2 * sector.n_down)
     assert np.abs(e1 - e0 - shift).max() < 1e-10
     assert np.abs(np.abs(full1) - np.abs(full0)).max() < 1e-10
@@ -102,9 +102,9 @@ def test_eigen_rdm_is_a_state():
 
 def test_eigensystem_deterministic_across_cache_resets():
     sector = xxz_sector_basis(8, 1, 2)
-    e0, f0, _ = xxz_eigenstates(sector, 0.4)
+    e0, f0 = xxz_eigenstates(sector, 0.4)
     _eigensystem.cache_clear()
-    e1, f1, _ = xxz_eigenstates(sector, 0.4)
+    e1, f1 = xxz_eigenstates(sector, 0.4)
     assert np.array_equal(e0, e1)
     assert np.array_equal(f0, f1)
 
