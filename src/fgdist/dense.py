@@ -59,14 +59,17 @@ def _check_guard(ell: int, guard: int):
 
 
 def site_operator(label: str, site: int, length: int) -> scipy.sparse.csr_matrix:
-    """Sparse single-site Pauli ``label`` at ``site`` (1-based) of a chain."""
+    """Sparse single-site Pauli ``label`` at ``site`` (1-based) of a chain.
+
+    Built as 1_{2^(site-1)} x P x 1_{2^(length-site)}: two Kronecker
+    products, whose entries are the Pauli entries times exact ones.
+    """
     if not 1 <= site <= length:
         raise ValueError(f"site {site} outside chain of length {length}")
-    op = scipy.sparse.identity(1, dtype=complex, format="csr")
-    for j in range(1, length + 1):
-        factor = PAULI[label] if j == site else PAULI["I"]
-        op = scipy.sparse.kron(op, scipy.sparse.csr_matrix(factor), format="csr")
-    return op
+    head = scipy.sparse.identity(2 ** (site - 1), dtype=complex, format="csr")
+    tail = scipy.sparse.identity(2 ** (length - site), dtype=complex, format="csr")
+    op = scipy.sparse.kron(head, scipy.sparse.csr_matrix(PAULI[label]), format="csr")
+    return scipy.sparse.kron(op, tail, format="csr")
 
 
 @lru_cache(maxsize=8)
@@ -74,8 +77,12 @@ def majorana_operators(ell: int):
     """The 2*ell sparse Majorana operators in interleaved order.
 
     d_{2j-1} = Z..Z X 1..1 and d_{2j} = Z..Z Y 1..1 with the string on the
-    j-1 sites to the left.  Cached; each operator is a signed permutation
-    matrix with 2^ell nonzeros.
+    j-1 sites to the left.  Cached.  Each operator is a signed permutation
+    matrix: its CSR form stores exactly one entry per row.  The two
+    operators of one site share their column indices (both flip the bit of
+    site j); the entries of d_{2j-1} are real (+-1) and those of d_{2j}
+    imaginary (+-i).  ``density_from_gamma`` relies on this structure and
+    checks it.
     """
     if ell < 1:
         raise ValueError("need at least one mode")
@@ -118,27 +125,57 @@ def density_from_gamma(state: CorrelationMatrix, guard: int = DENSE_GUARD_DEFAUL
 
     Built as the commuting product prod_j (1 - g_j i d'_{2j-1} d'_{2j}) / 2
     over the canonical modes d' = O d, which stays finite for pure modes
-    (g_j = 1), unlike the exponential form.
+    (g_j = 1), unlike the exponential form.  Row r of d'_a holds one entry
+    per site j, at the column where d_{2j-1} and d_{2j} have theirs:
+    O_{a,2j-1} (+-1) + i O_{a,2j} (+-1), exact, so each d'_a is filled
+    in place rather than summed from 2 ell dense operators.
     """
     _check_guard(state.ell, guard)
     form = canonical_form(state)
-    ops = majorana_operators(state.ell)
+    flat, x_signs, y_signs = _majorana_pattern(state.ell)
     dim = 2**state.ell
     rho = np.eye(dim, dtype=complex) * 2.0**-state.ell
     rot = form.rotation
     for j, g in enumerate(form.pair_values):
-        da = _rotated_majorana(rot[2 * j], ops, dim)
-        db = _rotated_majorana(rot[2 * j + 1], ops, dim)
+        coeffs = rot[2 * j : 2 * j + 2, :, None]
+        pair = np.zeros((2, dim * dim), dtype=complex)
+        # + 0.0: a zero coefficient gives +0.0, the zero a sum into zeros gives
+        pair.real[:, flat] = coeffs[:, 0::2] * x_signs + 0.0
+        pair.imag[:, flat] = coeffs[:, 1::2] * y_signs + 0.0
+        da, db = pair.reshape(2, dim, dim)
         rho = rho @ (np.eye(dim) - g * 1j * (da @ db))
     return rho
 
 
-def _rotated_majorana(coeffs: np.ndarray, ops, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim), dtype=complex)
-    for c, op in zip(coeffs, ops):
-        if c != 0.0:
-            out += c * op.toarray()
-    return out
+@lru_cache(maxsize=8)
+def _majorana_pattern(ell: int):
+    """Per site j (rows) and basis row r (columns) of ``majorana_operators(ell)``:
+    the flat index r * 2^ell + c of the one entry of row r of d_{2j-1} and
+    d_{2j}, the real entry of d_{2j-1} and the imaginary part of the entry of
+    d_{2j}.  Three (ell, 2^ell) arrays.
+
+    Raises if the operators lack the structure this relies on.
+    """
+    ops = majorana_operators(ell)
+    dim = 2**ell
+    one_per_row = np.arange(dim + 1)
+    flat = np.empty((ell, dim), dtype=np.int64)
+    x_signs = np.empty((ell, dim))
+    y_signs = np.empty((ell, dim))
+    for j in range(ell):
+        x_op, y_op = ops[2 * j], ops[2 * j + 1]
+        if not (np.array_equal(x_op.indptr, one_per_row) and np.array_equal(y_op.indptr, one_per_row)):
+            raise ValueError(f"Majoranas of site {j + 1} do not store one entry per row")
+        if not np.array_equal(x_op.indices, y_op.indices):
+            raise ValueError(f"Majoranas of site {j + 1} do not share their columns")
+        if np.any(x_op.data.imag != 0.0) or np.any(y_op.data.real != 0.0):
+            raise ValueError(f"Majoranas of site {j + 1} are not real and imaginary")
+        flat[j] = np.arange(dim) * dim + x_op.indices
+        x_signs[j] = x_op.data.real
+        y_signs[j] = y_op.data.imag
+    if np.unique(flat).size != flat.size:
+        raise ValueError("Majoranas of two sites share an entry")
+    return flat, x_signs, y_signs
 
 
 def density_from_gamma_exponential(gamma, guard: int = DENSE_GUARD_DEFAULT) -> np.ndarray:

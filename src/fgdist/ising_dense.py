@@ -55,11 +55,12 @@ __all__ = [
 def ising_hamiltonian(h: float, L: int, guard: int = DENSE_GUARD_DEFAULT) -> np.ndarray:
     """Dense H = -(1/2) sum_j (X_j X_{j+1} + h Z_j), periodic."""
     _check_guard(L, guard)
+    x_ops = [site_operator("X", j, L) for j in range(1, L + 1)]
+    z_ops = [site_operator("Z", j, L) for j in range(1, L + 1)]
     ham = sp.csr_matrix((2**L, 2**L), dtype=complex)
-    for j in range(1, L + 1):
-        nxt = j % L + 1
-        ham = ham - 0.5 * (site_operator("X", j, L) @ site_operator("X", nxt, L))
-        ham = ham - 0.5 * h * site_operator("Z", j, L)
+    for j in range(L):
+        ham = ham - 0.5 * (x_ops[j] @ x_ops[(j + 1) % L])
+        ham = ham - 0.5 * h * z_ops[j]
     dense = ham.toarray()
     assert np.abs(dense.imag).max() < 1e-14
     return dense.real

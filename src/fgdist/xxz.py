@@ -108,12 +108,13 @@ def _bloch_matrix(sector: XXZSector) -> sp.csr_matrix:
 def xxz_dense_hamiltonian(L: int, delta: float, h_z: float = 0.0) -> sp.csr_matrix:
     """Sparse full-space XXZ Hamiltonian (guarded)."""
     _check_guard(L, DENSE_GUARD_DEFAULT)
+    ops = {label: [site_operator(label, j, L) for j in range(1, L + 1)] for label in "XYZ"}
     ham = sp.csr_matrix((2**L, 2**L), dtype=complex)
-    for j in range(1, L + 1):
-        nxt = j % L + 1
+    for j in range(L):
+        nxt = (j + 1) % L
         for label, weight in (("X", 0.25), ("Y", 0.25), ("Z", 0.25 * delta)):
-            ham = ham - weight * (site_operator(label, j, L) @ site_operator(label, nxt, L))
-        ham = ham - 0.5 * h_z * site_operator("Z", j, L)
+            ham = ham - weight * (ops[label][j] @ ops[label][nxt])
+        ham = ham - 0.5 * h_z * ops["Z"][j]
     return ham
 
 

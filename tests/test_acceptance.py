@@ -28,7 +28,7 @@ from conftest import (
     rand_special_rotation,
     random_mixed_state,
 )
-from fgdist.correlation import bures_distance, fidelity
+from fgdist.correlation import bures_distance, fidelity, pair_fidelities
 from fgdist.dense import (
     density_from_gamma,
     fidelity_dense,
@@ -103,11 +103,9 @@ def _trace_pair_data():
         for ell in range(1, 6):
             states = _gaussian_states(table, ell)
             rhos = [density_from_gamma(s) for s in states]
+            fids = pair_fidelities(states, [(i, i + 1) for i in range(len(table) - 1)])
             _TRACE_PAIRS[ell] = [
-                (
-                    fidelity(states[i], states[i + 1]),
-                    trace_distance(rhos[i], rhos[i + 1]),
-                )
+                (float(fids[i]), trace_distance(rhos[i], rhos[i + 1]))
                 for i in range(len(table) - 1)
             ]
     return _TRACE_PAIRS

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from conftest import planted_state, rand_rotation, random_mixed_state
-from fgdist.correlation import CorrelationMatrix, fidelity_single_mode
+from fgdist import dense
+from fgdist.correlation import CorrelationMatrix, canonical_form, fidelity_single_mode
 from fgdist.dense import (
     DENSE_HARD_CAP,
+    PAULI,
     density_from_gamma,
     density_from_gamma_exponential,
     fidelity_dense,
@@ -54,6 +57,50 @@ def test_site_operator_locality():
     assert np.abs(x1 @ z1 + z1 @ x1).max() < 1e-15
     with pytest.raises(ValueError):
         site_operator("X", 0, 3)
+
+
+def test_site_operator_matches_chained_kron_bytes():
+    # reference: the L-fold product 1 x .. x P x .. x 1, one factor per site
+    for length in range(1, 9):
+        for label, pauli in PAULI.items():
+            for site in range(1, length + 1):
+                want = scipy.sparse.identity(1, dtype=complex, format="csr")
+                for j in range(1, length + 1):
+                    factor = pauli if j == site else PAULI["I"]
+                    want = scipy.sparse.kron(want, scipy.sparse.csr_matrix(factor), format="csr")
+                got = site_operator(label, site, length)
+                assert got.shape == want.shape
+                for field in ("data", "indices", "indptr"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, site, length, field)
+
+
+def _broken_pattern(monkeypatch, ops):
+    monkeypatch.setattr(dense, "majorana_operators", lambda ell: tuple(ops))
+    return dense._majorana_pattern.__wrapped__(len(ops) // 2)
+
+
+def test_majorana_pattern_rejects_other_structure(monkeypatch):
+    ops = list(majorana_operators(2))
+    shifted = list(ops)
+    shifted[1] = ops[3]  # d_2 no longer shares the columns of d_1
+    with pytest.raises(ValueError, match="share their columns"):
+        _broken_pattern(monkeypatch, shifted)
+    summed = list(ops)
+    summed[0] = (ops[0] + ops[2]).tocsr()  # two entries per row
+    with pytest.raises(ValueError, match="one entry per row"):
+        _broken_pattern(monkeypatch, summed)
+    rotated = list(ops)
+    rotated[2] = (1j * ops[2]).tocsr()  # d_3 imaginary
+    with pytest.raises(ValueError, match="real and imaginary"):
+        _broken_pattern(monkeypatch, rotated)
+    doubled = list(ops)
+    doubled[2:4] = ops[0:2]  # site 2 flips the bit of site 1
+    with pytest.raises(ValueError, match="share an entry"):
+        _broken_pattern(monkeypatch, doubled)
+    monkeypatch.undo()
+    flat, x_signs, y_signs = dense._majorana_pattern.__wrapped__(2)
+    assert flat.shape == x_signs.shape == y_signs.shape == (2, 4)
 
 
 def test_translation_operator_order():
@@ -113,6 +160,39 @@ def test_pure_state_density_is_projector():
     rho = density_from_gamma(state)
     assert np.abs(rho @ rho - rho).max() < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
+
+
+def _density_by_operator_sums(state):
+    """The rotated Majoranas summed from dense copies of the 2 ell operators."""
+    form = canonical_form(state)
+    ops = majorana_operators(state.ell)
+    dim = 2**state.ell
+    rho = np.eye(dim, dtype=complex) * 2.0**-state.ell
+    for j, g in enumerate(form.pair_values):
+        rotated = []
+        for coeffs in form.rotation[2 * j : 2 * j + 2]:
+            out = np.zeros((dim, dim), dtype=complex)
+            for c, op in zip(coeffs, ops):
+                if c != 0.0:
+                    out += c * op.toarray()
+            rotated.append(out)
+        rho = rho @ (np.eye(dim) - g * 1j * (rotated[0] @ rotated[1]))
+    return rho
+
+
+@pytest.mark.parametrize("ell", range(1, 7))
+def test_density_from_gamma_bitwise_matches_operator_sums(ell):
+    rng = np.random.default_rng(100 + ell)
+    gammas = rng.uniform(0.1, 0.9, size=ell)
+    gammas[::2] = 0.0
+    states = [
+        random_mixed_state(ell, rng),
+        planted_state(np.ones(ell), rng=rng),
+        planted_state(gammas),  # canonical already: exact zero coefficients
+        planted_state(gammas, rng=rng),  # zero pair values: 1x1 Schur blocks
+    ]
+    for state in states:
+        assert np.array_equal(density_from_gamma(state), _density_by_operator_sums(state))
 
 
 def test_guard_rejects_large_systems():

@@ -146,6 +146,25 @@ def test_ising_sweep_frozen_values():
     assert (res.fit["ell_min"], res.fit["ell_max"]) == (2, 3)
 
 
+def test_ising_sweep_trace_frozen_values():
+    # the dense path: density_from_gamma, then trace_distance, per pair
+    res = ising_sweep(8, 1.0, "trace", range(1, 6), fit=True)
+    want = [
+        (1, 0.02405771388241094),
+        (2, 0.2231508174062564),
+        (3, 0.44730115693694933),
+        (4, 0.6509549876162412),
+        (5, 0.8170939031273834),
+    ]
+    assert [r[0] for r in res.rows] == [w[0] for w in want]
+    for (ell, avg, pairs), (_, expect) in zip(res.rows, want):
+        assert pairs == 255
+        assert abs(avg - expect) < 1e-10
+    assert abs(res.fit["slope"] - 1.7932027162455422) < 1e-10
+    assert abs(res.fit["intercept"] - (-0.22514986165512904)) < 1e-10
+    assert (res.fit["ell_min"], res.fit["ell_max"]) == (2, 3)
+
+
 def test_ising_sweep_sector_restriction():
     res = ising_sweep(6, 1.0, "trace", [2], sector_filter=(1, 0))
     assert res.sector == "P=+1,K=0"
