@@ -18,7 +18,7 @@ dense-size guard.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import sys
 from pathlib import Path
 
@@ -63,11 +63,13 @@ def _ells(args, L: int):
     return range(lo, hi + 1)
 
 
-def _write_text(path: str | None, text: str):
+@contextlib.contextmanager
+def _output(path: str | None):
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as stream:
+            yield stream
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,12 +127,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_spectrum(args) -> int:
+    if args.charges is not None and not 1 <= args.charges <= args.L:
+        raise ValueError(f"charges must lie in 1..{args.L}, got {args.charges}")
     table = experiments.apply_ordering(
         enumerate_spectrum(args.h, args.L, _parse_ising_sector(args.sector)), args.ordering
     )
-    buf = io.StringIO()
-    experiments.write_spectrum_csv(table, buf, args.charges)
-    _write_text(args.out, buf.getvalue())
+    with _output(args.out) as stream:
+        experiments.write_spectrum_csv(table, stream, args.charges)
     return 0
 
 
@@ -153,14 +156,15 @@ def _run_sweep(args) -> int:
         )
         if args.sector_out is not None:
             energies, _ = xxz_eigenstates(xxz_sector_basis(args.L, momentum, n_down), args.delta, args.h_z)
-            lines = ["L,K,n_down,delta,index,energy"]
-            for i, energy in enumerate(energies):
-                lines.append(f"{args.L},{momentum},{n_down},{args.delta:.17g},{i},{energy:.17g}")
-            Path(args.sector_out).write_text("\n".join(lines) + "\n")
+            n = len(energies)
+            columns = [[args.L] * n, [momentum] * n, [n_down] * n, [args.delta] * n, range(n), energies.tolist()]
+            with open(args.sector_out, "w") as stream:
+                experiments._write_csv(stream, ["L", "K", "n_down", "delta", "index", "energy"], columns)
     else:
         spec = RandomEnsembleSpec(L=args.L, count=args.count, seed=args.seed)
         result = experiments.random_sweep(spec, args.metric, _ells(args, args.L), fit=args.fit)
-    _write_text(args.out, result.csv_text())
+    with _output(args.out) as stream:
+        stream.write(result.csv_text())
     if args.out is not None:
         Path(args.out).with_suffix(".json").write_text(result.sidecar_text())
     return 0
@@ -171,28 +175,29 @@ def _run_degeneracy(args) -> int:
     top = args.max_m if args.max_m is not None else args.L - 1
     if not 0 <= top < args.L:
         raise ValueError(f"max-m must lie in 0..{args.L - 1}, got {top}")
-    lines = ["m,r"]
-    for m in range(top + 1):
-        lines.append(f"{m},{degeneracy_ratio(table, m):.17g}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    ratios = [degeneracy_ratio(table, m) for m in range(top + 1)]
+    with _output(args.out) as stream:
+        experiments._write_csv(stream, ["m", "r"], [range(top + 1), ratios])
     return 0
 
 
 def _run_charges(args) -> int:
     indices = [int(s) for s in args.indices.split(",")]
+    if any(not 0 <= m < args.L for m in indices):
+        raise ValueError(f"charge indices must lie in 0..{args.L - 1}, got {args.indices}")
     table = experiments.apply_ordering(
         enumerate_spectrum(args.h, args.L, _parse_ising_sector(args.sector)), args.ordering
     )
-    buf = io.StringIO()
-    experiments.write_charge_profiles(table, indices, buf)
-    _write_text(args.out, buf.getvalue())
+    with _output(args.out) as stream:
+        experiments.write_charge_profiles(table, indices, stream)
     return 0
 
 
 def _run_mode_diff(args) -> int:
     table = sort_spectrum(enumerate_spectrum(args.h, args.L))
     value = mode_number_difference(table)
-    _write_text(args.out, f"L,h,mean_mode_diff\n{args.L},{args.h:.17g},{value:.17g}\n")
+    with _output(args.out) as stream:
+        experiments._write_csv(stream, ["L", "h", "mean_mode_diff"], [[args.L], [args.h], [value]])
     return 0
 
 

@@ -202,14 +202,17 @@ def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
     values = []
     for g, a, b in pairs:
         perm.extend((a, b))
-        values.append(min(g, 1.0))
+        values.append(g)
     rotation = rotation[perm]
     values = np.array(values)
-    form = CanonicalForm(pair_values=values, rotation=rotation)
-    residual = np.abs(rotation @ m @ rotation.T - form.blocks()).max()
+    # the residual is taken before clamping, so values inside the slack above
+    # 1 pass it, and values beyond the slack are rejected as pair_values does
+    residual = np.abs(rotation @ m @ rotation.T - _block_matrix(values)).max()
     if residual > CANONICAL_RECONSTRUCTION_TOL:
         raise ValueError(f"canonical form reconstruction residual {residual:.3e}")
-    return form
+    if values[0] > 1.0 + EIGENVALUE_SLACK:
+        raise ValueError(f"pair value {values[0]:.15g} exceeds 1 beyond slack {EIGENVALUE_SLACK}")
+    return CanonicalForm(pair_values=np.minimum(values, 1.0), rotation=rotation)
 
 
 @dataclass

@@ -31,6 +31,7 @@ trace pairs compare dense reduced density matrices.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ import numpy as np
 # in this namespace
 from .correlation import CorrelationMatrix, bures_distance, bures_distances  # noqa: F401
 from .dense import density_from_gamma, trace_distance
-from .ising import SpectrumTable, enumerate_spectrum, sort_spectrum, subsystem_correlations
+from .ising import SECTORS, SpectrumTable, enumerate_spectrum, sort_spectrum, subsystem_correlations
 from .random_ensemble import RandomEnsembleSpec, sample_ensemble
 from .xxz import xxz_pairwise_average, xxz_sector_basis
 
@@ -62,8 +63,15 @@ __all__ = [
 CSV_HEADER = "model,L,param,sector,ordering,metric,ell,x,average,pairs"
 
 
-def _fmt(value) -> str:
-    return f"{value:.17g}"
+def _write_csv(stream, header, columns):
+    """Stream a header row, then one row per index of the equally long
+    columns: float cells (numpy float64 included) at 17 significant digits,
+    every other cell as ``str(value)``, nothing quoted."""
+    if len(header) != len(columns):
+        raise ValueError(f"CSV header has {len(header)} cells but there are {len(columns)} columns")
+    stream.write(",".join(header) + "\n")
+    for row in zip(*columns):
+        stream.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 @dataclass
@@ -80,25 +88,12 @@ class SweepResult:
     fit: dict | None = None
 
     def csv_text(self) -> str:
-        lines = [CSV_HEADER]
-        for ell, average, pairs in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        self.model,
-                        str(self.L),
-                        _fmt(self.param),
-                        self.sector,
-                        self.ordering,
-                        self.metric,
-                        str(ell),
-                        _fmt(ell / self.L),
-                        _fmt(average),
-                        str(pairs),
-                    )
-                )
-            )
-        return "\n".join(lines) + "\n"
+        ells, averages, pairs = zip(*self.rows) if self.rows else ((), (), ())
+        provenance = (self.model, self.L, self.param, self.sector, self.ordering, self.metric)
+        columns = [[value] * len(ells) for value in provenance]
+        buf = io.StringIO()
+        _write_csv(buf, CSV_HEADER.split(","), columns + [ells, [ell / self.L for ell in ells], averages, pairs])
+        return buf.getvalue()
 
     def sidecar(self) -> dict:
         meta = {
@@ -286,28 +281,15 @@ def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False)
 
 def write_spectrum_csv(table: SpectrumTable, stream, charge_count: int | None = None):
     """Spectrum export: index,sector,mask,energy,parity,momentum,Q0..Qm."""
-    from .ising import SECTORS
-
     count = table.charges.shape[1] if charge_count is None else charge_count
-    header = "index,sector,mask,energy,parity,momentum," + ",".join(f"Q{m}" for m in range(count))
-    stream.write(header + "\n")
-    parity = table.parity  # a property that rebuilds the whole column
-    for i in range(len(table)):
-        cells = [
-            str(i),
-            SECTORS[table.sector_codes[i]],
-            str(int(table.masks[i])),
-            _fmt(table.energy[i]),
-            str(int(parity[i])),
-            str(int(table.momentum[i])),
-        ]
-        cells.extend(_fmt(q) for q in table.charges[i, :count])
-        stream.write(",".join(cells) + "\n")
+    header = ["index", "sector", "mask", "energy", "parity", "momentum"] + [f"Q{m}" for m in range(count)]
+    columns = [range(len(table)), [SECTORS[code] for code in table.sector_codes.tolist()]]
+    columns += [column.tolist() for column in (table.masks, table.energy, table.parity, table.momentum)]
+    _write_csv(stream, header, columns + table.charges[:, :count].T.tolist())
 
 
 def write_charge_profiles(table: SpectrumTable, charge_indices, stream):
     """Per-state charge columns in table order: index,Q{m},..."""
     indices = list(charge_indices)
-    stream.write("index," + ",".join(f"Q{m}" for m in indices) + "\n")
-    for i in range(len(table)):
-        stream.write(str(i) + "," + ",".join(_fmt(table.charges[i, m]) for m in indices) + "\n")
+    header = ["index"] + [f"Q{m}" for m in indices]
+    _write_csv(stream, header, [range(len(table))] + table.charges[:, indices].T.tolist())

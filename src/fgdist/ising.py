@@ -312,25 +312,15 @@ def sort_spectrum(table: SpectrumTable, key_order=None) -> SpectrumTable:
         raise ValueError(f"key order must be distinct charge indices below {table.L}")
     tol = _tie_tolerance(table.L)
     order = np.arange(len(table))
-    groups = [(0, len(table))]
+    # tie-group id of each row in the current order, ascending along it
+    group = np.zeros(len(table), dtype=np.int64)
     for key in key_order:
-        vals = table.charges[:, key]
-        next_groups = []
-        for a, b in groups:
-            if b - a > 1:
-                seg = order[a:b]
-                seg_sorted = seg[np.argsort(vals[seg], kind="stable")]
-                order[a:b] = seg_sorted
-                v = vals[seg_sorted]
-                cuts = np.nonzero(np.diff(v) > tol)[0]
-                start = a
-                for c in cuts:
-                    next_groups.append((start, a + c + 1))
-                    start = a + c + 1
-                next_groups.append((start, b))
-            else:
-                next_groups.append((a, b))
-        groups = next_groups
+        vals = table.charges[order, key]
+        perm = np.lexsort((vals, group))  # stable: equal values keep their order
+        order, group, vals = order[perm], group[perm], vals[perm]
+        changed = np.zeros(len(table), dtype=bool)
+        changed[1:] = (group[1:] != group[:-1]) | (vals[1:] - vals[:-1] > tol)
+        group = np.cumsum(changed)
     # hyphen-joined so the provenance survives as a single CSV cell
     ordering = "charges:" + "-".join(str(k) for k in key_order)
     return table.reordered(order, sort_keys=key_order, ordering=ordering)

@@ -1,5 +1,6 @@
 """Command-line interface: wiring, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -93,6 +94,59 @@ def test_mode_diff_command(capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "L,h,mean_mode_diff"
     assert abs(float(lines[1].split(",")[2]) - 0.3607843137254902) < 1e-12
+
+
+# exact bytes recorded from the per-command writers that preceded the shared
+# CSV writer
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["degeneracy", "--L", "7", "--h", "1.0"], "m,r\n0,0.59055118110236215\n1,0\n2,0\n3,0\n4,0\n5,0\n6,0\n"),
+        (["mode-diff", "--L", "8", "--h", "0.5"], "L,h,mean_mode_diff\n8,0.5,0.31372549019607843\n"),
+    ],
+)
+def test_degeneracy_and_mode_diff_bytes(argv, text, capsys, tmp_path):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+
+
+def test_charges_bytes(capsys):
+    argv = ["charges", "--L", "6", "--h", "0.8", "--sector", "+1,*", "--ordering", "charges:2,0,1", "--indices", "0,3,5"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "46743b9b97089f75e970707bfeb3d768388d3f18f6dfd967e776d8e50470ede8"
+
+
+def test_sector_out_bytes(tmp_path):
+    out = tmp_path / "energies.csv"
+    argv = ["sweep", "--model", "xxz", "--L", "8", "--sector", "1,2", "--ell-max", "2", "--out", str(tmp_path / "s.csv")]
+    assert main(argv + ["--sector-out", str(out)]) == 0
+    assert out.read_text() == (
+        "L,K,n_down,delta,index,energy\n"
+        "8,1,2,1.4142135623730951,0,-1.969757476752023\n"
+        "8,1,2,1.4142135623730951,1,-0.55287674254793651\n"
+        "8,1,2,1.4142135623730951,2,1.1084206569268649\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--L", "5", "--h", "1.0", "--charges", "9"],
+        ["spectrum", "--L", "5", "--h", "1.0", "--charges", "0"],
+        ["spectrum", "--L", "5", "--h", "1.0", "--charges=-2"],
+        ["charges", "--L", "6", "--h", "1.0", "--indices", "0,9"],
+        ["charges", "--L", "6", "--h", "1.0", "--indices=-1"],
+    ],
+)
+def test_export_arguments_outside_the_table_exit_2(argv, capsys, tmp_path):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "fgdist:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_random_sweep_command(capsys):

@@ -105,6 +105,22 @@ def test_canonical_form_zero_pairs():
     assert np.allclose(np.sort(form.pair_values), [0.0, 0.0, 0.7], atol=1e-12)
 
 
+def test_canonical_form_pair_value_inside_slack():
+    # pair values up to EIGENVALUE_SLACK above 1 are snapped to 1, as by
+    # pair_values; the reconstruction is checked before the snap
+    rng = np.random.default_rng(21)
+    other = random_mixed_state(3, rng)
+    for offset in (5e-11, 2e-10, 5e-10, 9e-10):
+        state = planted_state([1.0 + offset, 0.5, 0.3], rng=rng)
+        assert canonical_form(state).pair_values[0] == 1.0
+        assert abs(fidelity(state, other) - dense_fidelity_of(state, other)) < 1e-12
+    beyond = planted_state([1.0 + 2e-9, 0.5, 0.3], rng=rng)
+    with pytest.raises(ValueError, match="beyond slack"):
+        canonical_form(beyond)
+    with pytest.raises(ValueError):
+        fidelity(beyond, other)
+
+
 def test_pair_values_match_canonical_form():
     rng = np.random.default_rng(13)
     state = random_mixed_state(4, rng)

@@ -10,6 +10,7 @@ from fgdist.correlation import CorrelationMatrix, bures_distance
 from fgdist.dense import density_from_gamma, fidelity_dense, trace_distance
 from fgdist.experiments import (
     CSV_HEADER,
+    _write_csv,
     apply_ordering,
     average_consecutive_distance,
     fit_window,
@@ -209,6 +210,29 @@ def test_csv_header_and_lossless_round_trip():
         # 17 significant digits survive the text round trip bit-exactly
         assert float(cells[7]) == ell / 6
         assert float(cells[8]) == avg
+
+
+def test_large_integer_seed_round_trips_exactly():
+    # an int seed is written with str, not rounded to 17 digits
+    seed = 123456789012345678901
+    res = random_sweep(RandomEnsembleSpec(L=4, count=3, seed=seed), "bures", [1])
+    cells = res.csv_text().split("\n")[1].split(",")
+    assert cells[2] == str(seed) and int(cells[2]) == seed
+
+
+def test_write_csv_cells():
+    buf = io.StringIO()
+    _write_csv(buf, ["i", "x", "s"], [range(2), np.array([0.1, 1 / 3]), ["a", "b=1,c"]])
+    assert buf.getvalue() == "i,x,s\n0,0.10000000000000001,a\n1,0.33333333333333331,b=1,c\n"
+
+
+def test_write_csv_rejects_header_column_mismatch():
+    with pytest.raises(ValueError, match="2 cells but there are 3 columns"):
+        _write_csv(io.StringIO(), ["a", "b"], [[1], [2], [3]])
+    table = enumerate_spectrum(1.0, 5)
+    for count in (9, -2):
+        with pytest.raises(ValueError):
+            write_spectrum_csv(table, io.StringIO(), charge_count=count)
 
 
 def test_sidecar_carries_fit():

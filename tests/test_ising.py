@@ -4,6 +4,8 @@ Degeneracy counts and mode differences below are frozen integers from the
 combinatorics of the conserved-charge sort; they have no tolerance knob.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fgdist.correlation import CorrelationMatrix
 from fgdist.errors import GuardExceeded
 from fgdist.ising import (
     EigenstateLabel,
+    SpectrumTable,
     charge_weights,
     degeneracy_ratio,
     dispersion,
@@ -133,6 +136,71 @@ def test_sort_spectrum_key_orders():
     b = sort_spectrum(table, key_order=(2, 0, 1))
     assert np.all(np.diff(b.charges[:, 2]) >= -1e-12)
     assert not np.array_equal(a.masks, b.masks)  # genuinely different orders
+
+
+def _row_order_digest(table) -> str:
+    data = table.masks.astype("<i8").tobytes() + table.sector_codes.astype("u1").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "key_order, digest",
+    [
+        (None, "ee2f5175eb9f90d36b0db479230266be6e9c8164b5936066985cbc1c08dc815b"),
+        ((2, 0, 1), "980e43dbd4827832e93a5bdf562c3689622f0b6d9813dff6df995f8821c4c8b1"),
+    ],
+)
+def test_sort_spectrum_pinned_row_order(key_order, digest):
+    # the exact sorted (mask, sector) rows at the critical field, where many
+    # charges tie; recorded from the per-group interval sort
+    table = sort_spectrum(enumerate_spectrum(1.0, 10), key_order)
+    assert _row_order_digest(table) == digest
+
+
+def _interval_sort_order(table, key_order, tol):
+    """Reference: sort each tie group of the previous keys as its own interval."""
+    order = np.arange(len(table))
+    groups = [(0, len(table))]
+    for key in key_order:
+        vals = table.charges[:, key]
+        next_groups = []
+        for a, b in groups:
+            seg = order[a:b]
+            order[a:b] = seg[np.argsort(vals[seg], kind="stable")]
+            cuts = a + 1 + np.nonzero(np.diff(vals[order[a:b]]) > tol)[0]
+            bounds = [a, *cuts.tolist(), b]
+            next_groups.extend(zip(bounds[:-1], bounds[1:]))
+        groups = next_groups
+    return order
+
+
+@pytest.mark.parametrize("L, h, sector_filter", [(8, 1.0, None), (9, 0.7, (1, None)), (10, 1.0, (None, 0))])
+def test_sort_spectrum_matches_interval_sort(L, h, sector_filter):
+    table = enumerate_spectrum(h, L, sector_filter)
+    for key_order in (tuple(range(L)), (2, 0, 1), (1,), tuple(range(L))[::-1]):
+        order = _interval_sort_order(table, key_order, 1e-9 * L)
+        got = sort_spectrum(table, key_order)
+        assert np.array_equal(got.masks, table.masks[order])
+        assert np.array_equal(got.sector_codes, table.sector_codes[order])
+
+
+def test_sort_spectrum_tie_chains_and_stability():
+    tol = 2e-9  # the tie tolerance at L = 2
+    q0 = [1.2 * tol, 0.0, 0.6 * tol, 1.8 * tol, -1.0, 5.0, 5.0]
+    q1 = [3.0, 2.0, 1.0, 1.0, 9.0, 0.0, 0.0]
+    n = len(q0)
+    table = SpectrumTable(
+        2, 1.0, np.zeros(n, dtype=np.uint8), np.arange(n), np.zeros(n, dtype=np.int64),
+        np.column_stack([q0, q1]),
+    )
+    # rows 0..3 form one chain of steps within tol, so Q1 orders all four
+    # although rows 1 and 3 lie 1.8 tol apart; equal keys keep input order
+    assert sort_spectrum(table).masks.tolist() == [4, 2, 3, 1, 0, 5, 6]
+    assert sort_spectrum(table, key_order=(1,)).masks.tolist() == [5, 6, 2, 3, 1, 0, 4]
+    for rows in (0, 1):
+        part = sort_spectrum(table.reordered(np.arange(rows)))
+        assert part.masks.tolist() == list(range(rows))
+        assert part.sort_keys == (0, 1)
 
 
 def test_degeneracy_profiles_at_critical_field():
