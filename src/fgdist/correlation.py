@@ -21,10 +21,10 @@ The fidelity of two states is computed by branch dispatch:
 
 * one mode: closed form in the two signed pair values;
 * no pair value of either state within UNIT_MODE_TOL of 1: the composition
-  sandwich of :func:`fidelity_regular`, whose matrices all stay bounded by 1
-  in norm;
+  sandwich of :func:`_regular_fidelities`, whose matrices all stay bounded
+  by 1 in norm;
 * every pair value of one state within UNIT_MODE_TOL of 1: quartic-root
-  overlap determinant;
+  overlap determinant, clamped to 1;
 * otherwise: rotate into the canonical basis of the state with more
   near-unit pairs, split off those modes exactly, and recurse on a strictly
   smaller problem.
@@ -33,14 +33,15 @@ Unit modes must be split off first because the overlap determinant and the
 composition solve (1 + Gamma_2 Gamma_1)^{-1} turn singular when an occupied
 mode meets an empty one.
 
-Every fidelity goes through :func:`pair_fidelities`.  It computes each
-state's canonical form and half state once, runs the regular branch on
-stacks of pairs and hands the other branches to the scalar dispatch;
-:func:`fidelity` is :func:`pair_fidelities` on a single pair.
+:func:`fidelity` runs this dispatch on one pair, and the reduction recurses
+into it on the smaller pair.  :func:`pair_fidelities` computes each state's
+canonical form and half state once, runs the regular branch on stacks of
+pairs and hands every other pair to the same dispatch.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 
@@ -50,17 +51,13 @@ import scipy.linalg
 __all__ = [
     "CorrelationMatrix",
     "CanonicalForm",
-    "ModePartition",
     "GaussianProduct",
     "canonical_form",
-    "classify_modes",
     "gaussian_product_trace",
     "gaussian_compose",
     "fidelity",
     "pair_fidelities",
     "fidelity_single_mode",
-    "fidelity_pure",
-    "fidelity_regular",
     "reduce_unit_modes",
     "bures_distance",
     "bures_distances",
@@ -128,7 +125,7 @@ class CorrelationMatrix:
         return self._pair_values
 
     def unit_pair_count(self) -> int:
-        return int(np.sum(self.pair_values >= 1.0 - UNIT_MODE_TOL))
+        return _unit_pairs(self.pair_values)
 
     def is_pure(self) -> bool:
         return self.unit_pair_count() == self.ell
@@ -154,8 +151,10 @@ class CanonicalForm:
     pair_values: np.ndarray
     rotation: np.ndarray
 
-    def blocks(self) -> np.ndarray:
-        return _block_matrix(self.pair_values)
+
+def _unit_pairs(values: np.ndarray) -> int:
+    """How many pair values count as exactly 1 for branch dispatch."""
+    return int(np.sum(values >= 1.0 - UNIT_MODE_TOL))
 
 
 def _block_matrix(values: np.ndarray) -> np.ndarray:
@@ -213,43 +212,6 @@ def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
     if values[0] > 1.0 + EIGENVALUE_SLACK:
         raise ValueError(f"pair value {values[0]:.15g} exceeds 1 beyond slack {EIGENVALUE_SLACK}")
     return CanonicalForm(pair_values=np.minimum(values, 1.0), rotation=rotation)
-
-
-@dataclass
-class ModePartition:
-    """Both states rotated into the canonical basis of the first, whose
-    leading ``unit_pairs`` near-unit pairs (X, snapped exact in ``r_rot``)
-    come before the other ``bulk_pairs`` (Y)."""
-
-    unit_pairs: int
-    bulk_pairs: int
-    r_rot: np.ndarray
-    s_rot: np.ndarray
-
-
-def classify_modes(
-    state_r: CorrelationMatrix,
-    state_s: CorrelationMatrix,
-    form: CanonicalForm | None = None,
-) -> ModePartition:
-    """Split the mode space by the unit pairs of the first state.
-
-    The first state's canonical rotation is applied to both; pairs of the
-    first state with value >= 1 - UNIT_MODE_TOL form the X block and are
-    snapped to exactly 1 there.  ``form`` is the first state's canonical
-    form when the caller already has it.
-    """
-    if state_r.ell != state_s.ell:
-        raise ValueError("states must have the same number of modes")
-    if form is None:
-        form = canonical_form(state_r)
-    x = int(np.sum(form.pair_values >= 1.0 - UNIT_MODE_TOL))
-    r_rot = form.blocks()
-    for j in range(x):
-        r_rot[2 * j, 2 * j + 1] = 1.0
-        r_rot[2 * j + 1, 2 * j] = -1.0
-    s_rot = form.rotation @ state_s.m @ form.rotation.T
-    return ModePartition(unit_pairs=x, bulk_pairs=state_r.ell - x, r_rot=r_rot, s_rot=s_rot)
 
 
 class GaussianProduct:
@@ -385,13 +347,6 @@ def fidelity_single_mode(g1: float, g2: float) -> float:
     return float(min(val, 1.0))
 
 
-def fidelity_pure(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
-    """Fidelity when at least one state is pure: sqrt of the overlap trace."""
-    if not (state_1.is_pure() or state_2.is_pure()):
-        raise ValueError("fidelity_pure requires at least one pure state")
-    return float(np.sqrt(gaussian_product_trace(state_1, state_2)))
-
-
 def _half_matrix(form: CanonicalForm) -> np.ndarray:
     """Matrix m of sqrt(rho)/tr sqrt(rho), from rho's canonical form.
 
@@ -404,22 +359,32 @@ def _half_matrix(form: CanonicalForm) -> np.ndarray:
     return form.rotation.T @ _block_matrix(half) @ form.rotation
 
 
-def _half_state(state: CorrelationMatrix) -> CorrelationMatrix:
-    """Correlation matrix of sqrt(rho)/tr sqrt(rho)."""
-    return CorrelationMatrix(_half_matrix(canonical_form(state)), validate=False)
-
-
 def _more_mixed_second(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> bool:
     """Whether state_2 is the more mixed one, i.e. the regular branch swaps."""
     return float(np.max(state_1.pair_values, initial=0.0)) > float(np.max(state_2.pair_values, initial=0.0))
 
 
 def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Regular-branch fidelities of a stack of pairs.
+    """Fidelities of a stack of pairs of strictly mixed states (no pair value
+    within UNIT_MODE_TOL of 1).
 
     ``m1`` and ``m2`` stack the two states of each pair, the more mixed one
-    first, and ``half`` stacks the half states of ``m1``; see
-    :func:`fidelity_regular` for the formula.
+    first, and ``half`` stacks the half states of ``m1``.  Evaluates
+    tr sqrt(sqrt(rho_1) rho_2 sqrt(rho_1)) by composing correlation
+    matrices: the sandwich is again Gaussian, so its trace-normalized form is
+    an ordinary state whose pair values z_j give
+
+        F = sqrt(tr(rho_1 rho_2)) * prod_j [sqrt((1+z_j)/2) + sqrt((1-z_j)/2)].
+
+    Every matrix along this route is bounded by 1 in norm.  That matters:
+    the equivalent determinant formulas build ratios (1-Gamma)/(1+Gamma)
+    whose spectra span ~(1-g)^{-2}, and near-unit pair values (physical for
+    weakly entangled cuts) then cost six or more digits in double precision.
+    Composing sqrt(rho_1) rather than rho_1 also caps the solve conditioning
+    at ~(1-g)^{-1/2}; rho_1 is chosen as the more mixed of the two inputs.
+    Accuracy degrades to ~1e-8 absolute only when both states share an
+    aligned pair value g with (1-g)^2 below double precision, where the
+    sandwich value is numerically indistinguishable from 1.
     """
     product = _antisymmetrize(_compose_real(half, m2))
     m_z = -1j * _antisymmetrize(_compose_complex(product, 1j * half))
@@ -444,33 +409,12 @@ def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, fo
     return float(_regular_fidelities(half[None], state_1.m[None], state_2.m[None])[0])
 
 
-def fidelity_regular(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
-    """Fidelity of two strictly mixed states (no pair value within
-    UNIT_MODE_TOL of 1).
+def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, form: CanonicalForm):
+    """Split off the unit pairs of the reference state ``state_r`` exactly.
 
-    Evaluates tr sqrt(sqrt(rho_1) rho_2 sqrt(rho_1)) by composing correlation
-    matrices: the sandwich is again Gaussian, so its trace-normalized form is
-    an ordinary state whose pair values z_j give
-
-        F = sqrt(tr(rho_1 rho_2)) * prod_j [sqrt((1+z_j)/2) + sqrt((1-z_j)/2)].
-
-    Every matrix along this route is bounded by 1 in norm.  That matters:
-    the equivalent determinant formulas build ratios (1-Gamma)/(1+Gamma)
-    whose spectra span ~(1-g)^{-2}, and near-unit pair values (physical for
-    weakly entangled cuts) then cost six or more digits in double precision.
-    Composing sqrt(rho_1) rather than rho_1 also caps the solve conditioning
-    at ~(1-g)^{-1/2}; rho_1 is chosen as the more mixed of the two inputs.
-    Accuracy degrades to ~1e-8 absolute only when both states share an
-    aligned pair value g with (1-g)^2 below double precision, where the
-    sandwich value is numerically indistinguishable from 1.
-    """
-    if state_1.unit_pair_count() or state_2.unit_pair_count():
-        raise ValueError("fidelity_regular requires strictly mixed states; reduce unit modes first")
-    return _regular_fidelity(state_1, state_2, canonical_form)
-
-
-def reduce_unit_modes(partition: ModePartition):
-    """Split off the unit pairs of the reference state exactly.
+    ``form`` is the canonical form of ``state_r``.  Both states are rotated
+    into its basis, where the leading pairs with value >= 1 - UNIT_MODE_TOL
+    form the unit block and are snapped to exactly 1 in ``state_r``.
 
     Returns ``(prefactor, bulk_r, bulk_s)``: the fidelity factor contributed
     by the unit block and the two correlation matrices of the remaining
@@ -479,11 +423,12 @@ def reduce_unit_modes(partition: ModePartition):
     determinant is not positive, or 1 - s_x r_x is singular to
     INVERTIBILITY_TOL) ``(0.0, None, None)`` is returned.
     """
-    x = partition.unit_pairs
-    if x == 0 or partition.bulk_pairs == 0:
+    x = _unit_pairs(form.pair_values)
+    if x == 0 or x == state_r.ell:
         raise ValueError("reduction needs 0 < unit pairs < total pairs")
     nx = 2 * x
-    r_rot, s_rot = partition.r_rot, partition.s_rot
+    r_rot = _block_matrix(np.concatenate([np.ones(x), form.pair_values[x:]]))
+    s_rot = form.rotation @ state_s.m @ form.rotation.T
     r_x = r_rot[:nx, :nx]
     s_x = s_rot[:nx, :nx]
     sign, logabs = np.linalg.slogdet((np.eye(nx) - r_x @ s_x) / 2.0)
@@ -504,28 +449,30 @@ def reduce_unit_modes(partition: ModePartition):
 
 
 def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix, form_of) -> float:
-    """Fidelity of a pair of equal size that is not regular: the single,
-    pure and reduce branches; ``form_of`` maps either input state to its
-    canonical form."""
+    """Fidelity of one pair of equal size, in whichever branch it falls;
+    ``form_of`` maps either input state to its canonical form."""
     if state_1.ell == 1:
         return fidelity_single_mode(state_1.m[0, 1], state_2.m[0, 1])
-    if state_1.is_pure() or state_2.is_pure():
-        return fidelity_pure(state_1, state_2)
-    if state_2.unit_pair_count() > state_1.unit_pair_count():
-        state_1, state_2 = state_2, state_1
-    partition = classify_modes(state_1, state_2, form_of(state_1))
-    # the svd-based dispatch counts and the Schur-based partition can read a
-    # value within a few ulp of the threshold differently; fall through
-    # instead of crashing on the knife edge
-    if partition.unit_pairs == 0:
+    if not (state_1.unit_pair_count() or state_2.unit_pair_count()):
         return _regular_fidelity(state_1, state_2, form_of)
-    if partition.bulk_pairs == 0:
-        return float(min(np.sqrt(gaussian_product_trace(state_1, state_2)), 1.0))
-    prefactor, bulk_r, bulk_s = reduce_unit_modes(partition)
-    if prefactor == 0.0:
-        return 0.0
-    value = prefactor * fidelity(bulk_r, bulk_s)
-    return float(np.clip(value, 0.0, 1.0))
+    if not (state_1.is_pure() or state_2.is_pure()):
+        if state_2.unit_pair_count() > state_1.unit_pair_count():
+            state_1, state_2 = state_2, state_1
+        form = form_of(state_1)
+        units = _unit_pairs(form.pair_values)
+        # the svd-based dispatch counts and the Schur form can read a value
+        # within a few ulp of the threshold differently; fall through to the
+        # regular or the pure formula instead of crashing on the knife edge
+        if units == 0:
+            return _regular_fidelity(state_1, state_2, form_of)
+        if units < state_1.ell:
+            prefactor, bulk_r, bulk_s = reduce_unit_modes(state_1, state_2, form)
+            if prefactor == 0.0:
+                return 0.0
+            value = prefactor * _dispatch(bulk_r, bulk_s, functools.cache(canonical_form))
+            return float(np.clip(value, 0.0, 1.0))
+    # one state is pure, or the Schur form reads every pair as a unit pair
+    return float(min(np.sqrt(gaussian_product_trace(state_1, state_2)), 1.0))
 
 
 def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
@@ -535,7 +482,9 @@ def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     state sit within UNIT_MODE_TOL of 1; see the module docstring.  The
     result is clamped into [0, 1].
     """
-    return float(pair_fidelities([state_1, state_2], [(0, 1)])[0])
+    if state_1.ell != state_2.ell:
+        raise ValueError("states must have the same number of modes")
+    return _dispatch(state_1, state_2, functools.cache(canonical_form))
 
 
 def pair_fidelities(states, pairs) -> np.ndarray:
@@ -543,8 +492,8 @@ def pair_fidelities(states, pairs) -> np.ndarray:
 
     A pair's value does not depend on the other pairs of the call.
     Regular-branch pairs are evaluated together, in stacks of at most
-    STACK_ELEMENTS matrix elements; the other branches go through the
-    scalar dispatch.  A state's canonical form and half state are computed
+    STACK_ELEMENTS matrix elements; every other pair goes through the
+    scalar dispatch that :func:`fidelity` runs.  A state's canonical form and half state are computed
     at most once, when a pair first needs them, and dropped after the last
     pair that uses the state, so a sweep over consecutive pairs holds about
     one stack's worth of them.

@@ -42,6 +42,9 @@ __all__ = [
 
 DENSE_GUARD_DEFAULT = 12
 DENSE_HARD_CAP = 14
+# eigenvalues of rho sigma below this magnitude count as exact zeros in
+# fidelity_dense_product
+PRODUCT_EIGENVALUE_FLOOR = 1e-12
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -243,11 +246,11 @@ def gamma_from_density(rho: np.ndarray):
     return (gamma - gamma.T) / 2.0
 
 
-def _clamped_sqrt_eigvals(mat: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _clamped_sqrt_eigvals(mat: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvals(mat)
     if lam.real.min() < -1e-8:
         raise ValueError(f"operator product eigenvalue {lam.real.min():.3e} too negative")
-    lam = np.where(np.abs(lam) < tol, 0.0, lam)
+    lam = np.where(np.abs(lam) < PRODUCT_EIGENVALUE_FLOOR, 0.0, lam)
     lam = np.where(lam.real < 0.0, lam - lam.real, lam)
     return np.sqrt(lam)
 

@@ -281,7 +281,10 @@ def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False)
 
 def write_spectrum_csv(table: SpectrumTable, stream, charge_count: int | None = None):
     """Spectrum export: index,sector,mask,energy,parity,momentum,Q0..Qm."""
-    count = table.charges.shape[1] if charge_count is None else charge_count
+    available = table.charges.shape[1]
+    count = available if charge_count is None else charge_count
+    if not 0 <= count <= available:
+        raise ValueError(f"charge count must lie in 0..{available}, got {count}")
     header = ["index", "sector", "mask", "energy", "parity", "momentum"] + [f"Q{m}" for m in range(count)]
     columns = [range(len(table)), [SECTORS[code] for code in table.sector_codes.tolist()]]
     columns += [column.tolist() for column in (table.masks, table.energy, table.parity, table.momentum)]
@@ -291,5 +294,8 @@ def write_spectrum_csv(table: SpectrumTable, stream, charge_count: int | None = 
 def write_charge_profiles(table: SpectrumTable, charge_indices, stream):
     """Per-state charge columns in table order: index,Q{m},..."""
     indices = list(charge_indices)
+    available = table.charges.shape[1]
+    if not all(0 <= m < available for m in indices):
+        raise ValueError(f"charge indices must lie in 0..{available - 1}, got {indices}")
     header = ["index"] + [f"Q{m}" for m in indices]
     _write_csv(stream, header, [range(len(table))] + table.charges[:, indices].T.tolist())

@@ -24,16 +24,14 @@ from fgdist.correlation import (
     bures_distance,
     bures_distances,
     canonical_form,
-    classify_modes,
     fidelity,
-    fidelity_pure,
-    fidelity_regular,
     fidelity_single_mode,
     gaussian_compose,
     gaussian_product_trace,
     pair_fidelities,
     reduce_unit_modes,
-    _half_state,
+    _block_matrix,
+    _half_matrix,
 )
 from fgdist.dense import (
     density_from_gamma,
@@ -91,7 +89,7 @@ def test_canonical_form_roundtrip():
         form = canonical_form(state)
         o = form.rotation
         assert np.abs(o @ o.T - np.eye(2 * ell)).max() < 1e-12
-        assert np.abs(o @ state.m @ o.T - form.blocks()).max() < 1e-10
+        assert np.abs(o @ state.m @ o.T - _block_matrix(form.pair_values)).max() < 1e-10
         g = form.pair_values
         assert np.all(np.diff(g) <= 1e-15)  # descending
         assert g.min() >= 0.0 and g.max() <= 1.0
@@ -220,7 +218,7 @@ def test_half_state_pair_values():
     rng = np.random.default_rng(41)
     g = rng.uniform(0.0, 0.999, size=4)
     state = planted_state(g, rng=rng)
-    half = _half_state(state)
+    half = CorrelationMatrix(_half_matrix(canonical_form(state)), validate=False)
     want = np.sort(g / (1 + np.sqrt(1 - g * g)))
     assert np.abs(np.sort(half.pair_values) - want).max() < 1e-12
 
@@ -228,7 +226,7 @@ def test_half_state_pair_values():
 def test_half_state_squares_back():
     rng = np.random.default_rng(42)
     state = random_mixed_state(3, rng)
-    half = _half_state(state)
+    half = CorrelationMatrix(_half_matrix(canonical_form(state)), validate=False)
     back = gaussian_compose(half, half).gamma
     assert np.abs(back - 1j * state.m).max() < 1e-11
 
@@ -282,14 +280,6 @@ def test_regular_branch_identity_and_symmetry():
         s2 = random_mixed_state(3, rng)
         assert abs(fidelity(s1, s1) - 1.0) < 1e-12
         assert abs(fidelity(s1, s2) - fidelity(s2, s1)) < 1e-12
-
-
-def test_regular_guard_rejects_unit_pairs():
-    rng = np.random.default_rng(63)
-    pure_ish = planted_state([1.0, 0.4], rng=rng)
-    mixed = random_mixed_state(2, rng)
-    with pytest.raises(ValueError):
-        fidelity_regular(pure_ish, mixed)
 
 
 def test_gray_ladder_against_dense():
@@ -361,12 +351,6 @@ def test_pure_vs_mixed_uses_sqrt_overlap():
         assert abs(got - dense_fidelity_of(pure, mixed)) < 1e-10
 
 
-def test_fidelity_pure_guard():
-    rng = np.random.default_rng(75)
-    with pytest.raises(ValueError):
-        fidelity_pure(random_mixed_state(2, rng), random_mixed_state(2, rng))
-
-
 # ----------------------------------------------------------- reduction branch
 
 
@@ -406,8 +390,7 @@ def test_reduction_prefactor_block_case():
     g_s = np.array([0.8, 0.6, 0.1])
     s1 = planted_state(g_r)
     s2 = planted_state(g_s)
-    partition = classify_modes(s1, s2)
-    prefactor, bulk_r, bulk_s = reduce_unit_modes(partition)
+    prefactor, bulk_r, bulk_s = reduce_unit_modes(s1, s2, canonical_form(s1))
     assert abs(prefactor - np.sqrt((1 + 0.8) / 2)) < 1e-13
     assert np.abs(np.sort(bulk_r.pair_values) - [0.2, 0.5]).max() < 1e-12
     assert np.abs(np.sort(bulk_s.pair_values) - [0.1, 0.6]).max() < 1e-12
@@ -419,7 +402,7 @@ def test_reduction_orthogonal_units_give_zero():
     s1 = planted_state([1.0, 0.5])
     s2 = planted_state([-1.0, 0.5])
     assert fidelity(s1, s2) == 0.0
-    prefactor, bulk_r, bulk_s = reduce_unit_modes(classify_modes(s1, s2))
+    prefactor, bulk_r, bulk_s = reduce_unit_modes(s1, s2, canonical_form(s1))
     assert prefactor == 0.0 and bulk_r is None and bulk_s is None
 
 
@@ -438,7 +421,26 @@ def test_reduce_unit_modes_guards():
     rng = np.random.default_rng(84)
     mixed = random_mixed_state(2, rng)
     with pytest.raises(ValueError):
-        reduce_unit_modes(classify_modes(mixed, mixed))
+        reduce_unit_modes(mixed, mixed, canonical_form(mixed))
+
+
+def test_reduce_unit_modes_rejects_form_without_units():
+    # only the reference state's form counts: unit pairs of the other state
+    # do not make a reduction on a strictly mixed reference
+    rng = np.random.default_rng(63)
+    pure_ish = planted_state([1.0, 0.4], rng=rng)
+    mixed = random_mixed_state(2, rng)
+    with pytest.raises(ValueError, match="0 < unit pairs < total pairs"):
+        reduce_unit_modes(mixed, pure_ish, canonical_form(mixed))
+
+
+def test_reduce_unit_modes_rejects_form_with_all_units():
+    # a pure reference leaves no bulk to recurse on
+    rng = np.random.default_rng(75)
+    pure = planted_state(np.ones(2), rotation=rand_rotation(4, rng))
+    mixed = random_mixed_state(2, rng)
+    with pytest.raises(ValueError, match="0 < unit pairs < total pairs"):
+        reduce_unit_modes(pure, mixed, canonical_form(pure))
 
 
 # -------------------------------------------------------------------- dispatch
@@ -465,6 +467,29 @@ def test_dispatch_knife_edge_no_crash():
         s2 = random_mixed_state(2, rng)
         f = fidelity(s1, s2)
         assert abs(f - dense_fidelity_of(s1, s2)) < 1e-7
+
+
+def test_fidelity_stays_in_unit_interval_on_every_branch():
+    # F(rho, rho) of a pure state is sqrt of an overlap determinant that can
+    # round a few ulp above 1; every branch must clamp into [0, 1]
+    rng = np.random.default_rng(93)
+    pures = []
+    for _ in range(300):
+        ell = int(rng.integers(2, 6))
+        pures.append(planted_state(np.ones(ell), rotation=rand_rotation(2 * ell, rng)))
+    values = [fidelity(s, s) for s in pures]
+    states = [
+        planted_state(np.ones(3), rotation=rand_rotation(6, rng)),
+        planted_state([1.0, 0.6, 0.2], rng=rng),
+        planted_state([1.0 - 1e-10, 0.5, 0.1], rng=rng),
+        random_mixed_state(3, rng),
+        random_mixed_state(3, rng, gmax=1.0),
+    ]
+    values += [fidelity(a, b) for a in states for b in states]
+    single = [planted_state([g]) for g in (0.3, -0.8, 1.0, -1.0)]
+    values += [fidelity(a, b) for a in single for b in single]
+    values = np.array(values)
+    assert np.all((values >= 0.0) & (values <= 1.0))
 
 
 def test_fidelity_shape_mismatch():

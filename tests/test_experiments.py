@@ -281,6 +281,22 @@ def test_write_charge_profiles():
     assert np.any(np.diff(q0s) < 0)
 
 
+def test_export_writers_reject_out_of_range_charges():
+    # a negative index would wrap around to Q_{L-1}; nothing is written
+    table = enumerate_spectrum(1.0, 4)
+    assert table.charges.shape[1] == 4
+    for indices in ([-1], [4], [9], [0, 4]):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"charge indices must lie in 0\.\.3"):
+            write_charge_profiles(table, indices, buf)
+        assert buf.getvalue() == ""
+    for count in (-1, 5):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=r"charge count must lie in 0\.\.4"):
+            write_spectrum_csv(table, buf, count)
+        assert buf.getvalue() == ""
+
+
 # ------------------------------------------------------------- batched pairs
 
 
