@@ -15,6 +15,7 @@ to run large systems.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,6 +35,8 @@ __all__ = [
     "density_from_gamma",
     "density_from_gamma_exponential",
     "gamma_from_density",
+    "RootEigensystem",
+    "root_eigensystem",
     "fidelity_dense",
     "fidelity_dense_product",
     "trace_distance",
@@ -255,7 +258,26 @@ def _clamped_sqrt_eigvals(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(lam)
 
 
-def fidelity_dense(rho: np.ndarray, sigma: np.ndarray) -> float:
+@dataclass(frozen=True)
+class RootEigensystem:
+    """Eigenvectors ``v`` (columns) of a density matrix and the square roots
+    ``sqrt_w`` of its eigenvalues, those below the noise floor set to zero."""
+
+    sqrt_w: np.ndarray
+    v: np.ndarray
+
+
+def root_eigensystem(rho: np.ndarray) -> RootEigensystem:
+    """Diagonalize a density matrix once for any number of
+    :func:`fidelity_dense` calls."""
+    w, v = np.linalg.eigh(rho)
+    # rank-deficient states put +-u noise where exact zeros belong; sqrt of
+    # that noise is ~1e-8 per mode, so zero everything below the noise floor
+    w = np.where(w > 1e-13 * max(w[-1], 0.0), w, 0.0)
+    return RootEigensystem(np.sqrt(w), v)
+
+
+def fidelity_dense(rho: np.ndarray | RootEigensystem, sigma: np.ndarray | RootEigensystem) -> float:
     """Uhlmann fidelity as the nuclear norm of sqrt(sigma) sqrt(rho).
 
     Evaluated as the singular values of C = sqrt(w_s) (V_s^+ V_r) sqrt(w_r)
@@ -265,15 +287,15 @@ def fidelity_dense(rho: np.ndarray, sigma: np.ndarray) -> float:
     itself squares the small values first and loses half the digits for
     nearly pure states.  Exact zero modes contribute exact zero rows here
     rather than sqrt(noise) terms.
+
+    Each argument is a density matrix or its :class:`RootEigensystem`; a
+    matrix goes through :func:`root_eigensystem` first, so a caller that
+    compares one state with many diagonalizes it once and passes the
+    eigensystem to every call, with the same result bit for bit.
     """
-    w_r, v_r = np.linalg.eigh(rho)
-    w_s, v_s = np.linalg.eigh(sigma)
-    # rank-deficient states put +-u noise where exact zeros belong; sqrt of
-    # that noise is ~1e-8 per mode, so zero everything below the noise floor
-    w_r = np.where(w_r > 1e-13 * max(w_r[-1], 0.0), w_r, 0.0)
-    w_s = np.where(w_s > 1e-13 * max(w_s[-1], 0.0), w_s, 0.0)
-    cross = (v_s.conj().T @ v_r) * np.sqrt(w_r)
-    cross *= np.sqrt(w_s)[:, None]
+    r, s = (x if isinstance(x, RootEigensystem) else root_eigensystem(x) for x in (rho, sigma))
+    cross = (s.v.conj().T @ r.v) * r.sqrt_w
+    cross *= s.sqrt_w[:, None]
     sv = np.linalg.svd(cross, compute_uv=False)
     return float(min(sv.sum(), 1.0))
 

@@ -21,7 +21,8 @@ CSV rows carry the schema  model,L,param,sector,ordering,metric,ell,x,
 average,pairs  with floats at 17 significant digits, so identical
 invocations serialize byte-identically and round-trip losslessly.  The
 param column holds h for Ising, Delta for XXZ, and the ensemble seed for
-random sweeps.  A JSON sidecar mirrors the run parameters and the fit.
+random sweeps.  A JSON sidecar mirrors the run parameters (for XXZ sweeps
+also the field h_z) and the fit.
 
 Ising and random sweeps share one pair loop: Bures pairs of one ell go to
 :func:`fgdist.correlation.bures_distances`, which evaluates the regular
@@ -86,6 +87,7 @@ class SweepResult:
     metric: str
     rows: list = field(default_factory=list)  # (ell, average, pair_count)
     fit: dict | None = None
+    h_z: float | None = None  # the XXZ longitudinal field; None for other models
 
     def csv_text(self) -> str:
         ells, averages, pairs = zip(*self.rows) if self.rows else ((), (), ())
@@ -105,6 +107,8 @@ class SweepResult:
             "metric": self.metric,
             "rows": len(self.rows),
         }
+        if self.h_z is not None:
+            meta["h_z"] = self.h_z
         if self.fit is not None:
             meta["fit"] = self.fit
         return meta
@@ -254,6 +258,7 @@ def xxz_sweep(
         sector=f"K={K},n_down={n_down}",
         ordering="all-pairs",
         metric=metric,
+        h_z=float(h_z),
     )
     for ell in ells:
         average, pairs = xxz_pairwise_average(sector, delta, ell, metric, h_z)

@@ -166,8 +166,11 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
 
     Returns (average, pair_count) over the C(dim, 2) unordered pairs,
     metric 'trace' or 'bures' evaluated on dense reduced density matrices.
+    For 'bures' each reduced state is diagonalized once per call
+    (:func:`fgdist.dense.root_eigensystem`), and every pair still makes one
+    :func:`fgdist.dense.fidelity_dense` call on the two eigensystems.
     """
-    from .dense import fidelity_dense, trace_distance
+    from .dense import fidelity_dense, root_eigensystem, trace_distance
 
     if sector.dim < 2:
         raise ValueError(f"need at least two states, sector has {sector.dim}")
@@ -175,6 +178,8 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
         raise ValueError(f"metric must be 'trace' or 'bures', got {metric!r}")
     energies, full = xxz_eigenstates(sector, delta, h_z)
     rdms = [partial_trace(np.ascontiguousarray(full[:, i]), sector.L, ell) for i in range(sector.dim)]
+    if metric == "bures":
+        rdms = [root_eigensystem(rho) for rho in rdms]
     total = 0.0
     pairs = 0
     for i in range(sector.dim):

@@ -18,11 +18,13 @@ from fgdist.dense import (
     majorana_operators,
     parity_diagonal,
     partial_trace,
+    root_eigensystem,
     site_operator,
     trace_distance,
     translation_operator,
 )
 from fgdist.errors import GuardExceeded
+from fgdist.xxz import xxz_eigen_rdm, xxz_sector_basis
 
 
 def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:
@@ -266,6 +268,41 @@ def test_fidelity_rank_deficient_inputs():
     assert 0.0 <= f <= 1.0
     lifted = fidelity_dense(rho + 1e-14 * np.eye(16) / 16, sigma)
     assert abs(f - lifted) < 1e-6
+
+
+def _fidelity_dense_reference(rho, sigma):
+    """fidelity_dense as it was before it took eigensystems, both states
+    diagonalized inside the call: the eigensystem form must match it bit
+    for bit."""
+    w_r, v_r = np.linalg.eigh(rho)
+    w_s, v_s = np.linalg.eigh(sigma)
+    w_r = np.where(w_r > 1e-13 * max(w_r[-1], 0.0), w_r, 0.0)
+    w_s = np.where(w_s > 1e-13 * max(w_s[-1], 0.0), w_s, 0.0)
+    cross = (v_s.conj().T @ v_r) * np.sqrt(w_r)
+    cross *= np.sqrt(w_s)[:, None]
+    sv = np.linalg.svd(cross, compute_uv=False)
+    return float(min(sv.sum(), 1.0))
+
+
+def test_fidelity_dense_takes_eigensystems_bit_for_bit():
+    rng = np.random.default_rng(26)
+    sector = xxz_sector_basis(8, 0, 4)
+    groups = [[random_density(16, rng) for _ in range(3)]]
+    # XXZ reduced states past half the chain and pure Gaussian states: rank
+    # deficient, with positive noise eigenvalues that only the floor zeroes
+    groups += [[xxz_eigen_rdm(sector, 1.3, i, ell) for i in range(3)] for ell in range(5, 9)]
+    groups.append([density_from_gamma(planted_state(np.ones(4), rng=rng)) for _ in range(3)])
+    for group in groups[1:]:
+        w = np.linalg.eigvalsh(group[0])
+        assert np.any((w > 0.0) & (w <= 1e-13 * w[-1]))
+    for group in groups:
+        # every ordered pair, each state with itself included
+        for rho in group:
+            for sigma in group:
+                want = _fidelity_dense_reference(rho, sigma)
+                eig_rho, eig_sigma = root_eigensystem(rho), root_eigensystem(sigma)
+                for a, b in ((rho, sigma), (eig_rho, sigma), (rho, eig_sigma), (eig_rho, eig_sigma)):
+                    assert fidelity_dense(a, b) == want
 
 
 # -------------------------------------------------------------- trace distance

@@ -180,6 +180,35 @@ def test_xxz_sweep_frozen_values():
     assert abs(res.rows[1][1] - 0.7124111438260883) < 1e-10
 
 
+def test_xxz_sweep_bytes_are_pinned():
+    # ell > L / 2 reaches rank-deficient reduced states; the L = 12 sweep is
+    # the first grid point of the benchmark's xxz-sector sweep
+    assert xxz_sweep(8, 1, 2, float(np.sqrt(2.0)), "bures", range(1, 9)).csv_text() == (
+        "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,1,0.125,4.9670537312825518e-09,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,2,0.25,0.39394404043551495,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,3,0.375,0.71241114382608828,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,4,0.5,0.9564073329282321,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,5,0.625,1.1344893443672417,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,6,0.75,1.2950551351236312,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,7,0.875,1.4142135623730949,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,8,1,1.4142135623730951,3\n"
+    )
+    assert xxz_sweep(12, 1, 4, 1.205, "bures", [2, 3, 4, 5]).csv_text() == (
+        "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,2,0.16666666666666666,0.23909096716113071,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,3,0.25,0.47805304002555521,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,4,0.33333333333333331,0.72580663825141223,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,5,0.41666666666666669,0.9346381907816812,780\n"
+    )
+
+
+def test_xxz_sidecar_carries_h_z():
+    sidecars = [json.loads(xxz_sweep(8, 1, 2, 1.0, "bures", [2], h_z=h_z).sidecar_text()) for h_z in (0.0, 0.3)]
+    assert [meta["h_z"] for meta in sidecars] == [0.0, 0.3]
+    assert "h_z" not in json.loads(ising_sweep(6, 1.0, "bures", [1]).sidecar_text())
+
+
 def test_random_sweep_scaled_average_stays_bounded():
     spec = RandomEnsembleSpec(L=6, count=8, seed=3)
     res = random_sweep(spec, "bures", [1, 2, 3])
