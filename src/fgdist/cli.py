@@ -11,8 +11,8 @@ All tabular output is CSV with floats at 17 significant digits; repeated
 identical invocations emit byte-identical files.  Sweep runs with --out
 also write a JSON sidecar next to the CSV (carrying the fit under --fit);
 --sector-out, with --model xxz only, exports the sector's energies.  Exit
-codes: 0 success, 2 invalid arguments or parameters, 3 request exceeds a
-dense-size guard.
+codes: 0 success, 2 invalid arguments or parameters or an output path that
+cannot be written, 3 request exceeds a dense-size guard.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ def main(argv=None) -> int:
     except GuardExceeded as exc:
         print(f"fgdist: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"fgdist: {exc}", file=sys.stderr)
         return 2
 

@@ -26,8 +26,7 @@ from .correlation import CorrelationMatrix, canonical_form
 from .errors import GuardExceeded
 
 __all__ = [
-    "DENSE_GUARD_DEFAULT",
-    "DENSE_HARD_CAP",
+    "DENSE_GUARD",
     "majorana_operators",
     "site_operator",
     "translation_operator",
@@ -43,8 +42,9 @@ __all__ = [
     "partial_trace",
 ]
 
-DENSE_GUARD_DEFAULT = 12
-DENSE_HARD_CAP = 14
+# most sites of any dense 2^ell operator or vector; one 2^12 x 2^12 complex
+# matrix is 256 MiB
+DENSE_GUARD = 12
 # eigenvalues of rho sigma below this magnitude count as exact zeros in
 # fidelity_dense_product
 PRODUCT_EIGENVALUE_FLOOR = 1e-12
@@ -57,11 +57,9 @@ PAULI = {
 }
 
 
-def _check_guard(ell: int, guard: int):
-    if guard > DENSE_HARD_CAP:
-        raise GuardExceeded(f"guard {guard} above hard cap {DENSE_HARD_CAP}")
-    if ell > guard:
-        raise GuardExceeded(f"{ell} sites exceed the dense guard of {guard}")
+def _check_guard(ell: int):
+    if ell > DENSE_GUARD:
+        raise GuardExceeded(f"{ell} sites exceed the dense guard of {DENSE_GUARD}")
 
 
 def site_operator(label: str, site: int, length: int) -> scipy.sparse.csr_matrix:
@@ -88,12 +86,11 @@ def majorana_operators(ell: int):
     operators of one site share their column indices (both flip the bit of
     site j); the entries of d_{2j-1} are real (+-1) and those of d_{2j}
     imaginary (+-i).  ``density_from_gamma`` relies on this structure and
-    checks it.
+    checks it.  Raises :class:`GuardExceeded` above ``DENSE_GUARD`` modes.
     """
     if ell < 1:
         raise ValueError("need at least one mode")
-    if ell > DENSE_HARD_CAP:
-        raise GuardExceeded(f"{ell} modes exceed the Majorana cap of {DENSE_HARD_CAP}")
+    _check_guard(ell)
     ops = []
     eye = scipy.sparse.identity(1, dtype=complex, format="csr")
     string = eye
@@ -126,7 +123,7 @@ def parity_diagonal(length: int) -> np.ndarray:
     return np.where(pop % 2 == 0, 1.0, -1.0)
 
 
-def density_from_gamma(state: CorrelationMatrix, guard: int = DENSE_GUARD_DEFAULT) -> np.ndarray:
+def density_from_gamma(state: CorrelationMatrix) -> np.ndarray:
     """Dense density matrix with the given Majorana correlations.
 
     Built as the commuting product prod_j (1 - g_j i d'_{2j-1} d'_{2j}) / 2
@@ -136,7 +133,7 @@ def density_from_gamma(state: CorrelationMatrix, guard: int = DENSE_GUARD_DEFAUL
     O_{a,2j-1} (+-1) + i O_{a,2j} (+-1), exact, so each d'_a is filled
     in place rather than summed from 2 ell dense operators.
     """
-    _check_guard(state.ell, guard)
+    _check_guard(state.ell)
     form = canonical_form(state)
     flat, x_signs, y_signs = _majorana_pattern(state.ell)
     dim = 2**state.ell
@@ -184,7 +181,7 @@ def _majorana_pattern(ell: int):
     return flat, x_signs, y_signs
 
 
-def density_from_gamma_exponential(gamma, guard: int = DENSE_GUARD_DEFAULT) -> np.ndarray:
+def density_from_gamma_exponential(gamma) -> np.ndarray:
     """Dense Gaussian operator exp(-(1/4) sum W_mn d_m d_n) / Z.
 
     W = 2 artanh(Gamma); valid only when no eigenvalue of Gamma sits at +-1.
@@ -198,7 +195,7 @@ def density_from_gamma_exponential(gamma, guard: int = DENSE_GUARD_DEFAULT) -> n
     gamma = np.asarray(gamma, dtype=complex)
     n = gamma.shape[0]
     ell = n // 2
-    _check_guard(ell, guard)
+    _check_guard(ell)
     eye = np.eye(n)
     w = scipy.linalg.logm((eye + gamma) @ np.linalg.inv(eye - gamma))
     ops = majorana_operators(ell)

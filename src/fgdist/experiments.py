@@ -129,7 +129,7 @@ def fit_window(L: int) -> tuple:
     return math.ceil(0.2 * L), math.floor(0.4 * L)
 
 
-def linear_slope_fit(ells, values, L: int, metric: str | None = None) -> tuple:
+def linear_slope_fit(ells, values, L: int, metric: str) -> tuple:
     """OLS slope/intercept of average vs x = ell/L over the fit window.
 
     Bures values are divided by sqrt(2) first; the fit needs at least two
@@ -184,12 +184,29 @@ def _gaussian_states(table: SpectrumTable, ell: int) -> list:
 
 
 def _pair_distances(states: list, pairs: list, metric: str) -> np.ndarray:
-    """Distances between the states of each index pair, 'bures' or 'trace'."""
+    """Distances between the states of each index pair, 'bures' or 'trace'.
+
+    For 'trace' a state's dense reduced density matrix is built when a pair
+    first needs it and dropped after the last pair that uses the state, so
+    a sweep over consecutive pairs holds two at a time.  All-pairs sweeps
+    (random ensembles) use every state until the end and still hold them
+    all.
+    """
     if metric == "bures":
         return bures_distances(states, pairs)
     if metric == "trace":
-        rhos = [density_from_gamma(s) for s in states]
-        return np.array([trace_distance(rhos[i], rhos[j]) for i, j in pairs])
+        last_use = {k: p for p, pair in enumerate(pairs) for k in pair}
+        rhos = {}
+        values = np.empty(len(pairs))
+        for p, (i, j) in enumerate(pairs):
+            for k in (i, j):
+                if k not in rhos:
+                    rhos[k] = density_from_gamma(states[k])
+            values[p] = trace_distance(rhos[i], rhos[j])
+            for k in (i, j):
+                if last_use[k] == p:
+                    rhos.pop(k, None)
+        return values
     raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
 
 

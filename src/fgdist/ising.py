@@ -251,15 +251,15 @@ class SpectrumTable:
         )
 
 
-def enumerate_spectrum(h: float, L: int, sector_filter=None, guard: int = ENUMERATION_GUARD) -> SpectrumTable:
+def enumerate_spectrum(h: float, L: int, sector_filter=None) -> SpectrumTable:
     """Enumerate the physical eigenstates (NS even, then R odd, masks ascending).
 
     ``sector_filter`` is an optional (parity, momentum) pair; either entry
     may be None to leave that quantum number unrestricted.
     """
     _validate_chain(L, h)
-    if L > guard or guard > ENUMERATION_GUARD:
-        raise GuardExceeded(f"full enumeration at L={L} exceeds the guard of {min(guard, ENUMERATION_GUARD)}")
+    if L > ENUMERATION_GUARD:
+        raise GuardExceeded(f"full enumeration at L={L} exceeds the guard of {ENUMERATION_GUARD}")
     blocks = []
     for code, sector in enumerate(SECTORS):
         ks2 = sector_momenta(L, sector)

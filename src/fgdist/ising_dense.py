@@ -29,14 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import ising
-from .dense import (
-    DENSE_GUARD_DEFAULT,
-    _check_guard,
-    majorana_operators,
-    parity_diagonal,
-    site_operator,
-    translation_operator,
-)
+from .dense import _check_guard, majorana_operators, parity_diagonal, site_operator, translation_operator
 from .ising import EigenstateLabel, charge_weights, dispersion, sector_momenta
 
 __all__ = [
@@ -52,9 +45,9 @@ __all__ = [
 ]
 
 
-def ising_hamiltonian(h: float, L: int, guard: int = DENSE_GUARD_DEFAULT) -> np.ndarray:
+def ising_hamiltonian(h: float, L: int) -> np.ndarray:
     """Dense H = -(1/2) sum_j (X_j X_{j+1} + h Z_j), periodic."""
-    _check_guard(L, guard)
+    _check_guard(L)
     x_ops = [site_operator("X", j, L) for j in range(1, L + 1)]
     z_ops = [site_operator("Z", j, L) for j in range(1, L + 1)]
     ham = sp.csr_matrix((2**L, 2**L), dtype=complex)
@@ -66,9 +59,9 @@ def ising_hamiltonian(h: float, L: int, guard: int = DENSE_GUARD_DEFAULT) -> np.
     return dense.real
 
 
-def annihilation_operators(L: int, guard: int = DENSE_GUARD_DEFAULT) -> list:
+def annihilation_operators(L: int) -> list:
     """Sparse Jordan-Wigner a_j = (d_{2j-1} + i d_{2j}) / 2, j = 1..L."""
-    d = majorana_operators(L) if L <= guard else _check_guard(L, guard)
+    d = majorana_operators(L)
     return [(d[2 * j] + 1j * d[2 * j + 1]) * 0.5 for j in range(L)]
 
 
@@ -79,7 +72,6 @@ def quasiparticle_operators(h: float, L: int, sector: str) -> tuple:
     Fourier modes a_k = L^{-1/2} sum_j e^{-i theta_k j} a_{j+1} (j = 0..L-1),
     then c_k = u_k a_k - i v_k a_{-k}^dag.  Unpaired momenta have v = 0.
     """
-    _check_guard(L, DENSE_GUARD_DEFAULT)
     a_site = annihilation_operators(L)
     ks2, eps, u, v, minus = ising._mode_data(L, float(h), sector)
     theta = np.pi * ks2 / L

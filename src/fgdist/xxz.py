@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import DENSE_GUARD_DEFAULT, _check_guard, partial_trace, site_operator
+from .dense import _check_guard, partial_trace, site_operator
 
 __all__ = [
     "XXZSector",
@@ -66,6 +66,12 @@ class XXZSector:
 
 
 def xxz_sector_basis(L: int, K: int, n_down: int) -> XXZSector:
+    """Orbit representatives and periods of the (K, n_down) sector.
+
+    Walks all 2^L configurations, so it checks the dense guard first: every
+    consumer of a sector builds 2^L-row Bloch vectors anyway.
+    """
+    _check_guard(L)
     if not 0 <= n_down <= L:
         raise ValueError(f"n_down must lie in 0..{L}, got {n_down}")
     if not 0 <= K < L:
@@ -107,7 +113,7 @@ def _bloch_matrix(sector: XXZSector) -> sp.csr_matrix:
 @lru_cache(maxsize=8)
 def xxz_dense_hamiltonian(L: int, delta: float, h_z: float = 0.0) -> sp.csr_matrix:
     """Sparse full-space XXZ Hamiltonian (guarded)."""
-    _check_guard(L, DENSE_GUARD_DEFAULT)
+    _check_guard(L)
     ops = {label: [site_operator(label, j, L) for j in range(1, L + 1)] for label in "XYZ"}
     ham = sp.csr_matrix((2**L, 2**L), dtype=complex)
     for j in range(L):

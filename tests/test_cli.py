@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -64,6 +65,27 @@ def test_validation_errors_exit_2(capsys, tmp_path):
 def test_guard_exceeded_exits_3(capsys):
     assert main(["sweep", "--L", "20", "--ell-max", "2"]) == 3
     assert "guard" in capsys.readouterr().err
+
+
+def test_xxz_guard_exits_3_before_the_basis_walk(capsys):
+    start = time.perf_counter()
+    assert main(["sweep", "--model", "xxz", "--L", "40", "--sector", "0,20", "--ell-max", "2"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mode-diff", "--L", "4", "--h", "1", "--out"],
+        ["sweep", "--L", "4", "--ell-max", "1", "--out"],
+        ["sweep", "--model", "xxz", "--L", "4", "--sector", "0,2", "--ell-max", "1", "--sector-out"],
+    ],
+)
+def test_unwritable_output_path_exits_2(argv, capsys, tmp_path):
+    assert main([*argv, str(tmp_path / "missing" / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fgdist: ") and err.count("\n") == 1
 
 
 def test_spectrum_command(capsys):

@@ -1,5 +1,7 @@
 """Dense 2^ell oracles: Majorana algebra, state construction, metrics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -8,7 +10,7 @@ from conftest import planted_state, rand_rotation, random_mixed_state
 from fgdist import dense
 from fgdist.correlation import CorrelationMatrix, canonical_form, fidelity_single_mode
 from fgdist.dense import (
-    DENSE_HARD_CAP,
+    DENSE_GUARD,
     PAULI,
     density_from_gamma,
     density_from_gamma_exponential,
@@ -24,7 +26,8 @@ from fgdist.dense import (
     translation_operator,
 )
 from fgdist.errors import GuardExceeded
-from fgdist.xxz import xxz_eigen_rdm, xxz_sector_basis
+from fgdist.ising_dense import annihilation_operators, ising_hamiltonian
+from fgdist.xxz import xxz_dense_hamiltonian, xxz_eigen_rdm, xxz_sector_basis
 
 
 def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:
@@ -198,11 +201,36 @@ def test_density_from_gamma_bitwise_matches_operator_sums(ell):
 
 
 def test_guard_rejects_large_systems():
-    big = planted_state(np.zeros(DENSE_HARD_CAP + 1))
+    big = planted_state(np.zeros(DENSE_GUARD + 1))
     with pytest.raises(GuardExceeded):
         density_from_gamma(big)
     with pytest.raises(GuardExceeded):
-        density_from_gamma(planted_state(np.zeros(13)), guard=12)
+        density_from_gamma(planted_state(np.zeros(13)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda state: majorana_operators(13), id="majorana_operators"),
+        pytest.param(density_from_gamma, id="density_from_gamma"),
+        pytest.param(density_from_gamma_exponential, id="density_from_gamma_exponential"),
+        pytest.param(lambda state: ising_hamiltonian(1.0, 13), id="ising_hamiltonian"),
+        pytest.param(lambda state: annihilation_operators(13), id="annihilation_operators"),
+        pytest.param(lambda state: xxz_dense_hamiltonian(13, 1.0), id="xxz_dense_hamiltonian"),
+        pytest.param(lambda state: xxz_sector_basis(13, 0, 6), id="xxz_sector_basis"),
+    ],
+)
+def test_every_dense_entry_point_stops_at_the_guard(build):
+    """13 sites raise before anything with 2^13 entries is allocated."""
+    state = planted_state(np.full(13, 0.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match="guard of 12"):
+            build(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**13
 
 
 def test_gamma_from_density_rejects_bad_dimension():

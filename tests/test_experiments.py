@@ -2,10 +2,12 @@
 
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+from fgdist import experiments
 from fgdist.correlation import CorrelationMatrix, bures_distance
 from fgdist.dense import density_from_gamma, fidelity_dense, trace_distance
 from fgdist.experiments import (
@@ -164,6 +166,22 @@ def test_ising_sweep_trace_frozen_values():
     assert abs(res.fit["slope"] - 1.7932027162455422) < 1e-10
     assert abs(res.fit["intercept"] - (-0.22514986165512904)) < 1e-10
     assert (res.fit["ell_min"], res.fit["ell_max"]) == (2, 3)
+
+
+def test_trace_sweep_holds_two_dense_states(monkeypatch):
+    refs, most = [], [0]
+
+    def counted(state):
+        rho = density_from_gamma(state)
+        refs.append(weakref.ref(rho))
+        most[0] = max(most[0], sum(ref() is not None for ref in refs))
+        return rho
+
+    monkeypatch.setattr(experiments, "density_from_gamma", counted)
+    res = ising_sweep(6, 1.0, "trace", [3])
+    monkeypatch.undo()
+    assert most[0] <= 2
+    assert res.rows == ising_sweep(6, 1.0, "trace", [3]).rows
 
 
 def test_ising_sweep_sector_restriction():

@@ -86,8 +86,6 @@ def test_enumeration_sector_filter():
 def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
         enumerate_spectrum(1.0, 17)
-    with pytest.raises(GuardExceeded):
-        enumerate_spectrum(1.0, 10, guard=8)  # guard can shrink, never grow
 
 
 def test_label_validation():
