@@ -10,15 +10,17 @@ Subcommands
 All tabular output is CSV with floats at 17 significant digits; repeated
 identical invocations emit byte-identical files.  Sweep runs with --out
 also write a JSON sidecar next to the CSV (carrying the fit under --fit);
---sector-out, with --model xxz only, exports the sector's energies.  Exit
-codes: 0 success, 2 invalid arguments or parameters or an output path that
-cannot be written, 3 request exceeds a dense-size guard.
+--sector-out, with --model xxz only, exports the sector's energies.  The
+directories of --out and --sector-out are checked before anything is
+computed.  Exit codes: 0 success, 2 invalid arguments or parameters or an
+output path that cannot be written, 3 request exceeds a dense-size guard.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from pathlib import Path
 
@@ -61,6 +63,18 @@ def _ells(args, L: int):
     if not 1 <= lo <= hi <= L:
         raise ValueError(f"need 1 <= ell-min <= ell-max <= {L}, got {lo}..{hi}")
     return range(lo, hi + 1)
+
+
+def _check_output_directory(path: str | None):
+    """Raise before any computation if ``path`` cannot be created: its
+    directory is missing or not writable."""
+    if path is None:
+        return
+    directory = Path(path).parent
+    if not directory.is_dir():
+        raise FileNotFoundError(f"output directory {str(directory)!r} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise PermissionError(f"output directory {str(directory)!r} is not writable")
 
 
 @contextlib.contextmanager
@@ -213,6 +227,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for path in (args.out, getattr(args, "sector_out", None)):
+            _check_output_directory(path)
         return _RUNNERS[args.command](args)
     except GuardExceeded as exc:
         print(f"fgdist: {exc}", file=sys.stderr)

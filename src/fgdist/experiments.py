@@ -26,8 +26,14 @@ also the field h_z) and the fit.
 
 Ising and random sweeps share one pair loop: Bures pairs of one ell go to
 :func:`fgdist.correlation.bures_distances`, which evaluates the regular
-branch on stacks of pairs and returns the same values as a per-pair loop;
-trace pairs compare dense reduced density matrices.
+branch on stacks of pairs and returns the same values as a per-pair loop.
+Trace pairs compare dense reduced density matrices, built by
+:func:`fgdist.dense.density_stack` in blocks of at most
+TRACE_STACK_ELEMENTS dense entries (at least one state) and compared a
+block of pairs at a time, so consecutive and all-pairs sweeps alike hold
+two blocks of states and one of differences: a few MiB up to ell = 7.
+Trace sweeps check their largest ell against the dense guard before they
+enumerate or sample anything.
 """
 
 from __future__ import annotations
@@ -39,10 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# bures_distance is not called here, but perfbench/tracing.py wraps the name
-# in this namespace
+# bures_distance and density_from_gamma are not called here, but
+# perfbench/tracing.py wraps the names in this namespace
 from .correlation import CorrelationMatrix, bures_distance, bures_distances  # noqa: F401
-from .dense import density_from_gamma, trace_distance
+from .dense import _check_guard, density_from_gamma, density_stack, trace_distance  # noqa: F401
 from .ising import SECTORS, SpectrumTable, enumerate_spectrum, sort_spectrum, subsystem_correlations
 from .random_ensemble import RandomEnsembleSpec, sample_ensemble
 from .xxz import xxz_pairwise_average, xxz_sector_basis
@@ -62,6 +68,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "model,L,param,sector,ordering,metric,ell,x,average,pairs"
+# dense entries in one block of states of a trace sweep: 2^15 complex entries
+# are 512 KiB, so a block holds 32 states at ell = 5 and one from ell = 8 on
+TRACE_STACK_ELEMENTS = 2**15
 
 
 def _write_csv(stream, header, columns):
@@ -186,28 +195,38 @@ def _gaussian_states(table: SpectrumTable, ell: int) -> list:
 def _pair_distances(states: list, pairs: list, metric: str) -> np.ndarray:
     """Distances between the states of each index pair, 'bures' or 'trace'.
 
-    For 'trace' a state's dense reduced density matrix is built when a pair
-    first needs it and dropped after the last pair that uses the state, so
-    a sweep over consecutive pairs holds two at a time.  All-pairs sweeps
-    (random ensembles) use every state until the end and still hold them
-    all.
+    For 'trace' the states are split into blocks of TRACE_STACK_ELEMENTS
+    dense entries (at least one state).  The pairs are grouped by the blocks
+    of their two states; each group is evaluated with its two blocks built,
+    at most one block of pairs per stacked ``trace_distance``, and the values
+    go to their pairs' positions.  A sweep over consecutive pairs builds each
+    block once; an all-pairs sweep rebuilds the later blocks once per earlier
+    block, and holds at most two blocks and one block of differences at a
+    time either way.
     """
     if metric == "bures":
         return bures_distances(states, pairs)
-    if metric == "trace":
-        last_use = {k: p for p, pair in enumerate(pairs) for k in pair}
-        rhos = {}
-        values = np.empty(len(pairs))
-        for p, (i, j) in enumerate(pairs):
-            for k in (i, j):
-                if k not in rhos:
-                    rhos[k] = density_from_gamma(states[k])
-            values[p] = trace_distance(rhos[i], rhos[j])
-            for k in (i, j):
-                if last_use[k] == p:
-                    rhos.pop(k, None)
-        return values
-    raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
+    if metric != "trace":
+        raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
+    m = np.stack([s.m for s in states])
+    size = max(1, TRACE_STACK_ELEMENTS // 4 ** states[0].ell)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    blocks, rows = np.divmod(pairs, size)
+    codes = blocks[:, 0] * len(states) + blocks[:, 1]
+    order = np.argsort(codes, kind="stable")
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    values = np.empty(len(pairs))
+    built = {}
+    for group in np.split(order, starts[1:]):
+        bi, bj = blocks[group[0]].tolist()
+        built = {b: rho for b, rho in built.items() if b in (bi, bj)}
+        for b in (bi, bj):
+            if b not in built:
+                built[b] = density_stack(m[b * size : (b + 1) * size])
+        for start in range(0, len(group), size):
+            chunk = group[start : start + size]
+            values[chunk] = trace_distance(built[bi][rows[chunk, 0]], built[bj][rows[chunk, 1]])
+    return values
 
 
 def average_consecutive_distance(table: SpectrumTable, ell: int, metric: str) -> tuple:
@@ -241,6 +260,9 @@ def ising_sweep(
     fit: bool = False,
 ) -> SweepResult:
     """Consecutive-pair distance averages across an Ising spectrum table."""
+    ells = list(ells)
+    if metric == "trace":
+        _check_guard(max(ells, default=0))
     table = apply_ordering(enumerate_spectrum(h, L, sector_filter), ordering)
     result = SweepResult(
         model="ising",
@@ -285,6 +307,9 @@ def xxz_sweep(
 
 def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False) -> SweepResult:
     """All-pairs distance averages over a random pure Gaussian ensemble."""
+    ells = list(ells)
+    if metric == "trace":
+        _check_guard(max(ells, default=0))
     states = sample_ensemble(spec)
     pairs = [(i, j) for i in range(spec.count) for j in range(i + 1, spec.count)]
     result = SweepResult(

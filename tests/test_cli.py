@@ -77,6 +77,36 @@ def test_xxz_guard_exits_3_before_the_basis_walk(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sweep", "--L", "14", "--metric", "trace", "--ell-min", "3", "--ell-max", "13"],
+        ["sweep", "--model", "random", "--L", "64", "--count", "64", "--metric", "trace", "--ell-max", "13"],
+    ],
+)
+def test_trace_guard_exits_3_before_any_state_is_built(argv, capsys):
+    # the whole ell range is checked before enumerating or sampling
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--L", "12", "--ell-max", "6", "--out"],
+        ["sweep", "--model", "xxz", "--L", "12", "--sector", "1,6", "--ell-max", "7", "--sector-out"],
+    ],
+)
+def test_unwritable_output_path_exits_2_before_the_sweep(argv, capsys, tmp_path):
+    # each sweep computes for 7 to 10 s before it would write anything
+    start = time.perf_counter()
+    assert main([*argv, str(tmp_path / "missing" / "x.csv")]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "does not exist" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["mode-diff", "--L", "4", "--h", "1", "--out"],
         ["sweep", "--L", "4", "--ell-max", "1", "--out"],
         ["sweep", "--model", "xxz", "--L", "4", "--sector", "0,2", "--ell-max", "1", "--sector-out"],

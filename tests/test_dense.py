@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import planted_state, rand_rotation, random_mixed_state
 from fgdist import dense
@@ -14,6 +16,7 @@ from fgdist.dense import (
     PAULI,
     density_from_gamma,
     density_from_gamma_exponential,
+    density_stack,
     fidelity_dense,
     fidelity_dense_product,
     gamma_from_density,
@@ -200,6 +203,38 @@ def test_density_from_gamma_bitwise_matches_operator_sums(ell):
         assert np.array_equal(density_from_gamma(state), _density_by_operator_sums(state))
 
 
+# pair values of one state: exact 1 (pure modes) and 0 (maximally mixed
+# modes) as often as generic values, so pure and partly pure states come up
+_PAIR_VALUES = st.lists(st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=6)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(gammas=_PAIR_VALUES, seed=st.integers(0, 2**32 - 1))
+def test_density_stack_matches_the_product_form(gammas, seed):
+    state = planted_state(gammas, rng=np.random.default_rng(seed))
+    rho = density_stack(state.m[None])
+    assert rho.shape == (1, 2**state.ell, 2**state.ell)
+    assert np.abs(rho[0] - density_from_gamma(state)).max() <= 1e-14
+
+
+def test_density_stack_is_the_same_in_any_stack():
+    rng = np.random.default_rng(12)
+    for ell in (1, 3, 5):
+        states = [random_mixed_state(ell, rng) for _ in range(4)]
+        states += [planted_state(np.ones(ell), rng=rng), planted_state([1.0] + [0.3] * (ell - 1), rng=rng)]
+        m = np.stack([s.m for s in states])
+        whole = density_stack(m)
+        for k in range(len(m)):
+            assert np.array_equal(density_stack(m[k : k + 1])[0], whole[k])
+        assert np.array_equal(density_stack(m[2:5]), whole[2:5])
+
+
+def test_density_stack_rejects_other_shapes():
+    for shape in [(4, 4), (1, 3, 3), (1, 4, 6), (1, 0, 0)]:
+        with pytest.raises(ValueError):
+            density_stack(np.zeros(shape))
+
+
 def test_guard_rejects_large_systems():
     big = planted_state(np.zeros(DENSE_GUARD + 1))
     with pytest.raises(GuardExceeded):
@@ -214,6 +249,7 @@ def test_guard_rejects_large_systems():
         pytest.param(lambda state: majorana_operators(13), id="majorana_operators"),
         pytest.param(density_from_gamma, id="density_from_gamma"),
         pytest.param(density_from_gamma_exponential, id="density_from_gamma_exponential"),
+        pytest.param(lambda state: density_stack(state.m[None]), id="density_stack"),
         pytest.param(lambda state: ising_hamiltonian(1.0, 13), id="ising_hamiltonian"),
         pytest.param(lambda state: annihilation_operators(13), id="annihilation_operators"),
         pytest.param(lambda state: xxz_dense_hamiltonian(13, 1.0), id="xxz_dense_hamiltonian"),
@@ -360,6 +396,18 @@ def test_trace_distance_orthogonal_pure_is_one():
     rho = np.diag([1.0, 0.0]).astype(complex)
     sigma = np.diag([0.0, 1.0]).astype(complex)
     assert abs(trace_distance(rho, sigma) - 1.0) < 1e-14
+
+
+def test_trace_distance_of_stacks_matches_each_pair_bit_for_bit():
+    rng = np.random.default_rng(32)
+    rhos = np.stack([random_density(8, rng) for _ in range(5)])
+    sigmas = np.stack([random_density(8, rng) for _ in range(5)])
+    got = trace_distance(rhos, sigmas)
+    assert got.shape == (5,)
+    assert got.tolist() == [trace_distance(a, b) for a, b in zip(rhos, sigmas)]
+    assert trace_distance(rhos.reshape(5, 1, 8, 8), sigmas.reshape(5, 1, 8, 8)).shape == (5, 1)
+    with pytest.raises(ValueError):
+        trace_distance(rhos, sigmas + np.triu(np.ones((8, 8))))
 
 
 def test_trace_distance_rejects_non_hermitian_difference():

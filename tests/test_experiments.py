@@ -2,14 +2,14 @@
 
 import io
 import json
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fgdist import experiments
 from fgdist.correlation import CorrelationMatrix, bures_distance
-from fgdist.dense import density_from_gamma, fidelity_dense, trace_distance
+from fgdist.dense import density_from_gamma, density_stack, fidelity_dense, trace_distance
 from fgdist.experiments import (
     CSV_HEADER,
     _write_csv,
@@ -168,20 +168,54 @@ def test_ising_sweep_trace_frozen_values():
     assert (res.fit["ell_min"], res.fit["ell_max"]) == (2, 3)
 
 
-def test_trace_sweep_holds_two_dense_states(monkeypatch):
-    refs, most = [], [0]
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def counted(state):
-        rho = density_from_gamma(state)
-        refs.append(weakref.ref(rho))
-        most[0] = max(most[0], sum(ref() is not None for ref in refs))
-        return rho
 
-    monkeypatch.setattr(experiments, "density_from_gamma", counted)
-    res = ising_sweep(6, 1.0, "trace", [3])
+def test_trace_sweep_holds_a_few_blocks_of_dense_states():
+    # the 256 states of ell = 6 are 16 MiB of dense matrices; the sweep holds
+    # two blocks of TRACE_STACK_ELEMENTS entries, one block of differences
+    # and their temporaries
+    ising_sweep(8, 1.0, "trace", [6])  # fills the size-keyed plan caches
+    res, peak = _traced_peak(lambda: ising_sweep(8, 1.0, "trace", [6]))
+    assert peak < 2**8 * 4**6 * 16 / 2
+    assert res.rows == ising_sweep(8, 1.0, "trace", [6]).rows
+
+
+def test_all_pairs_trace_sweep_is_tiled(monkeypatch):
+    # a budget of one state per block: the 40 states at ell = 6 are 2.5 MiB,
+    # 40 times the budget; the sweep holds two of them, one difference and
+    # the temporaries of building and comparing them
+    monkeypatch.setattr(experiments, "TRACE_STACK_ELEMENTS", 4**6)
+    spec = RandomEnsembleSpec(L=8, count=40, seed=0)
+    every_state = spec.count * 4**6 * 16
+    random_sweep(RandomEnsembleSpec(L=8, count=2, seed=0), "trace", [6])  # fills the plan caches
+    res, peak = _traced_peak(lambda: random_sweep(spec, "trace", [6]))
+    assert peak < every_state / 2
     monkeypatch.undo()
-    assert most[0] <= 2
-    assert res.rows == ising_sweep(6, 1.0, "trace", [3]).rows
+    assert res.rows == random_sweep(spec, "trace", [6]).rows
+
+
+@pytest.mark.parametrize("budget", [4, 4**2, 3 * 4**2])
+def test_trace_values_do_not_depend_on_the_blocks(monkeypatch, budget):
+    # blocks of (1, 1, 1), (4, 1, 1) and (12, 3, 1) states at ell = 1, 2, 3
+    # against one block for the whole table; each value goes to its own
+    # pair, so the rows keep every bit
+    table = apply_ordering(enumerate_spectrum(1.0, 5), "charges:default")
+    spec = RandomEnsembleSpec(L=6, count=7, seed=2)
+    want = (ising_sweep(5, 1.0, "trace", [1, 2, 3]).rows, random_sweep(spec, "trace", [1, 2, 3]).rows)
+    monkeypatch.setattr(experiments, "TRACE_STACK_ELEMENTS", budget)
+    assert ising_sweep(5, 1.0, "trace", [1, 2, 3]).rows == want[0]
+    assert random_sweep(spec, "trace", [1, 2, 3]).rows == want[1]
+    states = [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, 2)]
+    pairs = [(i, j) for i in range(0, 32, 3) for j in range(i + 1, 32, 5)]
+    got = experiments._pair_distances(states, pairs, "trace")
+    assert got.tolist() == [_trace_of(states[i], states[j]) for i, j in pairs]
 
 
 def test_ising_sweep_sector_restriction():
@@ -357,7 +391,10 @@ def _branch(a, b):
 
 
 def _trace_of(a, b):
-    return trace_distance(density_from_gamma(a), density_from_gamma(b))
+    """Trace distance of one pair, each state built by the sweep's builder as
+    a stack of one; tests/test_dense.py ties that builder to the product-form
+    oracle ``density_from_gamma``."""
+    return trace_distance(density_stack(a.m[None])[0], density_stack(b.m[None])[0])
 
 
 def test_sweep_averages_match_per_pair_loop():
