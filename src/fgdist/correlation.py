@@ -113,15 +113,7 @@ class CorrelationMatrix:
     def pair_values(self) -> np.ndarray:
         """Canonical pair values g_j, descending, snapped into [0, 1]."""
         if self._pair_values is None:
-            svals = np.linalg.svd(self.m, compute_uv=False)
-            high = svals[svals > 1.0]
-            if high.size and high.max() > 1.0 + EIGENVALUE_SLACK:
-                raise ValueError(
-                    f"pair value {high.max():.15g} exceeds 1 beyond slack {EIGENVALUE_SLACK}"
-                )
-            svals = np.minimum(svals, 1.0)
-            # each pair value appears twice among the singular values
-            self._pair_values = svals[0::2].copy()
+            self._pair_values = _snapped_pair_values(np.linalg.svd(self.m, compute_uv=False))
         return self._pair_values
 
     def unit_pair_count(self) -> int:
@@ -150,6 +142,30 @@ class CanonicalForm:
 
     pair_values: np.ndarray
     rotation: np.ndarray
+
+
+def _snapped_pair_values(svals: np.ndarray) -> np.ndarray:
+    """Pair values from the descending singular values of one matrix or a
+    stack: every other one, since each appears twice, snapped to at most 1.
+    Raises when one exceeds 1 beyond EIGENVALUE_SLACK."""
+    top = svals.max(initial=0.0)
+    if top > 1.0 + EIGENVALUE_SLACK:
+        raise ValueError(f"pair value {top:.15g} exceeds 1 beyond slack {EIGENVALUE_SLACK}")
+    return np.minimum(svals[..., 0::2], 1.0)
+
+
+def _fill_pair_values(states):
+    """Set the pair values of every state that has none yet from stacked
+    SVDs; each matrix gets the bits a call of its own would give."""
+    pending = [s for s in states if s._pair_values is None]
+    if not pending:
+        return
+    per_stack = max(1, STACK_ELEMENTS * 16 // pending[0].m.size)
+    for start in range(0, len(pending), per_stack):
+        chunk = pending[start : start + per_stack]
+        values = _snapped_pair_values(np.linalg.svd(np.stack([s.m for s in chunk]), compute_uv=False))
+        for state, row in zip(chunk, values):
+            state._pair_values = row
 
 
 def _unit_pairs(values: np.ndarray) -> int:
@@ -359,11 +375,6 @@ def _half_matrix(form: CanonicalForm) -> np.ndarray:
     return form.rotation.T @ _block_matrix(half) @ form.rotation
 
 
-def _more_mixed_second(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> bool:
-    """Whether state_2 is the more mixed one, i.e. the regular branch swaps."""
-    return float(np.max(state_1.pair_values, initial=0.0)) > float(np.max(state_2.pair_values, initial=0.0))
-
-
 def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Fidelities of a stack of pairs of strictly mixed states (no pair value
     within UNIT_MODE_TOL of 1).
@@ -403,7 +414,7 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
 def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, form_of) -> float:
     """The regular formula for one pair, as a stack of one; ``form_of`` maps
     a state to its canonical form."""
-    if _more_mixed_second(state_1, state_2):
+    if state_1.pair_values[0] > state_2.pair_values[0]:  # the more mixed state goes first
         state_1, state_2 = state_2, state_1
     half = _half_matrix(form_of(state_1))
     return float(_regular_fidelities(half[None], state_1.m[None], state_2.m[None])[0])
@@ -503,6 +514,14 @@ def pair_fidelities(states, pairs) -> np.ndarray:
     if len({states[k].ell for pair in pairs for k in pair}) > 1:
         raise ValueError("states must have the same number of modes")
     last_use = {k: p for p, pair in enumerate(pairs) for k in pair}
+    used = list(last_use)
+    stacked = bool(used) and states[used[0]].ell > 1
+    units = np.zeros(len(states), dtype=int)
+    largest = np.zeros(len(states))
+    if stacked:
+        _fill_pair_values([states[k] for k in used])
+        units[used] = [_unit_pairs(states[k].pair_values) for k in used]
+        largest[used] = [states[k].pair_values[0] for k in used]
     forms, halves = {}, {}
     stack = []  # (position, more mixed state index, other state index)
 
@@ -532,8 +551,8 @@ def pair_fidelities(states, pairs) -> np.ndarray:
 
     for p, (i, j) in enumerate(pairs):
         a, b = states[i], states[j]
-        if a.ell > 1 and a.unit_pair_count() == 0 and b.unit_pair_count() == 0:
-            stack.append((p, j, i) if _more_mixed_second(a, b) else (p, i, j))
+        if stacked and units[i] == 0 and units[j] == 0:
+            stack.append((p, j, i) if largest[i] > largest[j] else (p, i, j))
             if len(stack) >= max(1, STACK_ELEMENTS // (2 * a.ell) ** 2):
                 evaluate_stack(p)
             continue
