@@ -31,18 +31,31 @@ The fidelity of two states is computed by branch dispatch:
 
 Unit modes must be split off first because the overlap determinant and the
 composition solve (1 + Gamma_2 Gamma_1)^{-1} turn singular when an occupied
-mode meets an empty one.
+mode meets an empty one.  The compose and reduction solves refine their
+solutions on residuals from Ozaki-split float64 products
+(:func:`_solve_refined`), with no extended-precision type.
 
 :func:`fidelity` runs this dispatch on one pair, and the reduction recurses
-into it on the smaller pair.  :func:`pair_fidelities` computes each state's
-canonical form and half state once, runs the regular branch on stacks of
-pairs and hands every other pair to the same dispatch.
+into it on the smaller pair.  :func:`pair_fidelities` reads every state's
+pair values from stacked SVDs, computes each state's canonical form and half
+state once, runs the regular branch on stacks of pairs and hands every other
+pair to the same dispatch.
+
+Bures distances take one more path.  sqrt(2 (1 - F)) cancels for close
+pairs, where one ulp of F is a distance of 1.5e-8, so
+:func:`bures_distances` gives a regular-branch pair (ell > 1, no pair value
+of either state within UNIT_MODE_TOL of 1) whose second-order metric
+distance lies below SMALL_DISTANCE sqrt(2 (1 - g_max)) that distance
+instead, computed from m_2 - m_1 in the canonical basis of the more mixed
+state (:func:`_metric_distances`).  The fidelity functions never take it: a
+fidelity within 1e-16 of 1 cannot be stored.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +88,10 @@ UNIT_MODE_TOL = 1e-10
 CANONICAL_RECONSTRUCTION_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-12
+
+# Bures distances of close regular pairs come from the second-order metric
+# below this multiple of sqrt(2 (1 - g_max)); see bures_distances.
+SMALL_DISTANCE = 1e-5
 
 # Regular-branch pairs are evaluated in stacks of at most this many matrix
 # elements, pairs x (2 ell)^2, so temporaries stay small at large ell.
@@ -265,22 +282,62 @@ def _gamma_of(state) -> np.ndarray:
     raise TypeError(f"expected CorrelationMatrix or GaussianProduct, got {type(state)}")
 
 
+def _split(v: np.ndarray, axis: int, inner: int):
+    """Ozaki split v = v1 + v2 along ``axis``: each row (axis -1) or column
+    (axis -2) is rounded at sigma = 2^(ceil(log2 mu) + ceil((53 + log2 n) / 2)),
+    mu its largest magnitude and n the inner dimension of the product, so the
+    leading parts hold at most 53 - ceil((53 + log2 n) / 2) bits below the
+    top bit of their row or column."""
+    frac, exp = np.frexp(np.abs(v).max(axis=axis, keepdims=True))
+    exp -= frac == 0.5  # exactly a power of two: ceil(log2 mu) is one lower
+    sigma = np.ldexp(1.0, exp + math.ceil((53 + math.log2(inner)) / 2))
+    v1 = (v + sigma) - sigma
+    return v1, v - v1
+
+
+def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - a x of (stacked) matrices from four float64 products.
+
+    With a split by rows and x by columns as in :func:`_split`, every term of
+    a1 @ x1 is a multiple of one quantum per output entry and the n-term sums
+    stay below 2^53 quanta, so a1 @ x1 is exact whatever order BLAS adds in
+    (barring underflow).  The three small products carry the rest: a2 and x2
+    are at most 2^(beta - 53) of their row's or column's largest entry, beta =
+    ceil((53 + log2 n) / 2), so their float64 rounding costs about
+    2^(beta - 106) |a| |x| (2^-76 at n = 64) against 2^-53 for a plain float64
+    product (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 95 (2012)).
+    Complex systems go through the real embedding [[Re a, -Im a], [Im a,
+    Re a]] [Re x; Im x] of inner size 2n.
+    """
+    if np.iscomplexobj(a) or np.iscomplexobj(x) or np.iscomplexobj(b):
+        n = a.shape[-1]
+        embedded = np.concatenate(
+            [np.concatenate([a.real, -a.imag], axis=-1), np.concatenate([a.imag, a.real], axis=-1)], axis=-2
+        )
+        stacked_x, stacked_b = (np.concatenate([v.real, v.imag], axis=-2) for v in (x, b))
+        r = _residual(embedded, stacked_x, stacked_b)
+        return r[..., :n, :] + 1j * r[..., n:, :]
+    a1, a2 = _split(a, -1, a.shape[-1])
+    x1, x2 = _split(x, -2, a.shape[-1])
+    return (b - a1 @ x1) - (a1 @ x2 + a2 @ x1 + a2 @ x2)
+
+
 def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b with extended-precision iterative refinement.
+    """Solve a x = b with two steps of iterative refinement on accurate
+    residuals.
 
     Works on single systems and on stacks (..., n, n).  Near-unit pair
     values push the condition number of the compose and reduction solves to
-    ~(1-g)^{-1/2} and ~(1-g)^{-1}; computing residuals in long double
-    removes the resulting kappa*u forward error, which the fidelity would
-    otherwise amplify by another 1/sqrt(1-g).
+    ~(1-g)^{-1/2} and ~(1-g)^{-1}; the residuals b - a x are taken with the
+    Ozaki split of :func:`_residual`, four float64 BLAS products accurate to
+    about 2^-76 |a| |x| at n = 64, which removes the resulting kappa*u
+    forward error that the fidelity would otherwise amplify by another
+    1/sqrt(1-g).  No extended-precision type is used, so the accuracy does
+    not depend on the platform's long double.
     """
     x = np.linalg.solve(a, b)
-    high = np.clongdouble if np.iscomplexobj(a) or np.iscomplexobj(b) else np.longdouble
-    a_h = a.astype(high)
-    b_h = b.astype(high)
     for _ in range(2):
-        residual = b_h - a_h @ x.astype(high)
-        x = x + np.linalg.solve(a, residual.astype(x.dtype))
+        x = x + np.linalg.solve(a, _residual(a, x, b))
     return x
 
 
@@ -373,6 +430,34 @@ def _half_matrix(form: CanonicalForm) -> np.ndarray:
     g = form.pair_values
     half = g / (1.0 + np.sqrt(np.maximum(1.0 - g * g, 0.0)))
     return form.rotation.T @ _block_matrix(half) @ form.rotation
+
+
+def _metric_distances(rotation: np.ndarray, g: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Second-order Bures distances of a stack of pairs, from the canonical
+    forms (``rotation``, pair values ``g``) of the first states.
+
+    In the eigenbasis (lambda, U) of Gamma_1 = i m_1 the Bures metric of
+    fermionic Gaussian states (Banchi, Giorda and Zanardi, PRE 89, 022102
+    (2014)) reads
+
+        D^2 = (1/8) sum_kl |(U^dag dGamma U)_kl|^2 / (1 - lambda_k lambda_l).
+
+    The canonical basis carries the pair (+g_j, -g_j) of mode j on the
+    vectors (1, -+i) / sqrt 2 of its two rows, so with the 2 x 2 block
+    [[a, b], [c, d]] of modes j, k of R (m_2 - m_1) R^T the sum is real:
+
+        D^2 = (1/16) sum_jk [((a + d)^2 + (b - c)^2) / (1 - g_j g_k)
+                             + ((a - d)^2 + (b + c)^2) / (1 + g_j g_k)].
+
+    The difference m_2 - m_1 is exact for close pairs and nothing cancels
+    after it, so D keeps its relative accuracy however small it is.
+    """
+    ell = g.shape[-1]
+    blocks = (rotation @ (m2 - m1) @ np.swapaxes(rotation, -1, -2)).reshape(-1, ell, 2, ell, 2)
+    a, b, c, d = blocks[:, :, 0, :, 0], blocks[:, :, 0, :, 1], blocks[:, :, 1, :, 0], blocks[:, :, 1, :, 1]
+    gg = g[:, :, None] * g[:, None, :]
+    terms = ((a + d) ** 2 + (b - c) ** 2) / (1.0 - gg) + ((a - d) ** 2 + (b + c) ** 2) / (1.0 + gg)
+    return np.sqrt(terms.sum(axis=(1, 2)) / 16.0)
 
 
 def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -504,13 +589,24 @@ def pair_fidelities(states, pairs) -> np.ndarray:
     A pair's value does not depend on the other pairs of the call.
     Regular-branch pairs are evaluated together, in stacks of at most
     STACK_ELEMENTS matrix elements; every other pair goes through the
-    scalar dispatch that :func:`fidelity` runs.  A state's canonical form and half state are computed
-    at most once, when a pair first needs them, and dropped after the last
-    pair that uses the state, so a sweep over consecutive pairs holds about
-    one stack's worth of them.
+    scalar dispatch that :func:`fidelity` runs.  The pair values of every
+    state come from stacked SVDs up front.  A state's canonical form and
+    half state are computed at most once, when a pair first needs them, and
+    dropped after the last pair that uses the state, so a sweep over
+    consecutive pairs holds about one stack's worth of them.
     """
+    return _pair_kernel(states, pairs, metric=False)[0]
+
+
+def _pair_kernel(states, pairs, metric: bool):
+    """(values, close) for every pair: the fidelity, or, where ``close`` is
+    set, the second-order Bures distance of :func:`_metric_distances`.  Only
+    with ``metric`` is any pair close: a regular-branch pair whose metric
+    distance D_m lies below SMALL_DISTANCE sqrt(2 (1 - g_max)), g_max the
+    largest pair value of its two states."""
     pairs = [(int(i), int(j)) for i, j in pairs]
     values = np.empty(len(pairs))
+    close = np.zeros(len(pairs), dtype=bool)
     if len({states[k].ell for pair in pairs for k in pair}) > 1:
         raise ValueError("states must have the same number of modes")
     last_use = {k: p for p, pair in enumerate(pairs) for k in pair}
@@ -537,17 +633,27 @@ def pair_fidelities(states, pairs) -> np.ndarray:
                 halves.pop(k, None)
 
     def evaluate_stack(position):
-        positions, firsts, seconds = zip(*stack)
+        positions, firsts, seconds = (np.array(column) for column in zip(*stack))
+        m1 = np.stack([states[k].m for k in firsts])
+        m2 = np.stack([states[k].m for k in seconds])
+        if metric:
+            distances = _metric_distances(
+                np.stack([form_of(k).rotation for k in firsts]),
+                np.stack([form_of(k).pair_values for k in firsts]),
+                m1,
+                m2,
+            )
+            near = distances < SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[seconds]))
+            values[positions[near]] = distances[near]
+            close[positions[near]] = True
+            positions, firsts, m1, m2 = positions[~near], firsts[~near], m1[~near], m2[~near]
         for k in firsts:
             if k not in halves:
                 halves[k] = _half_matrix(form_of(k))
-        values[list(positions)] = _regular_fidelities(
-            np.stack([halves[k] for k in firsts]),
-            np.stack([states[k].m for k in firsts]),
-            np.stack([states[k].m for k in seconds]),
-        )
+        if len(positions):
+            values[positions] = _regular_fidelities(np.stack([halves[k] for k in firsts]), m1, m2)
+        release({k for entry in stack for k in entry[1:]}, position)
         stack.clear()
-        release(set(firsts + seconds), position)
 
     for p, (i, j) in enumerate(pairs):
         a, b = states[i], states[j]
@@ -560,16 +666,28 @@ def pair_fidelities(states, pairs) -> np.ndarray:
         release({i, j}.difference(k for entry in stack for k in entry[1:]), p)
     if stack:
         evaluate_stack(len(pairs) - 1)
-    return values
+    return values, close
 
 
 def bures_distance(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
-    """Bures distance sqrt(2 (1 - F)) between two Gaussian states."""
+    """Bures distance sqrt(2 (1 - F)) between two Gaussian states; see
+    :func:`bures_distances`."""
     return float(bures_distances([state_1, state_2], [(0, 1)])[0])
 
 
 def bures_distances(states, pairs) -> np.ndarray:
-    """Bures distances of ``states[i], states[j]`` for every (i, j) in
-    ``pairs``; see :func:`pair_fidelities`."""
-    gap = np.maximum(1.0 - pair_fidelities(states, pairs), 0.0)
-    return np.sqrt(2.0 * gap)
+    """Bures distances sqrt(2 (1 - F)) of ``states[i], states[j]`` for every
+    (i, j) in ``pairs``; see :func:`pair_fidelities`.
+
+    For close pairs this form cancels: one ulp of F is a distance of 1.5e-8.
+    So a pair of states with no unit pairs takes the second-order Bures
+    metric D_m of :func:`_metric_distances` instead, when D_m lies below the
+    switch SMALL_DISTANCE sqrt(2 (1 - g_max)), g_max the largest pair value
+    of the two states: at most 1.4e-5.  With t = D_m / sqrt(2 (1 - g_max)) <
+    SMALL_DISTANCE the exact distance lies within t (1 + 3 t) D_m of D_m;
+    the single-mode closed form reaches t D_m to leading order.  At the
+    switch the fidelity route, with F good to about ten ulp, is off by
+    about 1e-15 / D, the same size.
+    """
+    values, close = _pair_kernel(states, pairs, metric=True)
+    return np.where(close, values, np.sqrt(2.0 * np.maximum(1.0 - values, 0.0)))

@@ -39,7 +39,8 @@ from fgdist.dense import (
     gamma_from_density,
     trace_distance,
 )
-from fgdist.experiments import random_sweep
+from fgdist.experiments import apply_ordering, random_sweep
+from fgdist.ising import enumerate_spectrum, subsystem_correlations
 from fgdist.random_ensemble import RandomEnsembleSpec, sample_ensemble
 
 
@@ -549,10 +550,26 @@ def test_pair_kernel_matches_scalar_fidelity_bitwise():
     got = pair_fidelities(states, pairs)
     assert np.array_equal(got, scalar_fidelities(states, pairs))
     gap = np.maximum(1.0 - got, 0.0)
-    assert np.array_equal(bures_distances(states, pairs), np.sqrt(2.0 * gap))
+    # a state with no unit pairs against itself takes the second-order
+    # metric, which is exactly 0; every other pair is sqrt(2 (1 - F))
+    want = np.sqrt(2.0 * gap)
+    want[[p for p, (i, j) in enumerate(pairs) if i == j and states[i].unit_pair_count() == 0]] = 0.0
+    assert np.array_equal(bures_distances(states, pairs), want)
     single = [planted_state([g]) for g in (0.3, -0.8, 1.0)]
     single_pairs = [(0, 1), (1, 2), (2, 0)]
     assert np.array_equal(pair_fidelities(single, single_pairs), scalar_fidelities(single, single_pairs))
+
+
+def test_stacked_pair_values_match_per_state_bitwise():
+    # pair_fidelities reads every state's pair values from stacked SVDs
+    for h in (0.9, 1.0, 1.06):
+        table = apply_ordering(enumerate_spectrum(h, 10), "charges:default")
+        for ell in (3, 4):
+            stack = subsystem_correlations(table, ell)
+            states = [CorrelationMatrix(m, validate=False) for m in stack]
+            correlation._fill_pair_values(states)
+            for state, m in zip(states, stack):
+                assert np.array_equal(state.pair_values, CorrelationMatrix(m, validate=False).pair_values)
 
 
 def test_pair_kernel_shape_mismatch():
