@@ -177,7 +177,7 @@ def _fill_pair_values(states):
     pending = [s for s in states if s._pair_values is None]
     if not pending:
         return
-    per_stack = max(1, STACK_ELEMENTS * 16 // pending[0].m.size)
+    per_stack = max(1, STACK_ELEMENTS // pending[0].m.size)
     for start in range(0, len(pending), per_stack):
         chunk = pending[start : start + per_stack]
         values = _snapped_pair_values(np.linalg.svd(np.stack([s.m for s in chunk]), compute_uv=False))
@@ -288,10 +288,12 @@ def _split(v: np.ndarray, axis: int, inner: int):
     mu its largest magnitude and n the inner dimension of the product, so the
     leading parts hold at most 53 - ceil((53 + log2 n) / 2) bits below the
     top bit of their row or column."""
-    frac, exp = np.frexp(np.abs(v).max(axis=axis, keepdims=True))
+    mu = np.maximum(v.max(axis=axis, keepdims=True), -v.min(axis=axis, keepdims=True))
+    frac, exp = np.frexp(mu)
     exp -= frac == 0.5  # exactly a power of two: ceil(log2 mu) is one lower
     sigma = np.ldexp(1.0, exp + math.ceil((53 + math.log2(inner)) / 2))
-    v1 = (v + sigma) - sigma
+    v1 = v + sigma
+    v1 -= sigma
     return v1, v - v1
 
 
@@ -309,17 +311,16 @@ def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     Complex systems go through the real embedding [[Re a, -Im a], [Im a,
     Re a]] [Re x; Im x] of inner size 2n.
     """
-    if np.iscomplexobj(a) or np.iscomplexobj(x) or np.iscomplexobj(b):
-        n = a.shape[-1]
-        embedded = np.concatenate(
-            [np.concatenate([a.real, -a.imag], axis=-1), np.concatenate([a.imag, a.real], axis=-1)], axis=-2
-        )
-        stacked_x, stacked_b = (np.concatenate([v.real, v.imag], axis=-2) for v in (x, b))
-        r = _residual(embedded, stacked_x, stacked_b)
-        return r[..., :n, :] + 1j * r[..., n:, :]
+    n = a.shape[-1]
+    embed = np.iscomplexobj(a) or np.iscomplexobj(x) or np.iscomplexobj(b)
+    if embed:
+        a = np.concatenate([np.concatenate([a.real, -a.imag], axis=-1), np.concatenate([a.imag, a.real], axis=-1)], -2)
+        x, b = (np.concatenate([v.real, v.imag], axis=-2) for v in (x, b))
     a1, a2 = _split(a, -1, a.shape[-1])
     x1, x2 = _split(x, -2, a.shape[-1])
-    return (b - a1 @ x1) - (a1 @ x2 + a2 @ x1 + a2 @ x2)
+    del a, x  # the embedded copies are not needed past the split
+    r = (b - a1 @ x1) - (a1 @ x2 + a2 @ x1 + a2 @ x2)
+    return r[..., :n, :] + 1j * r[..., n:, :] if embed else r
 
 
 def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
