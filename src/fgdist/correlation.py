@@ -14,8 +14,9 @@ is pure exactly when every pair value equals 1.
 Every quantity here stays in real arithmetic where the algebra allows it:
 products Gamma_1 Gamma_2 = -m_1 m_2 are real, so overlap traces, the pure
 fidelity and the unit-mode reduction never touch complex matrices.  Only the
-general mixed-state fidelity composes complex correlation matrices, for the
-sandwich sqrt(rho_1) rho_2 sqrt(rho_1).
+general mixed-state fidelity leaves real arithmetic: it diagonalizes the
+Hermitian Gamma of one state and composes complex correlation matrices, for
+the sandwich sqrt(rho_1) rho_2 sqrt(rho_1).
 
 The fidelity of two states is computed by branch dispatch:
 
@@ -37,18 +38,23 @@ solutions on residuals from Ozaki-split float64 products
 
 :func:`fidelity` runs this dispatch on one pair, and the reduction recurses
 into it on the smaller pair.  :func:`pair_fidelities` reads every state's
-pair values from stacked SVDs, computes each state's canonical form and half
-state once, runs the regular branch on stacks of pairs and hands every other
-pair to the same dispatch.
+pair values from stacked SVDs, runs the regular branch on stacks of pairs
+and hands every other pair to the same dispatch.  A regular pair needs no
+rotation: the half state of its more mixed state comes from the eigensystem
+of Gamma = i m, one stacked ``eigh`` per state, so degenerate pair values
+need no care.  Only the reduce branch takes a real Schur form
+(:func:`canonical_form`).
 
 Bures distances take one more path.  sqrt(2 (1 - F)) cancels for close
 pairs, where one ulp of F is a distance of 1.5e-8, so
 :func:`bures_distances` gives a regular-branch pair (ell > 1, no pair value
 of either state within UNIT_MODE_TOL of 1) whose second-order metric
 distance lies below SMALL_DISTANCE sqrt(2 (1 - g_max)) that distance
-instead, computed from m_2 - m_1 in the canonical basis of the more mixed
-state (:func:`_metric_distances`).  The fidelity functions never take it: a
-fidelity within 1e-16 of 1 cannot be stored.
+instead, computed from m_2 - m_1 in the eigenbasis of the more mixed
+state's Gamma (:func:`_metric_distances`), and a single-mode pair the
+closed form of :func:`_single_mode_distance`, which does not cancel.  The
+fidelity functions never take either: a fidelity within 1e-16 of 1 cannot
+be stored.
 """
 
 from __future__ import annotations
@@ -134,7 +140,7 @@ class CorrelationMatrix:
         return self._pair_values
 
     def unit_pair_count(self) -> int:
-        return _unit_pairs(self.pair_values)
+        return int(_unit_pairs(self.pair_values))
 
     def is_pure(self) -> bool:
         return self.unit_pair_count() == self.ell
@@ -185,9 +191,10 @@ def _fill_pair_values(states):
             state._pair_values = row
 
 
-def _unit_pairs(values: np.ndarray) -> int:
-    """How many pair values count as exactly 1 for branch dispatch."""
-    return int(np.sum(values >= 1.0 - UNIT_MODE_TOL))
+def _unit_pairs(values: np.ndarray):
+    """How many pair values count as exactly 1 for branch dispatch, per row
+    of a stack."""
+    return np.sum(values >= 1.0 - UNIT_MODE_TOL, axis=-1)
 
 
 def _block_matrix(values: np.ndarray) -> np.ndarray:
@@ -349,11 +356,14 @@ def _require_invertible(core: np.ndarray):
 
 def _compose_real(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Gamma of rho_1 rho_2 / tr(rho_1 rho_2) from real m_1, m_2 (single or
-    stacked), before antisymmetrization; every solve is real."""
+    stacked), before antisymmetrization; every solve is real.
+
+    The solve is not guarded.  On a regular pair every pair value is below
+    1 - UNIT_MODE_TOL, so ||m_2 m_1|| < 1 - 2 UNIT_MODE_TOL and 1/cond of
+    1 - m_2 m_1 exceeds UNIT_MODE_TOL > INVERTIBILITY_TOL;
+    :func:`gaussian_compose` checks its own inputs."""
     eye = np.eye(m1.shape[-1])
-    core = eye - m2 @ m1  # real form of 1 + Gamma_2 Gamma_1
-    _require_invertible(core)
-    a = _solve_refined(core, eye)
+    a = _solve_refined(eye - m2 @ m1, eye)  # real form of 1 + Gamma_2 Gamma_1
     return (eye - a + m1 @ a @ m2) + 1j * (a @ m2 + m1 @ a)
 
 
@@ -406,59 +416,81 @@ def gaussian_compose(state_1, state_2) -> GaussianProduct:
     if g1.shape != g2.shape:
         raise ValueError("states must have the same number of modes")
     if isinstance(state_1, CorrelationMatrix) and isinstance(state_2, CorrelationMatrix):
+        _require_invertible(np.eye(g1.shape[0]) - state_2.m @ state_1.m)
         return GaussianProduct(_compose_real(state_1.m, state_2.m))
     return GaussianProduct(_compose_complex(g1, g2))
 
 
-def fidelity_single_mode(g1: float, g2: float) -> float:
-    """Fidelity of two single-mode states with signed pair values g in [-1, 1]."""
+def _clipped_single_mode(g1: float, g2: float):
+    """Two signed single-mode values clipped into [-1, 1]; raises when one
+    lies outside beyond EIGENVALUE_SLACK."""
     for g in (g1, g2):
         if not -1.0 - EIGENVALUE_SLACK <= g <= 1.0 + EIGENVALUE_SLACK:
             raise ValueError(f"single-mode value {g} outside [-1, 1]")
-    g1 = float(np.clip(g1, -1.0, 1.0))
-    g2 = float(np.clip(g2, -1.0, 1.0))
+    return float(np.clip(g1, -1.0, 1.0)), float(np.clip(g2, -1.0, 1.0))
+
+
+def fidelity_single_mode(g1: float, g2: float) -> float:
+    """Fidelity of two single-mode states with signed pair values g in [-1, 1]."""
+    g1, g2 = _clipped_single_mode(g1, g2)
     val = 0.5 * (np.sqrt((1 + g1) * (1 + g2)) + np.sqrt((1 - g1) * (1 - g2)))
     return float(min(val, 1.0))
 
 
-def _half_matrix(form: CanonicalForm) -> np.ndarray:
-    """Matrix m of sqrt(rho)/tr sqrt(rho), from rho's canonical form.
+def _single_mode_distance(g1: float, g2: float) -> float:
+    """Bures distance of two single-mode states with signed pair values g.
+
+    With s = sqrt(1 + g) and t = sqrt(1 - g), 2 (1 - F) is
+    ((s_1 - s_2)^2 + (t_1 - t_2)^2) / 2, and s_1 - s_2 = (g_1 - g_2) /
+    (s_1 + s_2), t_2 - t_1 = (g_1 - g_2) / (t_1 + t_2), so
+
+        D = |g_1 - g_2| sqrt((1/(s_1 + s_2)^2 + 1/(t_1 + t_2)^2) / 2)
+
+    with no cancellation.  A zero denominator (g_1 = g_2 = -1 or +1) comes
+    with g_1 - g_2 = 0, and its term is 0.
+    """
+    g1, g2 = _clipped_single_mode(g1, g2)
+    sums = (math.sqrt(1 + g1) + math.sqrt(1 + g2), math.sqrt(1 - g1) + math.sqrt(1 - g2))
+    terms = [1.0 / total**2 if total else 0.0 for total in sums]
+    return abs(g1 - g2) * math.sqrt(sum(terms) / 2.0)
+
+
+def _eigensystems(ms: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of Gamma = i m for a stack
+    of states: the pair values are the eigenvalues +-g_j."""
+    return np.linalg.eigh(1j * ms)
+
+
+def _half_matrices(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Matrices m of sqrt(rho)/tr sqrt(rho) for a stack of states, from the
+    eigensystems (``lam``, ``u``) of their Gamma.
 
     Taking the square root halves every mode's log-occupation ratio, which
-    maps each pair value g to g / (1 + sqrt(1 - g^2)) in the same canonical
-    basis.  A pair value 1 - e moves down to roughly 1 - sqrt(2 e).
+    maps each eigenvalue x of Gamma to h(x) = x / (1 + sqrt(1 - x^2)) with
+    the same eigenvector.  A pair value 1 - e moves down to roughly
+    1 - sqrt(2 e).
     """
-    g = form.pair_values
-    half = g / (1.0 + np.sqrt(np.maximum(1.0 - g * g, 0.0)))
-    return form.rotation.T @ _block_matrix(half) @ form.rotation
+    h = lam / (1.0 + np.sqrt(np.maximum(1.0 - lam * lam, 0.0)))
+    return ((u * h[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))).imag
 
 
-def _metric_distances(rotation: np.ndarray, g: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Second-order Bures distances of a stack of pairs, from the canonical
-    forms (``rotation``, pair values ``g``) of the first states.
+def _metric_distances(lam: np.ndarray, u: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Second-order Bures distances of a stack of pairs, from the
+    eigensystems (``lam``, ``u``) of the first states' Gamma_1 = i m_1.
 
-    In the eigenbasis (lambda, U) of Gamma_1 = i m_1 the Bures metric of
-    fermionic Gaussian states (Banchi, Giorda and Zanardi, PRE 89, 022102
-    (2014)) reads
+    The Bures metric of fermionic Gaussian states (Banchi, Giorda and
+    Zanardi, PRE 89, 022102 (2014)) reads
 
-        D^2 = (1/8) sum_kl |(U^dag dGamma U)_kl|^2 / (1 - lambda_k lambda_l).
+        D^2 = (1/8) sum_kl |(U^dag dGamma U)_kl|^2 / (1 - lambda_k lambda_l),
 
-    The canonical basis carries the pair (+g_j, -g_j) of mode j on the
-    vectors (1, -+i) / sqrt 2 of its two rows, so with the 2 x 2 block
-    [[a, b], [c, d]] of modes j, k of R (m_2 - m_1) R^T the sum is real:
-
-        D^2 = (1/16) sum_jk [((a + d)^2 + (b - c)^2) / (1 - g_j g_k)
-                             + ((a - d)^2 + (b + c)^2) / (1 + g_j g_k)].
-
-    The difference m_2 - m_1 is exact for close pairs and nothing cancels
-    after it, so D keeps its relative accuracy however small it is.
+    with dGamma = i (m_2 - m_1).  The difference m_2 - m_1 is exact for close
+    pairs and nothing cancels after it, so D keeps its relative accuracy
+    however small it is.  The sum does not depend on the basis chosen inside
+    a degenerate eigenspace.
     """
-    ell = g.shape[-1]
-    blocks = (rotation @ (m2 - m1) @ np.swapaxes(rotation, -1, -2)).reshape(-1, ell, 2, ell, 2)
-    a, b, c, d = blocks[:, :, 0, :, 0], blocks[:, :, 0, :, 1], blocks[:, :, 1, :, 0], blocks[:, :, 1, :, 1]
-    gg = g[:, :, None] * g[:, None, :]
-    terms = ((a + d) ** 2 + (b - c) ** 2) / (1.0 - gg) + ((a - d) ** 2 + (b + c) ** 2) / (1.0 + gg)
-    return np.sqrt(terms.sum(axis=(1, 2)) / 16.0)
+    x = np.conj(np.swapaxes(u, -1, -2)) @ (m2 - m1) @ u
+    terms = (x.real**2 + x.imag**2) / (1.0 - lam[:, :, None] * lam[:, None, :])
+    return np.sqrt(terms.sum(axis=(1, 2)) / 8.0)
 
 
 def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
@@ -497,13 +529,12 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     return np.minimum(np.exp(log_f), 1.0)
 
 
-def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix, form_of) -> float:
-    """The regular formula for one pair, as a stack of one; ``form_of`` maps
-    a state to its canonical form."""
+def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
+    """The regular formula for one pair, as a stack of one."""
     if state_1.pair_values[0] > state_2.pair_values[0]:  # the more mixed state goes first
         state_1, state_2 = state_2, state_1
-    half = _half_matrix(form_of(state_1))
-    return float(_regular_fidelities(half[None], state_1.m[None], state_2.m[None])[0])
+    m1 = state_1.m[None]
+    return float(_regular_fidelities(_half_matrices(*_eigensystems(m1)), m1, state_2.m[None])[0])
 
 
 def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, form: CanonicalForm):
@@ -520,7 +551,7 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, fo
     determinant is not positive, or 1 - s_x r_x is singular to
     INVERTIBILITY_TOL) ``(0.0, None, None)`` is returned.
     """
-    x = _unit_pairs(form.pair_values)
+    x = int(_unit_pairs(form.pair_values))
     if x == 0 or x == state_r.ell:
         raise ValueError("reduction needs 0 < unit pairs < total pairs")
     nx = 2 * x
@@ -551,7 +582,7 @@ def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix, form_of) -
     if state_1.ell == 1:
         return fidelity_single_mode(state_1.m[0, 1], state_2.m[0, 1])
     if not (state_1.unit_pair_count() or state_2.unit_pair_count()):
-        return _regular_fidelity(state_1, state_2, form_of)
+        return _regular_fidelity(state_1, state_2)
     if not (state_1.is_pure() or state_2.is_pure()):
         if state_2.unit_pair_count() > state_1.unit_pair_count():
             state_1, state_2 = state_2, state_1
@@ -561,7 +592,7 @@ def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix, form_of) -
         # within a few ulp of the threshold differently; fall through to the
         # regular or the pure formula instead of crashing on the knife edge
         if units == 0:
-            return _regular_fidelity(state_1, state_2, form_of)
+            return _regular_fidelity(state_1, state_2)
         if units < state_1.ell:
             prefactor, bulk_r, bulk_s = reduce_unit_modes(state_1, state_2, form)
             if prefactor == 0.0:
@@ -591,35 +622,44 @@ def pair_fidelities(states, pairs) -> np.ndarray:
     Regular-branch pairs are evaluated together, in stacks of at most
     STACK_ELEMENTS matrix elements; every other pair goes through the
     scalar dispatch that :func:`fidelity` runs.  The pair values of every
-    state come from stacked SVDs up front.  A state's canonical form and
-    half state are computed at most once, when a pair first needs them, and
-    dropped after the last pair that uses the state, so a sweep over
-    consecutive pairs holds about one stack's worth of them.
+    state come from stacked SVDs up front.  The eigensystem of Gamma = i m
+    of a regular pair's more mixed state, and the canonical form of a
+    reduce-branch reference state, are computed at most once, when a pair
+    first needs them, and dropped after the last pair that uses the state,
+    so a sweep over consecutive pairs holds about one stack's worth of them.
     """
     return _pair_kernel(states, pairs, metric=False)[0]
 
 
 def _pair_kernel(states, pairs, metric: bool):
-    """(values, close) for every pair: the fidelity, or, where ``close`` is
-    set, the second-order Bures distance of :func:`_metric_distances`.  Only
-    with ``metric`` is any pair close: a regular-branch pair whose metric
-    distance D_m lies below SMALL_DISTANCE sqrt(2 (1 - g_max)), g_max the
-    largest pair value of its two states."""
+    """(values, direct) for every pair: the fidelity, or, where ``direct``
+    is set, a Bures distance that does not go through F.  Only with
+    ``metric`` is any pair direct: a single-mode pair, which takes
+    :func:`_single_mode_distance`, and a regular-branch pair whose metric
+    distance D_m of :func:`_metric_distances` lies below SMALL_DISTANCE
+    sqrt(2 (1 - g_max)), g_max the largest pair value of its two states."""
     pairs = [(int(i), int(j)) for i, j in pairs]
     values = np.empty(len(pairs))
-    close = np.zeros(len(pairs), dtype=bool)
+    direct = np.zeros(len(pairs), dtype=bool)
     if len({states[k].ell for pair in pairs for k in pair}) > 1:
         raise ValueError("states must have the same number of modes")
     last_use = {k: p for p, pair in enumerate(pairs) for k in pair}
     used = list(last_use)
-    stacked = bool(used) and states[used[0]].ell > 1
+    ell = states[used[0]].ell if used else 0
+    if metric and ell == 1:
+        for p, (i, j) in enumerate(pairs):
+            values[p] = _single_mode_distance(states[i].m[0, 1], states[j].m[0, 1])
+        direct[:] = True
+        return values, direct
+    stacked = ell > 1
     units = np.zeros(len(states), dtype=int)
     largest = np.zeros(len(states))
     if stacked:
         _fill_pair_values([states[k] for k in used])
-        units[used] = [_unit_pairs(states[k].pair_values) for k in used]
-        largest[used] = [states[k].pair_values[0] for k in used]
-    forms, halves = {}, {}
+        pair_values = np.stack([states[k].pair_values for k in used])
+        units[used] = _unit_pairs(pair_values)
+        largest[used] = pair_values[:, 0]
+    forms, eigen = {}, {}
     stack = []  # (position, more mixed state index, other state index)
 
     def form_of(k):
@@ -631,28 +671,25 @@ def _pair_kernel(states, pairs, metric: bool):
         for k in indices:
             if last_use[k] <= position:
                 forms.pop(k, None)
-                halves.pop(k, None)
+                eigen.pop(k, None)
 
     def evaluate_stack(position):
         positions, firsts, seconds = (np.array(column) for column in zip(*stack))
+        pending = [k for k in dict.fromkeys(firsts.tolist()) if k not in eigen]
+        if pending:
+            eigen.update(zip(pending, zip(*_eigensystems(np.stack([states[k].m for k in pending])))))
+        lam = np.stack([eigen[k][0] for k in firsts])
+        u = np.stack([eigen[k][1] for k in firsts])
         m1 = np.stack([states[k].m for k in firsts])
         m2 = np.stack([states[k].m for k in seconds])
         if metric:
-            distances = _metric_distances(
-                np.stack([form_of(k).rotation for k in firsts]),
-                np.stack([form_of(k).pair_values for k in firsts]),
-                m1,
-                m2,
-            )
+            distances = _metric_distances(lam, u, m1, m2)
             near = distances < SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[seconds]))
             values[positions[near]] = distances[near]
-            close[positions[near]] = True
-            positions, firsts, m1, m2 = positions[~near], firsts[~near], m1[~near], m2[~near]
-        for k in firsts:
-            if k not in halves:
-                halves[k] = _half_matrix(form_of(k))
+            direct[positions[near]] = True
+            positions, lam, u, m1, m2 = positions[~near], lam[~near], u[~near], m1[~near], m2[~near]
         if len(positions):
-            values[positions] = _regular_fidelities(np.stack([halves[k] for k in firsts]), m1, m2)
+            values[positions] = _regular_fidelities(_half_matrices(lam, u), m1, m2)
         release({k for entry in stack for k in entry[1:]}, position)
         stack.clear()
 
@@ -660,14 +697,14 @@ def _pair_kernel(states, pairs, metric: bool):
         a, b = states[i], states[j]
         if stacked and units[i] == 0 and units[j] == 0:
             stack.append((p, j, i) if largest[i] > largest[j] else (p, i, j))
-            if len(stack) >= max(1, STACK_ELEMENTS // (2 * a.ell) ** 2):
+            if len(stack) >= max(1, STACK_ELEMENTS // (2 * ell) ** 2):
                 evaluate_stack(p)
             continue
         values[p] = _dispatch(a, b, lambda state: form_of(i if state is a else j))
         release({i, j}.difference(k for entry in stack for k in entry[1:]), p)
     if stack:
         evaluate_stack(len(pairs) - 1)
-    return values, close
+    return values, direct
 
 
 def bures_distance(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
@@ -684,11 +721,14 @@ def bures_distances(states, pairs) -> np.ndarray:
     So a pair of states with no unit pairs takes the second-order Bures
     metric D_m of :func:`_metric_distances` instead, when D_m lies below the
     switch SMALL_DISTANCE sqrt(2 (1 - g_max)), g_max the largest pair value
-    of the two states: at most 1.4e-5.  With t = D_m / sqrt(2 (1 - g_max)) <
+    of the two states: at most 1.4e-5.  D_m comes from the eigensystem of
+    Gamma = i m of the more mixed state, the one the regular branch already
+    takes for its half state.  With t = D_m / sqrt(2 (1 - g_max)) <
     SMALL_DISTANCE the exact distance lies within t (1 + 3 t) D_m of D_m;
     the single-mode closed form reaches t D_m to leading order.  At the
     switch the fidelity route, with F good to about ten ulp, is off by
-    about 1e-15 / D, the same size.
+    about 1e-15 / D, the same size.  Single-mode pairs take the closed form
+    of :func:`_single_mode_distance` at every distance.
     """
-    values, close = _pair_kernel(states, pairs, metric=True)
-    return np.where(close, values, np.sqrt(2.0 * np.maximum(1.0 - values, 0.0)))
+    values, direct = _pair_kernel(states, pairs, metric=True)
+    return np.where(direct, values, np.sqrt(2.0 * np.maximum(1.0 - values, 0.0)))

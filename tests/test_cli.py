@@ -62,6 +62,16 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert "fgdist:" in err
 
 
+def test_sweep_through_a_degenerate_regular_state_exits_0(tmp_path):
+    # state 2078 of this table has a fourfold pair value, where a real Schur
+    # form of m is not found
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--model", "ising", "--L", "12", "--h", "0.95", "--metric", "bures"]
+    assert main(argv + ["--ell-min", "2", "--ell-max", "2", "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert lines[0] == CSV_HEADER and len(lines) == 2
+
+
 def test_guard_exceeded_exits_3(capsys):
     assert main(["sweep", "--L", "20", "--ell-max", "2"]) == 3
     assert "guard" in capsys.readouterr().err

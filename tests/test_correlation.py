@@ -31,15 +31,17 @@ from fgdist.correlation import (
     pair_fidelities,
     reduce_unit_modes,
     _block_matrix,
-    _half_matrix,
+    _eigensystems,
+    _half_matrices,
 )
 from fgdist.dense import (
     density_from_gamma,
+    density_stack,
     fidelity_dense,
     gamma_from_density,
     trace_distance,
 )
-from fgdist.experiments import apply_ordering, random_sweep
+from fgdist.experiments import apply_ordering, ising_sweep, random_sweep
 from fgdist.ising import enumerate_spectrum, subsystem_correlations
 from fgdist.random_ensemble import RandomEnsembleSpec, sample_ensemble
 
@@ -219,7 +221,7 @@ def test_half_state_pair_values():
     rng = np.random.default_rng(41)
     g = rng.uniform(0.0, 0.999, size=4)
     state = planted_state(g, rng=rng)
-    half = CorrelationMatrix(_half_matrix(canonical_form(state)), validate=False)
+    half = CorrelationMatrix(_half_matrices(*_eigensystems(state.m[None]))[0], validate=False)
     want = np.sort(g / (1 + np.sqrt(1 - g * g)))
     assert np.abs(np.sort(half.pair_values) - want).max() < 1e-12
 
@@ -227,7 +229,7 @@ def test_half_state_pair_values():
 def test_half_state_squares_back():
     rng = np.random.default_rng(42)
     state = random_mixed_state(3, rng)
-    half = CorrelationMatrix(_half_matrix(canonical_form(state)), validate=False)
+    half = CorrelationMatrix(_half_matrices(*_eigensystems(state.m[None]))[0], validate=False)
     back = gaussian_compose(half, half).gamma
     assert np.abs(back - 1j * state.m).max() < 1e-11
 
@@ -572,29 +574,56 @@ def test_stacked_pair_values_match_per_state_bitwise():
                 assert np.array_equal(state.pair_values, CorrelationMatrix(m, validate=False).pair_values)
 
 
+def test_degenerate_regular_state_matches_the_dense_oracle():
+    # state 2078 of the L = 12, h = 0.95 table has the fourfold pair value
+    # 0.5576775358252053 at ell = 2 and no unit pairs; a real Schur form of
+    # its m is not found, but the regular branch needs none
+    table = apply_ordering(enumerate_spectrum(0.95, 12), "charges:default")
+    assert ising_sweep(12, 0.95, "bures", [2]).rows[0][2] == len(table) - 1
+    states = [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, 2)]
+    assert states[2078].unit_pair_count() == 0
+    assert np.ptp(states[2078].pair_values) < 1e-15
+    pairs = [(2077, 2078), (2078, 2079)]
+    got = pair_fidelities(states, pairs)
+    assert np.array_equal(got, scalar_fidelities(states, pairs))
+    for (i, j), f in zip(pairs, got):
+        rho = density_stack(np.stack([states[i].m, states[j].m]))
+        assert abs(f - fidelity_dense(rho[0], rho[1])) < 1e-12
+
+
 def test_pair_kernel_shape_mismatch():
     with pytest.raises(ValueError):
         pair_fidelities([planted_state([0.1, 0.2]), planted_state([0.1, 0.2, 0.3])], [(0, 1)])
 
 
-def test_sweep_computes_each_canonical_form_once(monkeypatch):
+def test_sweep_decomposes_each_state_once(monkeypatch):
     spec = RandomEnsembleSpec(L=8, count=6, seed=3)
-    calls = Counter()
-    original = correlation.canonical_form
+    forms, rows = Counter(), Counter()
+    original_form, original_eigensystems = correlation.canonical_form, correlation._eigensystems
 
-    def counting(state):
-        calls[state.m.tobytes()] += 1
-        return original(state)
+    def counting_form(state):
+        forms[state.m.tobytes()] += 1
+        return original_form(state)
 
-    monkeypatch.setattr(correlation, "canonical_form", counting)
+    def counting_eigensystems(ms):
+        rows.update(m.tobytes() for m in ms)
+        return original_eigensystems(ms)
+
+    monkeypatch.setattr(correlation, "canonical_form", counting_form)
+    monkeypatch.setattr(correlation, "_eigensystems", counting_eigensystems)
     states = sample_ensemble(spec)
-    # ell <= L/2: all pairs regular, so every call is on a sweep state
+    # ell <= L/2: all pairs regular, so every eigensystem is of a sweep state
+    # and no canonical form is computed
     random_sweep(spec, "bures", [2, 3, 4])
-    assert 0 < sum(calls.values()) <= 3 * spec.count
-    # ell > L/2: reduce pairs also decompose their bulk states, once per pair
+    assert 0 < sum(rows.values()) <= 3 * spec.count
+    assert not forms
+    # ell > L/2: reduce pairs take the canonical form of their reference
+    # state, and their bulk states are decomposed once per pair
     random_sweep(spec, "bures", [5, 6])
+    assert forms
     for ell in (2, 3, 4, 5, 6):
-        assert all(calls[s.restrict(ell).m.tobytes()] <= 1 for s in states)
+        assert all(rows[s.restrict(ell).m.tobytes()] <= 1 for s in states)
+        assert all(forms[s.restrict(ell).m.tobytes()] <= 1 for s in states)
 
 
 # ------------------------------------------------------------------- distances

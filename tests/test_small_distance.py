@@ -9,10 +9,10 @@ from conftest import planted_state, random_mixed_state
 from fgdist.correlation import (
     SMALL_DISTANCE,
     CorrelationMatrix,
+    _eigensystems,
     _metric_distances,
     _pair_kernel,
     bures_distances,
-    canonical_form,
     pair_fidelities,
 )
 from fgdist.dense import density_from_gamma, fidelity_dense
@@ -27,11 +27,10 @@ def _direction(ell, rng):
 
 def _metric_parameter(state, other):
     """(D_m, t = D_m / sqrt(2 (1 - g_max))) of a pair as the pair kernel
-    forms them, from the canonical form of the more mixed state."""
+    forms them, from the eigensystem of the more mixed state's Gamma."""
     if state.pair_values[0] > other.pair_values[0]:
         state, other = other, state
-    form = canonical_form(state)
-    d_m = _metric_distances(form.rotation[None], form.pair_values[None], state.m[None], other.m[None])[0]
+    d_m = _metric_distances(*_eigensystems(state.m[None]), state.m[None], other.m[None])[0]
     g_max = max(state.pair_values[0], other.pair_values[0])
     return d_m, d_m / np.sqrt(2.0 * (1.0 - g_max))
 
@@ -86,6 +85,25 @@ def test_both_sides_of_the_switch_match_the_oracle(ell):
             # sqrt(2 (1 - F)) with F good to about ten ulp: an error 1e-15 / D
             assert abs(got - want) <= 2e-15 / want
         assert abs(got - want) <= 1e-4 * want
+
+
+def test_single_mode_distances_match_the_oracle():
+    # states one ulp apart: sqrt(2 (1 - F)) read 1.49e-8 here; the oracle
+    # needs 60 digits to resolve 1 - F = 3.4e-33
+    g = -0.7439191125308634
+    first, second = planted_state([g]), planted_state([np.nextafter(g, -1.0)])
+    got, direct = _kernel(first, second)
+    want = float(mp_oracle.bures_distance(first.m, second.m, dps=60))
+    assert direct and abs(want - 8.3067e-17) < 1e-21
+    assert abs(got - want) <= 1e-15 * want
+    rng = np.random.default_rng(60)
+    for g1, g2 in rng.uniform(-1.0, 1.0, size=(20, 2)):
+        first, second = planted_state([g1]), planted_state([g2])
+        want = float(mp_oracle.bures_distance(first.m, second.m))
+        assert abs(_kernel(first, second)[0] - want) <= 1e-15 * want
+    # equal unit values put a zero denominator next to a zero difference
+    for g in (-1.0, 1.0):
+        assert _kernel(planted_state([g]), planted_state([g]))[0] == 0.0
 
 
 def test_the_path_stays_off_with_unit_modes():
