@@ -171,7 +171,7 @@ def _run_sweep(args) -> int:
         if args.sector_out is not None:
             energies, _ = xxz_eigenstates(xxz_sector_basis(args.L, momentum, n_down), args.delta, args.h_z)
             n = len(energies)
-            columns = [[args.L] * n, [momentum] * n, [n_down] * n, [args.delta] * n, range(n), energies.tolist()]
+            columns = [[args.L] * n, [momentum] * n, [n_down] * n, [args.delta] * n, range(n), energies]
             with open(args.sector_out, "w") as stream:
                 experiments._write_csv(stream, ["L", "K", "n_down", "delta", "index", "energy"], columns)
     else:

@@ -22,7 +22,11 @@ average,pairs  with floats at 17 significant digits, so identical
 invocations serialize byte-identically and round-trip losslessly.  The
 param column holds h for Ising, Delta for XXZ, and the ensemble seed for
 random sweeps.  A JSON sidecar mirrors the run parameters (for XXZ sweeps
-also the field h_z) and the fit.
+also the field h_z) and the fit.  Every table the package exports goes
+through one writer, ``_write_csv``, which streams CSV_BLOCK_ROWS rows at a
+time and formats each distinct float64 bit pattern of a block once, so the
+spectrum export neither holds the table as Python objects nor formats the
+values it repeats more than once per block.
 
 Ising and random sweeps share one pair loop: Bures pairs of one ell go to
 :func:`fgdist.correlation.bures_distances`, which evaluates the regular
@@ -71,17 +75,48 @@ CSV_HEADER = "model,L,param,sector,ordering,metric,ell,x,average,pairs"
 # dense entries in one block of states of a trace sweep: 2^15 complex entries
 # are 512 KiB, so a block holds 32 states at ell = 5 and one from ell = 8 on
 TRACE_STACK_ELEMENTS = 2**15
+# rows formatted and written per block by _write_csv
+CSV_BLOCK_ROWS = 1024
+
+
+def _cells(part) -> list:
+    """One block of a column as text by the per-cell rule: floats (numpy
+    float64 included) at 17 significant digits, every other value as
+    ``str(value)``.  An ndarray is read through ``tolist``."""
+    if isinstance(part, np.ndarray):
+        part = part.tolist()
+    return [f"{v:.17g}" if isinstance(v, float) else str(v) for v in part]
 
 
 def _write_csv(stream, header, columns):
     """Stream a header row, then one row per index of the equally long
-    columns: float cells (numpy float64 included) at 17 significant digits,
-    every other cell as ``str(value)``, nothing quoted."""
+    columns, CSV_BLOCK_ROWS rows per write, nothing quoted.
+
+    A column is any sliceable sequence: a list, tuple, range or 1-D ndarray.
+    Cells follow the rule of ``_cells``.  In each block the float64 ndarray
+    columns are stacked and deduplicated by bit pattern, so each distinct
+    value is formatted once (a spectrum table repeats its energies and
+    charges); every other column is formatted cell by cell.  Raises
+    ValueError, before anything is written, when the header and the columns
+    differ in count or the columns differ in length.
+    """
     if len(header) != len(columns):
         raise ValueError(f"CSV header has {len(header)} cells but there are {len(columns)} columns")
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns must be equally long, got lengths {lengths}")
     stream.write(",".join(header) + "\n")
-    for row in zip(*columns):
-        stream.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
+    floats = [k for k, column in enumerate(columns) if isinstance(column, np.ndarray) and column.dtype == np.float64]
+    for start in range(0, lengths[0] if lengths else 0, CSV_BLOCK_ROWS):
+        parts = [column[start : start + CSV_BLOCK_ROWS] for column in columns]
+        cells = [None if k in floats else _cells(part) for k, part in enumerate(parts)]
+        if floats:
+            block = np.stack([parts[k] for k in floats])
+            bits, inverse = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+            text = np.array([format(v, ".17g") for v in bits.view(np.float64).tolist()], dtype=object)
+            for k, row in zip(floats, text[inverse.reshape(block.shape)].tolist()):
+                cells[k] = row
+        stream.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @dataclass
@@ -334,8 +369,8 @@ def write_spectrum_csv(table: SpectrumTable, stream, charge_count: int | None = 
         raise ValueError(f"charge count must lie in 0..{available}, got {count}")
     header = ["index", "sector", "mask", "energy", "parity", "momentum"] + [f"Q{m}" for m in range(count)]
     columns = [range(len(table)), [SECTORS[code] for code in table.sector_codes.tolist()]]
-    columns += [column.tolist() for column in (table.masks, table.energy, table.parity, table.momentum)]
-    _write_csv(stream, header, columns + table.charges[:, :count].T.tolist())
+    columns += [table.masks, table.energy, table.parity, table.momentum]
+    _write_csv(stream, header, columns + list(table.charges[:, :count].T))
 
 
 def write_charge_profiles(table: SpectrumTable, charge_indices, stream):
@@ -345,4 +380,4 @@ def write_charge_profiles(table: SpectrumTable, charge_indices, stream):
     if not all(0 <= m < available for m in indices):
         raise ValueError(f"charge indices must lie in 0..{available - 1}, got {indices}")
     header = ["index"] + [f"Q{m}" for m in indices]
-    _write_csv(stream, header, [range(len(table))] + table.charges[:, indices].T.tolist())
+    _write_csv(stream, header, [range(len(table))] + list(table.charges[:, indices].T))

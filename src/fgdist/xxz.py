@@ -16,6 +16,9 @@ significant bit).  With this phase the one-site translation acts as
 T |a(K)> = e^{-i 2 pi K / L} |a(K)>, the same eigenvalue convention the
 free-fermion momentum labels carry.
 
+The full-space H is a sparse matrix built straight from the bits of the
+2^L configurations (flip-flop entries plus a diagonal), equal entry for
+entry and bit for bit to the sum of sparse Pauli products written above.
 Blocks are assembled as B^dag H B with B the sparse matrix of Bloch
 columns; eigenvectors are lifted back to the full space the same way, so
 reduced density matrices come from ordinary partial traces.  The field
@@ -31,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .dense import _check_guard, partial_trace, site_operator
+from .dense import _check_guard, partial_trace
 
 __all__ = [
     "XXZSector",
@@ -112,15 +115,36 @@ def _bloch_matrix(sector: XXZSector) -> sp.csr_matrix:
 
 @lru_cache(maxsize=8)
 def xxz_dense_hamiltonian(L: int, delta: float, h_z: float = 0.0) -> sp.csr_matrix:
-    """Sparse full-space XXZ Hamiltonian (guarded)."""
+    """Sparse full-space XXZ Hamiltonian (guarded), built from configuration bits.
+
+    Site j is bit L - j of a configuration, with Z eigenvalue s_j = +1 for a
+    0 bit.  X_j X_{j+1} + Y_j Y_{j+1} is 2 between configurations that differ
+    by swapping unequal spins j, j+1 and 0 otherwise, so each such bond puts
+    -0.5 off the diagonal.  The diagonal is accumulated bond by bond in the
+    order of the Pauli sum, d - (0.25 delta) s_j s_{j+1} and then
+    d - (0.5 h_z) s_j, and explicit zeros are dropped, so the CSR arrays equal
+    those of the summed sparse Pauli products bit for bit.  A periodic chain
+    needs two sites: at L = 1 the only bond would join site 1 to itself.
+    """
     _check_guard(L)
-    ops = {label: [site_operator(label, j, L) for j in range(1, L + 1)] for label in "XYZ"}
-    ham = sp.csr_matrix((2**L, 2**L), dtype=complex)
+    if L < 2:
+        raise ValueError(f"the periodic XXZ chain needs at least two sites, got L = {L}")
+    configs = np.arange(2**L, dtype=np.int64)
+    spins = 1 - 2 * ((configs >> np.arange(L - 1, -1, -1)[:, None]) & 1)  # row j holds s_{j+1}
+    diagonal = np.zeros(2**L)
+    rows, cols = [configs], [configs]
     for j in range(L):
         nxt = (j + 1) % L
-        for label, weight in (("X", 0.25), ("Y", 0.25), ("Z", 0.25 * delta)):
-            ham = ham - weight * (ops[label][j] @ ops[label][nxt])
-        ham = ham - 0.5 * h_z * ops["Z"][j]
+        diagonal = diagonal - (0.25 * delta) * (spins[j] * spins[nxt])
+        diagonal = diagonal - (0.5 * h_z) * spins[j]
+        flip = configs[spins[j] != spins[nxt]]
+        rows.append(flip)
+        cols.append(flip ^ ((1 << (L - 1 - j)) | (1 << (L - 1 - nxt))))
+    rows = np.concatenate(rows)
+    values = np.full(len(rows), -0.5, dtype=complex)
+    values[: 2**L] = diagonal
+    ham = sp.csr_matrix((values, (rows, np.concatenate(cols))), shape=(2**L, 2**L))
+    ham.eliminate_zeros()
     return ham
 
 

@@ -195,6 +195,26 @@ def test_sector_out_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, path, digest",
+    [
+        # 4,096 rows: four full write blocks, energies and charges repeated
+        (["spectrum", "--L", "12", "--h", "0.95"], "out.csv",
+         "175c1b543636c328cb3027619b4858e87b38009e41dde26e30564954c3dbbcdf"),
+        (["charges", "--L", "12", "--h", "0.95", "--indices", "0,1,2,5,11"], "out.csv",
+         "4706e6eecb1beaaa6d8f65419f617c139b7ac497a943e3cc1cd5947069f74837"),
+        (["sweep", "--model", "xxz", "--L", "10", "--sector", "1,4", "--h-z", "0.37", "--ell-max", "2",
+          "--sector-out", "{tmp}/energies.csv"], "energies.csv",
+         "4c6bb6570c4f999564a14169fc8280010c25d7d5f850de73de7ad6afdea8fad1"),
+    ],
+)
+def test_export_golden_bytes(argv, path, digest, tmp_path):
+    # digests of the files the per-cell writer wrote before the block writer
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert hashlib.sha256((tmp_path / path).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--L", "5", "--h", "1.0", "--charges", "9"],

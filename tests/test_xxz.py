@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import comb
 
+from fgdist import xxz
+from fgdist.dense import site_operator
 from fgdist.xxz import (
     XXZSector,
     translate_bits,
@@ -126,3 +129,50 @@ def test_pairwise_average_guards():
     sector = xxz_sector_basis(8, 1, 2)
     with pytest.raises(ValueError):
         xxz_pairwise_average(sector, 1.0, 2, "fidelity")
+
+
+def _pauli_sum(L, delta, h_z):
+    """The Hamiltonian of the module docstring summed term by term from sparse
+    single-site Paulis: the oracle the bit-built matrix is held to."""
+    ops = {label: [site_operator(label, j, L) for j in range(1, L + 1)] for label in "XYZ"}
+    ham = sp.csr_matrix((2**L, 2**L), dtype=complex)
+    for j in range(L):
+        nxt = (j + 1) % L
+        for label, weight in (("X", 0.25), ("Y", 0.25), ("Z", 0.25 * delta)):
+            ham = ham - weight * (ops[label][j] @ ops[label][nxt])
+        ham = ham - 0.5 * h_z * ops["Z"][j]
+    return ham
+
+
+@pytest.mark.parametrize("L", range(2, 10))
+def test_dense_hamiltonian_matches_pauli_sum(L):
+    for delta in (0.0, 0.5, 1.0, float(np.sqrt(2.0)), -0.7):
+        for h_z in (0.0, 0.37, -0.2):
+            built = xxz_dense_hamiltonian(L, delta, h_z)
+            oracle = _pauli_sum(L, delta, h_z)
+            assert (built != oracle).nnz == 0
+            # same stored entries in the same order, so sparse products that
+            # use the matrix sum their terms in the same order
+            assert np.array_equal(built.indptr, oracle.indptr)
+            assert np.array_equal(built.indices, oracle.indices)
+
+
+def test_eigenstates_bitwise_equal_under_pauli_sum_hamiltonian(monkeypatch):
+    sector = xxz_sector_basis(9, 2, 4)
+    delta, h_z = float(np.sqrt(2.0)), 0.37
+    _eigensystem.cache_clear()
+    energies, vectors = xxz_eigenstates(sector, delta, h_z)
+    monkeypatch.setattr(xxz, "xxz_dense_hamiltonian", _pauli_sum)
+    _eigensystem.cache_clear()
+    try:
+        oracle_energies, oracle_vectors = xxz_eigenstates(sector, delta, h_z)
+    finally:
+        _eigensystem.cache_clear()
+    assert sector.dim > 10
+    assert energies.tobytes() == oracle_energies.tobytes()
+    assert vectors.tobytes() == oracle_vectors.tobytes()
+
+
+def test_dense_hamiltonian_needs_two_sites():
+    with pytest.raises(ValueError, match="at least two sites"):
+        xxz_dense_hamiltonian(1, 1.0)
