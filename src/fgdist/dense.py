@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .correlation import CorrelationMatrix, canonical_form
+from .correlation import CorrelationMatrix, _state_stack, canonical_form
 from .errors import GuardExceeded
 from .pfaffian import PLAN_CACHE_MODES, popcount, principal_pfaffians
 
@@ -200,9 +200,7 @@ def density_stack(m) -> np.ndarray:
     independent oracle for this route.  Each state's matrix comes out bit for
     bit the same whatever stack it is built in.  Returns (n, 2^ell, 2^ell).
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] % 2 or not m.shape[1]:
-        raise ValueError(f"need a stack of 2 ell x 2 ell correlation matrices, got shape {m.shape}")
+    m = _state_stack(m)
     ell = m.shape[1] // 2
     _check_guard(ell)
     masks, slots, signs, cells = _wick_plan(ell) if ell <= PLAN_CACHE_MODES else _wick_plan.__wrapped__(ell)

@@ -28,7 +28,10 @@ time and formats each distinct float64 bit pattern of a block once, so the
 spectrum export neither holds the table as Python objects nor formats the
 values it repeats more than once per block.
 
-Ising and random sweeps share one pair loop: Bures pairs of one ell go to
+Ising and random sweeps share one pair loop on the (n, 2 ell, 2 ell) stack
+of the states' correlation matrices: the Ising stack of
+:func:`fgdist.ising.subsystem_correlations`, or the leading 2 ell rows and
+columns of the random ensemble's stack.  Bures pairs of one ell go to
 :func:`fgdist.correlation.bures_distances`, which evaluates the regular
 branch on stacks of pairs and returns the same values as a per-pair loop.
 Trace pairs compare dense reduced density matrices, built by
@@ -51,7 +54,7 @@ import numpy as np
 
 # bures_distance and density_from_gamma are not called here, but
 # perfbench/tracing.py wraps the names in this namespace
-from .correlation import CorrelationMatrix, bures_distance, bures_distances  # noqa: F401
+from .correlation import bures_distance, bures_distances  # noqa: F401
 from .dense import _check_guard, density_from_gamma, density_stack, trace_distance  # noqa: F401
 from .ising import SECTORS, SpectrumTable, enumerate_spectrum, sort_spectrum, subsystem_correlations
 from .random_ensemble import RandomEnsembleSpec, sample_ensemble
@@ -222,13 +225,9 @@ def apply_ordering(table: SpectrumTable, scheme: str) -> SpectrumTable:
     raise ValueError(f"unknown ordering scheme {scheme!r}")
 
 
-def _gaussian_states(table: SpectrumTable, ell: int) -> list:
-    stack = subsystem_correlations(table, ell)
-    return [CorrelationMatrix(m, validate=False) for m in stack]
-
-
-def _pair_distances(states: list, pairs: list, metric: str) -> np.ndarray:
-    """Distances between the states of each index pair, 'bures' or 'trace'.
+def _pair_distances(m: np.ndarray, pairs: list, metric: str) -> np.ndarray:
+    """Distances between the states m[i] and m[j] of a stack (n, 2 ell,
+    2 ell) for each index pair (i, j), 'bures' or 'trace'.
 
     For 'trace' the states are split into blocks of TRACE_STACK_ELEMENTS
     dense entries (at least one state).  The pairs are grouped by the blocks
@@ -240,14 +239,13 @@ def _pair_distances(states: list, pairs: list, metric: str) -> np.ndarray:
     time either way.
     """
     if metric == "bures":
-        return bures_distances(states, pairs)
+        return bures_distances(m, pairs)
     if metric != "trace":
         raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
-    m = np.stack([s.m for s in states])
-    size = max(1, TRACE_STACK_ELEMENTS // 4 ** states[0].ell)
+    size = max(1, TRACE_STACK_ELEMENTS // 4 ** (m.shape[-1] // 2))
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     blocks, rows = np.divmod(pairs, size)
-    codes = blocks[:, 0] * len(states) + blocks[:, 1]
+    codes = blocks[:, 0] * len(m) + blocks[:, 1]
     order = np.argsort(codes, kind="stable")
     starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
     values = np.empty(len(pairs))
@@ -269,7 +267,7 @@ def average_consecutive_distance(table: SpectrumTable, ell: int, metric: str) ->
     if len(table) < 2:
         raise ValueError("need at least two states")
     pairs = [(i, i + 1) for i in range(len(table) - 1)]
-    values = _pair_distances(_gaussian_states(table, ell), pairs, metric)
+    values = _pair_distances(subsystem_correlations(table, ell), pairs, metric)
     return float(values.mean()), len(pairs)
 
 
@@ -343,9 +341,12 @@ def xxz_sweep(
 def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False) -> SweepResult:
     """All-pairs distance averages over a random pure Gaussian ensemble."""
     ells = list(ells)
+    for ell in ells:
+        if not 1 <= ell <= spec.L:
+            raise ValueError(f"cannot keep {ell} of {spec.L} modes")
     if metric == "trace":
         _check_guard(max(ells, default=0))
-    states = sample_ensemble(spec)
+    m = np.stack([state.m for state in sample_ensemble(spec)])
     pairs = [(i, j) for i in range(spec.count) for j in range(i + 1, spec.count)]
     result = SweepResult(
         model="random",
@@ -356,7 +357,7 @@ def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False)
         metric=metric,
     )
     for ell in ells:
-        values = _pair_distances([s.restrict(ell) for s in states], pairs, metric)
+        values = _pair_distances(m[:, : 2 * ell, : 2 * ell], pairs, metric)
         result.rows.append((ell, float(values.mean()), len(pairs)))
     return result.attach_fit() if fit else result
 

@@ -349,8 +349,8 @@ def mode_number_difference(table: SpectrumTable) -> float:
 
 
 def _subsystem_m_batch(L: int, h: float, sector: str, occ: np.ndarray, ell: int) -> np.ndarray:
-    """Stack of real m matrices of the leading ell sites for the given
-    occupation rows (states x modes)."""
+    """Stack of real antisymmetric m matrices of the leading ell sites for
+    the given occupation rows (states x modes)."""
     ks2, eps, u, v, minus = _mode_data(L, h, sector)
     theta = np.pi * ks2 / L
     n_minus = occ[:, minus]
@@ -371,7 +371,9 @@ def _subsystem_m_batch(L: int, h: float, sector: str, occ: np.ndarray, ell: int)
     m[:, 1::2, 1::2] = 2.0 * (g_jl.imag - f_jl.imag)
     m[:, 0::2, 1::2] = delta - 2.0 * (g_jl.real + f_jl.real)
     m[:, 1::2, 0::2] = -delta + 2.0 * (g_jl.real - f_jl.real)
-    return m
+    # the mode sums leave m_ab + m_ba at a few ulp; (m - m^T) / 2 is exactly
+    # antisymmetric, as every reader of the lower or the upper triangle needs
+    return (m - np.swapaxes(m, 1, 2)) / 2.0
 
 
 def eigenstate_correlation(label: EigenstateLabel, ell: int) -> CorrelationMatrix:
@@ -380,8 +382,7 @@ def eigenstate_correlation(label: EigenstateLabel, ell: int) -> CorrelationMatri
     if not 1 <= ell <= label.L:
         raise ValueError(f"subsystem size {ell} outside 1..{label.L}")
     occ = label.occupation_vector()[None, :]
-    m = _subsystem_m_batch(label.L, label.h, label.sector, occ, ell)[0]
-    return CorrelationMatrix((m - m.T) / 2.0, validate=False)
+    return CorrelationMatrix(_subsystem_m_batch(label.L, label.h, label.sector, occ, ell)[0], validate=False)
 
 
 def subsystem_correlations(table: SpectrumTable, ell: int) -> np.ndarray:

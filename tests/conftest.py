@@ -50,6 +50,12 @@ def planted_state(gammas, rotation=None, rng=None) -> CorrelationMatrix:
     return CorrelationMatrix(m, validate=False)
 
 
+def stack(states) -> np.ndarray:
+    """The (n, 2 ell, 2 ell) stack of the states' matrices, the shape the
+    pair kernel takes."""
+    return np.stack([state.m for state in states])
+
+
 def random_mixed_state(ell: int, rng, gmax: float = 0.95) -> CorrelationMatrix:
     return planted_state(rng.uniform(0.0, gmax, size=ell), rng=rng)
 

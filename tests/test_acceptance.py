@@ -28,7 +28,7 @@ from conftest import (
     rand_special_rotation,
     random_mixed_state,
 )
-from fgdist.correlation import bures_distance, fidelity, pair_fidelities
+from fgdist.correlation import CorrelationMatrix, bures_distance, fidelity, pair_fidelities
 from fgdist.dense import (
     density_from_gamma,
     fidelity_dense,
@@ -36,7 +36,6 @@ from fgdist.dense import (
     trace_distance,
 )
 from fgdist.experiments import (
-    _gaussian_states,
     fit_window,
     ising_sweep,
     linear_slope_fit,
@@ -51,6 +50,7 @@ from fgdist.ising import (
     mode_number_difference,
     sector_momenta,
     sort_spectrum,
+    subsystem_correlations,
 )
 from fgdist.ising_dense import charge_operator, eigenstate_vector, ising_hamiltonian
 from fgdist.random_ensemble import RandomEnsembleSpec
@@ -80,7 +80,7 @@ def _spectrum_pair_data():
             table = sort_spectrum(enumerate_spectrum(h, L))
             vecs = [eigenstate_vector(table.label(i)) for i in range(len(table))]
             for ell in (1, 2, 3):
-                states = _gaussian_states(table, ell)
+                states = [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, ell)]
                 rhos = [partial_trace(v, L, ell) for v in vecs]
                 _SPECTRUM_PAIRS[(h, ell)] = [
                     (
@@ -101,9 +101,9 @@ def _trace_pair_data():
     if not _TRACE_PAIRS:
         table = sort_spectrum(enumerate_spectrum(1.0, 12))
         for ell in range(1, 6):
-            states = _gaussian_states(table, ell)
-            rhos = [density_from_gamma(s) for s in states]
-            fids = pair_fidelities(states, [(i, i + 1) for i in range(len(table) - 1)])
+            m = subsystem_correlations(table, ell)
+            rhos = [density_from_gamma(CorrelationMatrix(row, validate=False)) for row in m]
+            fids = pair_fidelities(m, [(i, i + 1) for i in range(len(table) - 1)])
             _TRACE_PAIRS[ell] = [
                 (float(fids[i]), trace_distance(rhos[i], rhos[i + 1]))
                 for i in range(len(table) - 1)

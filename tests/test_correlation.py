@@ -16,6 +16,7 @@ from conftest import (
     rand_rotation,
     rand_special_rotation,
     random_mixed_state,
+    stack,
 )
 from fgdist import correlation
 from fgdist.correlation import (
@@ -514,17 +515,17 @@ def test_pair_kernel_partial_last_stack():
     states = [random_mixed_state(ell, rng) for _ in range(40)]
     pairs = [(int(i), int(j)) for i, j in rng.integers(0, 40, size=(2 * per_stack + 7, 2))]
     assert len(pairs) % per_stack != 0
-    got = pair_fidelities(states, pairs)
+    got = pair_fidelities(stack(states), pairs)
     assert np.array_equal(got, scalar_fidelities(states, pairs))
 
 
 def test_pair_kernel_stack_of_one():
     rng = np.random.default_rng(112)
     states = [random_mixed_state(4, rng) for _ in range(2)]
-    got = pair_fidelities(states, [(0, 1)])
+    got = pair_fidelities(stack(states), [(0, 1)])
     assert got.shape == (1,)
     assert got[0] == fidelity(states[0], states[1])
-    assert pair_fidelities(states, []).shape == (0,)
+    assert pair_fidelities(stack(states), []).shape == (0,)
 
 
 def test_pair_kernel_swaps_roles_within_a_stack():
@@ -536,7 +537,7 @@ def test_pair_kernel_swaps_roles_within_a_stack():
     states = sharp + broad
     forward = [(i, 3 + i) for i in range(3)]  # state_1 is the less mixed one
     backward = [(j, i) for i, j in forward]
-    got = pair_fidelities(states, forward + backward)
+    got = pair_fidelities(stack(states), forward + backward)
     assert np.array_equal(got[:3], got[3:])
     assert np.array_equal(got, scalar_fidelities(states, forward + backward))
 
@@ -549,29 +550,44 @@ def test_pair_kernel_matches_scalar_fidelity_bitwise():
     states = [pure, partial, edge] + [random_mixed_state(3, rng) for _ in range(6)]
     # every ordered pair: regular, reduce and pure pairs interleaved
     pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
-    got = pair_fidelities(states, pairs)
+    got = pair_fidelities(stack(states), pairs)
     assert np.array_equal(got, scalar_fidelities(states, pairs))
     gap = np.maximum(1.0 - got, 0.0)
     # a state with no unit pairs against itself takes the second-order
     # metric, which is exactly 0; every other pair is sqrt(2 (1 - F))
     want = np.sqrt(2.0 * gap)
     want[[p for p, (i, j) in enumerate(pairs) if i == j and states[i].unit_pair_count() == 0]] = 0.0
-    assert np.array_equal(bures_distances(states, pairs), want)
+    assert np.array_equal(bures_distances(stack(states), pairs), want)
     single = [planted_state([g]) for g in (0.3, -0.8, 1.0)]
     single_pairs = [(0, 1), (1, 2), (2, 0)]
-    assert np.array_equal(pair_fidelities(single, single_pairs), scalar_fidelities(single, single_pairs))
+    assert np.array_equal(pair_fidelities(stack(single), single_pairs), scalar_fidelities(single, single_pairs))
 
 
-def test_stacked_pair_values_match_per_state_bitwise():
-    # pair_fidelities reads every state's pair values from stacked SVDs
+def test_stacked_pair_values_match_per_state_bitwise(monkeypatch):
+    # the pair kernel reads every state's pair values from one SVD of the
+    # stack and hands them to the states of its scalar pass
+    seen = []
+    original = correlation._dispatch
+
+    def recording_dispatch(state_1, state_2):
+        seen.extend((state_1, state_2))
+        return original(state_1, state_2)
+
     for h in (0.9, 1.0, 1.06):
         table = apply_ordering(enumerate_spectrum(h, 10), "charges:default")
         for ell in (3, 4):
-            stack = subsystem_correlations(table, ell)
-            states = [CorrelationMatrix(m, validate=False) for m in stack]
-            correlation._fill_pair_values(states)
-            for state, m in zip(states, stack):
-                assert np.array_equal(state.pair_values, CorrelationMatrix(m, validate=False).pair_values)
+            m = subsystem_correlations(table, ell)
+            stacked = correlation._snapped_pair_values(np.linalg.svd(m, compute_uv=False))
+            for values, row in zip(stacked, m):
+                assert np.array_equal(values, CorrelationMatrix(row, validate=False).pair_values)
+    # ell > L/2: reduce pairs, whose states the scalar pass makes
+    monkeypatch.setattr(correlation, "_dispatch", recording_dispatch)
+    m = np.stack([state.m for state in sample_ensemble(RandomEnsembleSpec(L=8, count=6, seed=3))])
+    for ell in (5, 6):
+        pair_fidelities(m[:, : 2 * ell, : 2 * ell], [(i, j) for i in range(6) for j in range(i + 1, 6)])
+    assert len(seen) >= 2 * 15 * 2
+    for state in seen:
+        assert np.array_equal(state.pair_values, CorrelationMatrix(state.m.copy(), validate=False).pair_values)
 
 
 def test_degenerate_regular_state_matches_the_dense_oracle():
@@ -584,16 +600,55 @@ def test_degenerate_regular_state_matches_the_dense_oracle():
     assert states[2078].unit_pair_count() == 0
     assert np.ptp(states[2078].pair_values) < 1e-15
     pairs = [(2077, 2078), (2078, 2079)]
-    got = pair_fidelities(states, pairs)
+    got = pair_fidelities(stack(states), pairs)
     assert np.array_equal(got, scalar_fidelities(states, pairs))
     for (i, j), f in zip(pairs, got):
         rho = density_stack(np.stack([states[i].m, states[j].m]))
         assert abs(f - fidelity_dense(rho[0], rho[1])) < 1e-12
 
 
+def test_pair_kernel_rejects_other_shapes():
+    # the kernel takes one (n, 2 ell, 2 ell) stack and nothing else
+    for shape in [(4, 4), (1, 3, 3), (1, 4, 6), (1, 0, 0), (2, 1, 4, 4)]:
+        with pytest.raises(ValueError):
+            pair_fidelities(np.zeros(shape), [(0, 0)])
+        with pytest.raises(ValueError):
+            bures_distances(np.zeros(shape), [(0, 0)])
+
+
 def test_pair_kernel_shape_mismatch():
+    small, large = planted_state([0.1, 0.2]), planted_state([0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
-        pair_fidelities([planted_state([0.1, 0.2]), planted_state([0.1, 0.2, 0.3])], [(0, 1)])
+        pair_fidelities([small.m, large.m], [(0, 1)])
+    for a, b in [(small, large), (large, small)]:
+        with pytest.raises(ValueError, match="same number of modes"):
+            fidelity(a, b)
+        with pytest.raises(ValueError, match="same number of modes"):
+            bures_distance(a, b)
+
+
+def test_regular_sweep_builds_no_state_objects(monkeypatch):
+    # every pair of an ell <= L/2 random sweep is regular: the kernel works
+    # on the stack and makes no CorrelationMatrix
+    spec = RandomEnsembleSpec(L=8, count=6, seed=3)
+    want = random_sweep(spec, "bures", [2, 3, 4]).rows
+    made = Counter()
+    original = correlation.CorrelationMatrix.__init__
+
+    def counting_init(self, m, **kwargs):
+        made["states"] += 1
+        original(self, m, **kwargs)
+
+    monkeypatch.setattr(correlation.CorrelationMatrix, "__init__", counting_init)
+    m = np.stack([state.m for state in sample_ensemble(spec)])
+    made.clear()
+    pairs = [(i, j) for i in range(spec.count) for j in range(i + 1, spec.count)]
+    for ell in (2, 3, 4):
+        bures_distances(m[:, : 2 * ell, : 2 * ell], pairs)
+        pair_fidelities(m[:, : 2 * ell, : 2 * ell], pairs)
+    assert not made
+    assert random_sweep(spec, "bures", [2, 3, 4]).rows == want
+    assert made["states"] == spec.count  # the sampled states, not the kernel
 
 
 def test_sweep_decomposes_each_state_once(monkeypatch):

@@ -217,9 +217,10 @@ def test_trace_values_do_not_depend_on_the_blocks(monkeypatch, budget):
     monkeypatch.setattr(experiments, "TRACE_STACK_ELEMENTS", budget)
     assert ising_sweep(5, 1.0, "trace", [1, 2, 3]).rows == want[0]
     assert random_sweep(spec, "trace", [1, 2, 3]).rows == want[1]
-    states = [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, 2)]
+    m = subsystem_correlations(table, 2)
+    states = [CorrelationMatrix(row, validate=False) for row in m]
     pairs = [(i, j) for i in range(0, 32, 3) for j in range(i + 1, 32, 5)]
-    got = experiments._pair_distances(states, pairs, "trace")
+    got = experiments._pair_distances(m, pairs, "trace")
     assert got.tolist() == [_trace_of(states[i], states[j]) for i, j in pairs]
 
 
@@ -279,6 +280,19 @@ def test_random_sweep_scaled_average_stays_bounded():
 def test_random_sweep_rejects_bad_metric():
     with pytest.raises(ValueError):
         random_sweep(RandomEnsembleSpec(L=4, count=4), "overlap", [1])
+
+
+@pytest.mark.parametrize("metric", ["bures", "trace"])
+@pytest.mark.parametrize("ell", [0, 9])
+def test_random_sweep_rejects_ell_outside_the_chain(monkeypatch, metric, ell):
+    # the sweep slices each state's leading 2 ell rows, which checks no
+    # bounds; an ell outside 1..L must raise before anything is sampled
+    def no_sampling(spec):
+        raise AssertionError("sampled before the ell check")
+
+    monkeypatch.setattr(experiments, "sample_ensemble", no_sampling)
+    with pytest.raises(ValueError, match=f"cannot keep {ell} of 8 modes"):
+        random_sweep(RandomEnsembleSpec(L=8, count=4), metric, [2, ell])
 
 
 # ------------------------------------------------------------------ csv export

@@ -234,6 +234,19 @@ def test_subsystem_correlations_match_single_state():
         assert np.abs(batch[int(i)] - single.m).max() < 1e-12
 
 
+@pytest.mark.parametrize("L, h", [(10, 1.0), (10, 0.91), (14, 0.91)])
+def test_subsystem_correlations_are_exactly_antisymmetric(L, h):
+    # eigh reads the lower triangle of m, the Pfaffian table the upper one;
+    # both must see the same state, bit for bit
+    table = enumerate_spectrum(h, L)
+    for ell in sorted({1, 2, L // 2, min(L, 10)}):  # L = 14, ell = 14 would hold 100 MB
+        m = subsystem_correlations(table, ell)
+        assert np.array_equal(m, -np.swapaxes(m, 1, 2))
+    label = table.label(len(table) // 3)
+    m = eigenstate_correlation(label, L // 2).m
+    assert np.array_equal(m, -m.T)
+
+
 def test_correlation_matrix_is_valid_state():
     table = enumerate_spectrum(2.0, 8)
     batch = subsystem_correlations(table, 4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mp_oracle
-from conftest import planted_state, random_mixed_state
+from conftest import planted_state, random_mixed_state, stack
 from fgdist.correlation import (
     SMALL_DISTANCE,
     CorrelationMatrix,
@@ -16,8 +16,8 @@ from fgdist.correlation import (
     pair_fidelities,
 )
 from fgdist.dense import density_from_gamma, fidelity_dense
-from fgdist.experiments import _gaussian_states, apply_ordering
-from fgdist.ising import enumerate_spectrum
+from fgdist.experiments import apply_ordering
+from fgdist.ising import enumerate_spectrum, subsystem_correlations
 
 
 def _direction(ell, rng):
@@ -36,8 +36,9 @@ def _metric_parameter(state, other):
 
 
 def _kernel(first, second):
-    close = _pair_kernel([first, second], [(0, 1)], metric=True)[1]
-    return float(bures_distances([first, second], [(0, 1)])[0]), bool(close[0])
+    m = stack([first, second])
+    close = _pair_kernel(m, [(0, 1)], metric=True)[1]
+    return float(bures_distances(m, [(0, 1)])[0]), bool(close[0])
 
 
 @pytest.mark.parametrize("ell", [1, 2, 3])
@@ -114,14 +115,15 @@ def test_the_path_stays_off_with_unit_modes():
         CorrelationMatrix(first.m + eps * _direction(3, rng), validate=False) for eps in (1e-14, 1e-12, 1e-10)
     ]
     pairs = [(0, k) for k in range(len(states))]
-    assert not _pair_kernel(states, pairs, metric=True)[1].any()
-    gap = np.maximum(1.0 - pair_fidelities(states, pairs), 0.0)
-    assert np.array_equal(bures_distances(states, pairs), np.sqrt(2.0 * gap))
+    assert not _pair_kernel(stack(states), pairs, metric=True)[1].any()
+    gap = np.maximum(1.0 - pair_fidelities(stack(states), pairs), 0.0)
+    assert np.array_equal(bures_distances(stack(states), pairs), np.sqrt(2.0 * gap))
     # L = 8, ell = 4: consecutive Ising states with unit modes, where the
     # metric would divide by zero; pytest turns its RuntimeWarning into an error
-    states = _gaussian_states(apply_ordering(enumerate_spectrum(1.0, 8), "charges:default"), 4)
+    m = subsystem_correlations(apply_ordering(enumerate_spectrum(1.0, 8), "charges:default"), 4)
+    states = [CorrelationMatrix(row, validate=False) for row in m]
     pairs = [(i, i + 1) for i in range(len(states) - 1)]
-    _, close = _pair_kernel(states, pairs, metric=True)
+    _, close = _pair_kernel(m, pairs, metric=True)
     with_units = [p for p, (i, j) in enumerate(pairs) if states[i].unit_pair_count() or states[j].unit_pair_count()]
     assert with_units and not close[with_units].any()
 
@@ -129,12 +131,12 @@ def test_the_path_stays_off_with_unit_modes():
 def test_ising_ell_2_average_matches_the_oracle():
     # the frozen L = 8, h = 1, ell = 2 row: 23 of its 255 consecutive pairs
     # agree to 1e-12 in m, and sqrt(2 (1 - F)) put them at up to 2.1e-8
-    states = _gaussian_states(apply_ordering(enumerate_spectrum(1.0, 8), "charges:default"), 2)
-    pairs = [(i, i + 1) for i in range(len(states) - 1)]
-    got = bures_distances(states, pairs)
+    m = subsystem_correlations(apply_ordering(enumerate_spectrum(1.0, 8), "charges:default"), 2)
+    pairs = [(i, i + 1) for i in range(len(m) - 1)]
+    got = bures_distances(m, pairs)
     with mpmath.workdps(mp_oracle.DIGITS):
-        want = [mp_oracle.bures_distance(states[i].m, states[j].m) for i, j in pairs]
+        want = [mp_oracle.bures_distance(m[i], m[j]) for i, j in pairs]
         average = float(sum(want) / len(want))
     assert np.abs(got - np.array(want, dtype=float)).max() < 1e-12
     assert abs(float(got.mean()) - average) < 1e-12
-    assert _pair_kernel(states, pairs, metric=True)[1].sum() == 23
+    assert _pair_kernel(m, pairs, metric=True)[1].sum() == 23
