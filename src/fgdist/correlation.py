@@ -31,9 +31,11 @@ The fidelity of two states is computed by branch dispatch:
 
 Unit modes must be split off first because the overlap determinant and the
 composition solve (1 + Gamma_2 Gamma_1)^{-1} turn singular when an occupied
-mode meets an empty one.  The compose and reduction solves refine their
-solutions on residuals from Ozaki-split float64 products
-(:func:`_solve_refined`), with no extended-precision type.
+mode meets an empty one.  The compose and reduction solves
+(:func:`_solve_refined`) take one inverse of their matrix and refine its
+solution twice on residuals from Ozaki-split float64 products, with no
+extended-precision type; their invertibility guard reads kappa_1 from the
+same inverse.
 
 :func:`fidelity` runs this dispatch on one pair, and the reduction recurses
 into it on the smaller pair.  :func:`pair_fidelities` takes the states as
@@ -93,6 +95,15 @@ UNIT_MODE_TOL = 1e-10
 CANONICAL_RECONSTRUCTION_TOL = 1e-10
 IMAG_RESIDUE_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-12
+
+# A composed Gamma's antisymmetry deviation, and the sandwich state's
+# imaginary residue, are logged above this fraction of the matrix's largest
+# entry.  Composition amplifies the float64 rounding of its inputs by about
+# ||(1 + Gamma_2 Gamma_1)^{-1}||^2, up to 5e9 in the real solve of a regular
+# pair, where the half state keeps that norm below 7.1e4.  Over 40,000
+# random regular pairs at ell = 2 to 6 with 1 - g down to 1e-10, the largest
+# deviation was 6.2e-7 of the largest entry: rounding, not a fault.
+ROUNDING_RESIDUE_TOL = 1e-4
 
 # Bures distances of close regular pairs come from the second-order metric
 # below this multiple of sqrt(2 (1 - g_max)); see bures_distances.
@@ -266,13 +277,21 @@ class GaussianProduct:
         return f"GaussianProduct(ell={self.ell})"
 
 
+def _warn_residues(residue: np.ndarray, matrices: np.ndarray, what: str):
+    """Log each residue that exceeds ROUNDING_RESIDUE_TOL times the largest
+    entry of its matrix of the stack."""
+    top = np.abs(matrices).max(axis=(-2, -1))
+    for r, t in zip(*np.atleast_1d(residue, top)):
+        if r > ROUNDING_RESIDUE_TOL * t:
+            logger.warning("%s %.3e, largest entry %.3e", what, r, t)
+
+
 def _antisymmetrize(gamma: np.ndarray) -> np.ndarray:
     """(gamma - gamma^T) / 2 over the last two axes, warning per matrix
-    whose antisymmetry deviation exceeds IMAG_RESIDUE_TOL."""
+    whose antisymmetry deviation exceeds ROUNDING_RESIDUE_TOL times its
+    largest entry."""
     flipped = np.swapaxes(gamma, -1, -2)
-    dev = np.atleast_1d(np.abs(gamma + flipped).max(axis=(-2, -1)))
-    for d in dev[dev > IMAG_RESIDUE_TOL]:
-        logger.warning("composite correlation antisymmetry deviation %.3e", d)
+    _warn_residues(np.abs(gamma + flipped).max(axis=(-2, -1)), gamma, "composite correlation antisymmetry deviation")
     return (gamma - flipped) / 2.0
 
 
@@ -299,8 +318,18 @@ def _split(v: np.ndarray, axis: int, inner: int):
     return v1, v - v1
 
 
-def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """b - a x of (stacked) matrices from four float64 products.
+def _row_split(a: np.ndarray):
+    """Row split (a1, a2) of a (single or stacked) for :func:`_residual`: of
+    a itself when it is real, of its real embedding [[Re a, -Im a], [Im a,
+    Re a]] when it is complex."""
+    if np.iscomplexobj(a):
+        a = np.concatenate([np.concatenate([a.real, -a.imag], axis=-1), np.concatenate([a.imag, a.real], axis=-1)], -2)
+    return _split(a, -1, a.shape[-1])
+
+
+def _residual(a1: np.ndarray, a2: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """b - a x of (stacked) matrices from four float64 products, with a
+    given by its row split a1 + a2 from :func:`_row_split`.
 
     With a split by rows and x by columns as in :func:`_split`, every term of
     a1 @ x1 is a multiple of one quantum per output entry and the n-term sums
@@ -310,55 +339,73 @@ def _residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     ceil((53 + log2 n) / 2), so their float64 rounding costs about
     2^(beta - 106) |a| |x| (2^-76 at n = 64) against 2^-53 for a plain float64
     product (Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 95 (2012)).
-    Complex systems go through the real embedding [[Re a, -Im a], [Im a,
-    Re a]] [Re x; Im x] of inner size 2n.
+    A complex system (complex x) goes through the real embedding of a, of
+    inner size 2n, with [Re x; Im x] and [Re b; Im b].
     """
-    n = a.shape[-1]
-    embed = np.iscomplexobj(a) or np.iscomplexobj(x) or np.iscomplexobj(b)
+    n = x.shape[-2]
+    embed = np.iscomplexobj(x)
     if embed:
-        a = np.concatenate([np.concatenate([a.real, -a.imag], axis=-1), np.concatenate([a.imag, a.real], axis=-1)], -2)
         x, b = (np.concatenate([v.real, v.imag], axis=-2) for v in (x, b))
-    a1, a2 = _split(a, -1, a.shape[-1])
-    x1, x2 = _split(x, -2, a.shape[-1])
-    del a, x  # the embedded copies are not needed past the split
+    x1, x2 = _split(x, -2, a1.shape[-1])
+    del x  # the embedded copy is not needed past the split
     r = (b - a1 @ x1) - (a1 @ x2 + a2 @ x1 + a2 @ x2)
     return r[..., :n, :] + 1j * r[..., n:, :] if embed else r
 
 
 def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b with two steps of iterative refinement on accurate
+    """Solve a x = b from one inverse of a, refined twice on accurate
     residuals.
 
-    Works on single systems and on stacks (..., n, n).  Near-unit pair
-    values push the condition number of the compose and reduction solves to
-    ~(1-g)^{-1/2} and ~(1-g)^{-1}; the residuals b - a x are taken with the
-    Ozaki split of :func:`_residual`, four float64 BLAS products accurate to
-    about 2^-76 |a| |x| at n = 64, which removes the resulting kappa*u
-    forward error that the fidelity would otherwise amplify by another
-    1/sqrt(1-g).  No extended-precision type is used, so the accuracy does
-    not depend on the platform's long double.
+    Works on single systems and on stacks (..., n, n).  x = A^{-1} b is
+    refined twice by x += A^{-1} r.  Near-unit pair values push the
+    condition number of the compose and reduction solves to ~(1-g)^{-1/2}
+    and ~(1-g)^{-1}; the residuals r = b - a x are taken with the Ozaki
+    split of :func:`_residual`, four float64 BLAS products accurate to about
+    2^-76 |a| |x| at n = 64, which removes the resulting kappa*u forward
+    error that the fidelity would otherwise amplify by another 1/sqrt(1-g).
+    The fixed point of the refinement is set by the accuracy of the
+    residual, not by the solver, so the one inverse serves every step while
+    kappa*u << 1 (Ozaki, Ogita, Oishi and Rump, as above).  a is split, and
+    embedded when complex, once per solve.  No extended-precision type is
+    used, so the accuracy does not depend on the platform's long double.
+
+    Raises LinAlgError when a is exactly singular, or when any system of
+    the stack has 1/kappa_1 < n INVERTIBILITY_TOL, with kappa_1 =
+    ||a||_1 ||a^{-1}||_1 read from the same inverse.  Since kappa_2 <= n
+    kappa_1, this fires wherever 1/kappa_2 < INVERTIBILITY_TOL does.
     """
-    x = np.linalg.solve(a, b)
+    n = a.shape[-1]
+    inverse = np.linalg.inv(a)
+    kappa = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inverse).sum(axis=-2).max(axis=-1)
+    if not np.all(kappa <= 1.0 / (n * INVERTIBILITY_TOL)):  # NaN fails too
+        raise np.linalg.LinAlgError(f"1/kappa_1 below n * {INVERTIBILITY_TOL:g}: matrix is numerically singular")
+    a1, a2 = _row_split(a)
+    x = inverse @ b
     for _ in range(2):
-        x = x + np.linalg.solve(a, _residual(a, x, b))
+        x = x + inverse @ _residual(a1, a2, x, b)
     return x
 
 
-def _require_invertible(core: np.ndarray):
-    if np.any(1.0 / np.linalg.cond(core) < INVERTIBILITY_TOL):
-        raise ValueError("product state undefined: 1 + Gamma_2 Gamma_1 is singular")
+def _solve_core(core: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """:func:`_solve_refined` on the core 1 + Gamma_2 Gamma_1 of a
+    composition; raises ValueError where its guard finds the core singular."""
+    try:
+        return _solve_refined(core, rhs)
+    except np.linalg.LinAlgError:
+        raise ValueError("product state undefined: 1 + Gamma_2 Gamma_1 is singular") from None
 
 
 def _compose_real(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     """Gamma of rho_1 rho_2 / tr(rho_1 rho_2) from real m_1, m_2 (single or
     stacked), before antisymmetrization; every solve is real.
 
-    The solve is not guarded.  On a regular pair every pair value is below
-    1 - UNIT_MODE_TOL, so ||m_2 m_1|| < 1 - 2 UNIT_MODE_TOL and 1/cond of
-    1 - m_2 m_1 exceeds UNIT_MODE_TOL > INVERTIBILITY_TOL;
-    :func:`gaussian_compose` checks its own inputs."""
+    The regular branch composes a half state m_1, whose pair values lie
+    below 1 - 1.4e-5 when the state's lie below 1 - UNIT_MODE_TOL, so there
+    ||(1 - m_2 m_1)^{-1}||_2 < 7.1e4, kappa_2 < 1.5e5 and kappa_1 <= n
+    kappa_2: the guard of :func:`_solve_refined`, kappa_1 > 1 / (n
+    INVERTIBILITY_TOL), cannot fire below n = 2,600."""
     eye = np.eye(m1.shape[-1])
-    a = _solve_refined(eye - m2 @ m1, eye)  # real form of 1 + Gamma_2 Gamma_1
+    a = _solve_core(eye - m2 @ m1, eye)  # real form of 1 + Gamma_2 Gamma_1
     return (eye - a + m1 @ a @ m2) + 1j * (a @ m2 + m1 @ a)
 
 
@@ -366,9 +413,7 @@ def _compose_complex(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """Gamma of the normalized product from complex Gamma_1, Gamma_2 (single
     or stacked), before antisymmetrization."""
     eye = np.eye(g1.shape[-1])
-    core = eye + g2 @ g1
-    _require_invertible(core)
-    return eye - (eye - g1) @ _solve_refined(core, eye - g2)
+    return eye - (eye - g1) @ _solve_core(eye + g2 @ g1, eye - g2)
 
 
 def gaussian_product_trace(state_1, state_2) -> float:
@@ -405,13 +450,14 @@ def gaussian_compose(state_1, state_2) -> GaussianProduct:
     Gamma_12 = 1 - (1 - Gamma_1)(1 + Gamma_2 Gamma_1)^{-1}(1 - Gamma_2).
     Two plain states compose through real solves; once either factor is
     already a product the arithmetic is complex.  The result is complex
-    antisymmetric whenever the factors fail to commute.
+    antisymmetric whenever the factors fail to commute.  Raises ValueError
+    where 1 + Gamma_2 Gamma_1 is singular to the kappa_1 guard of
+    :func:`_solve_refined`.
     """
     g1, g2 = _gamma_of(state_1), _gamma_of(state_2)
     if g1.shape != g2.shape:
         raise ValueError("states must have the same number of modes")
     if isinstance(state_1, CorrelationMatrix) and isinstance(state_2, CorrelationMatrix):
-        _require_invertible(np.eye(g1.shape[0]) - state_2.m @ state_1.m)
         return GaussianProduct(_compose_real(state_1.m, state_2.m))
     return GaussianProduct(_compose_complex(g1, g2))
 
@@ -509,17 +555,16 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     near-unit pair values (physical for weakly entangled cuts) cost six or
     more digits in double precision.  Composing sqrt(rho_1) rather than
     rho_1 also caps the conditioning of the real solve at ~(1-g)^{-1/2};
-    rho_1 is chosen as the more mixed of the two inputs.  The complex solve
-    keeps its ``cond`` guard, since no norm bound covers it.
+    rho_1 is chosen as the more mixed of the two inputs.  No norm bound
+    covers the complex solve, so its kappa_1 guard, read from the inverse
+    that :func:`_solve_refined` refines with, can raise.
     Accuracy degrades to ~1e-8 absolute only when both states share an
     aligned pair value g with (1-g)^2 below double precision, where the
     sandwich value is numerically indistinguishable from 1.
     """
     product = _antisymmetrize(_compose_real(half, m2))
     m_z = -1j * _antisymmetrize(_compose_complex(product, 1j * half))
-    residue = np.abs(m_z.imag).max(axis=(-2, -1))
-    for r in residue[residue > 1e-8]:
-        logger.warning("sandwich correlation matrix has imaginary residue %.3e", r)
+    _warn_residues(np.abs(m_z.imag).max(axis=(-2, -1)), m_z, "sandwich correlation matrix imaginary residue")
     zeta = np.linalg.svd(np.ascontiguousarray(m_z.real), compute_uv=False)[..., 0::2]
     zeta = np.minimum(zeta, 1.0)
     sign, logabs = np.linalg.slogdet((np.eye(m1.shape[-1]) - m1 @ m2) / 2.0)
@@ -548,8 +593,8 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, fo
     by the unit block and the two correlation matrices of the remaining
     modes, with ``bulk_s`` carrying the Schur-complement correction from the
     off-diagonal blocks.  When the unit blocks are orthogonal (the overlap
-    determinant is not positive, or 1 - s_x r_x is singular to
-    INVERTIBILITY_TOL) ``(0.0, None, None)`` is returned.
+    determinant is not positive, or 1 - s_x r_x is singular to the kappa_1
+    guard of :func:`_solve_refined`) ``(0.0, None, None)`` is returned.
     """
     x = int(_unit_pairs(form.pair_values))
     if x == 0 or x == state_r.ell:
@@ -563,10 +608,11 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, fo
     if sign <= 0.0:
         return 0.0, None, None
     prefactor = float(np.exp(0.25 * logabs))
-    core = np.eye(nx) - s_x @ r_x
-    if 1.0 / np.linalg.cond(core) < INVERTIBILITY_TOL:
+    try:
+        solved = _solve_refined(np.eye(nx) - s_x @ r_x, s_rot[:nx, nx:])
+    except np.linalg.LinAlgError:
         return 0.0, None, None
-    correction = s_rot[nx:, :nx] @ r_x @ _solve_refined(core, s_rot[:nx, nx:])
+    correction = s_rot[nx:, :nx] @ r_x @ solved
     s_bulk = s_rot[nx:, nx:] + correction
     s_bulk = (s_bulk - s_bulk.T) / 2.0
     return (

@@ -4,6 +4,7 @@ Reference values come from the 4^ell dense oracle in fgdist.dense and, for
 commuting inputs, from the exact per-mode product formula.
 """
 
+import logging
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,7 @@ from fgdist import correlation
 from fgdist.correlation import (
     STACK_ELEMENTS,
     CorrelationMatrix,
+    GaussianProduct,
     bures_distance,
     bures_distances,
     canonical_form,
@@ -307,6 +309,27 @@ def test_gray_commuting_exact():
             g2 = np.array([1 - eps * rng.uniform(0.5, 2.0), rng.uniform(0.2, 0.8), 0.0])
             s1, s2 = commuting_pair(g1, g2, rng)
             assert abs(fidelity(s1, s2) - factorized_fidelity(g1, g2)) < tol
+
+
+def test_near_unit_regular_pairs_log_no_warning(caplog):
+    # composing amplifies rounding by about ||(1 + Gamma_2 Gamma_1)^{-1}||^2,
+    # so at 1 - g = 1e-10 the residues pass any absolute threshold; relative
+    # to each matrix's largest entry they stay rounding-sized
+    rng = np.random.default_rng(66)
+    with caplog.at_level(logging.WARNING, logger="fgdist.correlation"):
+        for ell in range(2, 7):
+            states = [planted_state(1.0 - 10.0 ** rng.uniform(-10, -1, size=ell), rng=rng) for _ in range(80)]
+            assert not any(state.unit_pair_count() for state in states)
+            pair_fidelities(stack(states), [(i, i + 1) for i in range(79)])
+    assert not caplog.records
+
+
+def test_non_antisymmetric_composite_warns(caplog):
+    gamma = 1j * random_mixed_state(3, np.random.default_rng(67)).m
+    gamma[0, 1] += 1e-3 * np.abs(gamma).max()
+    with caplog.at_level(logging.WARNING, logger="fgdist.correlation"):
+        GaussianProduct(gamma)
+    assert any("antisymmetry deviation" in record.getMessage() for record in caplog.records)
 
 
 # ---------------------------------------------------------------- pure branch

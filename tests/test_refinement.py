@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from hypothesis import example, given, settings
+import pytest
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from fgdist.correlation import _residual, _solve_refined, _split
+from conftest import planted_state
+from fgdist.correlation import INVERTIBILITY_TOL, _compose_complex, _residual, _row_split, _solve_refined, _split
 
 exact = np.vectorize(Fraction, otypes=[object])
 
@@ -59,7 +61,7 @@ def test_complex_residual_goes_through_the_embedding(n, seed):
     rng = np.random.default_rng(seed)
     a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
     x = np.linalg.solve(a, b)
-    got = _residual(a, x, b)
+    got = _residual(*_row_split(a), x, b)
     ar, ai, xr, xi = exact(a.real), exact(a.imag), exact(x.real), exact(x.imag)
     want_re = exact(b.real) - (ar @ xr - ai @ xi)
     want_im = exact(b.imag) - (ar @ xi + ai @ xr)
@@ -106,7 +108,7 @@ def test_residual_is_no_worse_than_long_double(n, log_cond, seed):
     b = rng.standard_normal((n, 2))
     x = np.linalg.solve(a, b)
     r_exact = _exact_residual(a, x, b)
-    ozaki = _relative_error(_residual(a, x, b), r_exact)
+    ozaki = _relative_error(_residual(*_row_split(a), x, b), r_exact)
     assert ozaki <= _relative_error(_long_double_residual(a, x, b), r_exact)
     assert ozaki < 1e-5
 
@@ -131,3 +133,71 @@ def test_refined_solution_is_no_worse_than_long_double(n, log_cond, seed):
     ulp = 2.0**-52 * n
     assert err <= err_ld + ulp * scale
     assert res <= res_ld + ulp * float(np.abs(a).sum(axis=0).max()) * scale
+
+
+def _unitary(n, rng, complex_):
+    z = rng.standard_normal((n, n))
+    if complex_:
+        z = z + 1j * rng.standard_normal((n, n))
+    return np.linalg.qr(z)[0]
+
+
+def _conditioned_stack(n, conds, rng, complex_):
+    """One real or complex matrix of 2-norm condition number ``cond`` per
+    entry of ``conds``, stacked."""
+    return np.stack([(_unitary(n, rng, complex_) * np.logspace(0, -np.log10(cond), n)) @ _unitary(n, rng, complex_).conj().T
+                     for cond in conds])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 16), log_conds=st.lists(st.floats(9.0, 17.0), min_size=1, max_size=3),
+       stacked=st.booleans(), complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=2, log_conds=[12.1], stacked=False, complex_=False, seed=0)
+@example(n=16, log_conds=[3.0, 12.05, 5.0], stacked=True, complex_=True, seed=1)
+def test_kappa_1_guard_fires_wherever_cond_does(n, log_conds, stacked, complex_, seed):
+    # kappa_2 <= n kappa_1, so 1/kappa_2 < tol implies 1/kappa_1 < n tol
+    rng = np.random.default_rng(seed)
+    a = _conditioned_stack(n, 10.0 ** np.array(log_conds), rng, complex_)
+    if not stacked:
+        a = a[0]
+    b = np.ones(a.shape[:-1] + (1,))
+    if np.any(1.0 / np.linalg.cond(a) < INVERTIBILITY_TOL):
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_refined(a, b)
+
+
+def test_exactly_singular_core_in_a_stack_raises_value_error():
+    # the middle pair puts an occupied mode against an empty one, so its core
+    # 1 + Gamma_2 Gamma_1 is exactly singular and inv itself raises
+    rng = np.random.default_rng(7)
+    g1, g2 = (np.stack([1j * planted_state(rng.uniform(0.0, 0.9, 2), rng=rng).m for _ in range(3)]) for _ in range(2))
+    g1[1], g2[1] = 1j * planted_state([1.0, 0.5]).m, 1j * planted_state([-1.0, 0.5]).m
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.eye(4) + g2[1] @ g1[1])
+    with pytest.raises(ValueError) as info:
+        _compose_complex(g1, g2)
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 12), k=st.integers(1, 3), log_cond=st.floats(10.0, 12.0), complex_=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_refined_stacks_are_accurate_up_to_the_guard(n, k, log_cond, complex_, seed):
+    # condition numbers up to 1e12 / n, where the kappa_1 guard cuts in
+    rng = np.random.default_rng(seed)
+    a = _conditioned_stack(n, [10.0**log_cond / n] * k, rng, complex_)
+    b = rng.standard_normal((k, n, 1))
+    if complex_:
+        b = b + 1j * rng.standard_normal((k, n, 1))
+    try:
+        x = _solve_refined(a, b)
+    except np.linalg.LinAlgError:
+        reject()  # past the guard: there is no solution to check
+    for ai, bi, xi in zip(a, b, x):
+        with mpmath.workdps(50):
+            want = mpmath.lu_solve(_mp(ai), _mp(bi))
+            scale = float(mpmath.mnorm(want, 1))
+            err = float(mpmath.mnorm(_mp(xi) - want, 1))
+        # the refinement's fixed point: the rounding of x, plus cond times
+        # the Ozaki residual's accuracy (measured up to cond 2^-77)
+        assert err <= (2.0**-52 * n + 2.0**-72 * np.linalg.cond(ai)) * scale
