@@ -34,8 +34,8 @@ composition solve (1 + Gamma_2 Gamma_1)^{-1} turn singular when an occupied
 mode meets an empty one.  The compose and reduction solves
 (:func:`_solve_refined`) take one inverse of their matrix and refine its
 solution twice on residuals from Ozaki-split float64 products, with no
-extended-precision type; their invertibility guard reads kappa_1 from the
-same inverse.
+extended-precision type.  Their invertibility guard screens with kappa_1
+from the same inverse and takes an SVD only of a system the screen flags.
 
 :func:`fidelity` runs this dispatch on one pair, and the reduction recurses
 into it on the smaller pair.  :func:`pair_fidelities` takes the states as
@@ -98,7 +98,7 @@ INVERTIBILITY_TOL = 1e-12
 
 # A composed Gamma's antisymmetry deviation, and the sandwich state's
 # imaginary residue, are logged above this fraction of the matrix's largest
-# entry.  Composition amplifies the float64 rounding of its inputs by about
+# entry, or of 1 if that is larger.  Composition amplifies the float64 rounding of its inputs by about
 # ||(1 + Gamma_2 Gamma_1)^{-1}||^2, up to 5e9 in the real solve of a regular
 # pair, where the half state keeps that norm below 7.1e4.  Over 40,000
 # random regular pairs at ell = 2 to 6 with 1 - g down to 1e-10, the largest
@@ -279,17 +279,18 @@ class GaussianProduct:
 
 def _warn_residues(residue: np.ndarray, matrices: np.ndarray, what: str):
     """Log each residue that exceeds ROUNDING_RESIDUE_TOL times the largest
-    entry of its matrix of the stack."""
-    top = np.abs(matrices).max(axis=(-2, -1))
-    for r, t in zip(*np.atleast_1d(residue, top)):
+    entry of its matrix of the stack, or times 1 if that is larger: the
+    composition adds terms of order 1 even where its result is near 0."""
+    scale = np.maximum(np.abs(matrices).max(axis=(-2, -1)), 1.0)
+    for r, t in zip(*np.atleast_1d(residue, scale)):
         if r > ROUNDING_RESIDUE_TOL * t:
-            logger.warning("%s %.3e, largest entry %.3e", what, r, t)
+            logger.warning("%s %.3e at scale %.3e", what, r, t)
 
 
 def _antisymmetrize(gamma: np.ndarray) -> np.ndarray:
     """(gamma - gamma^T) / 2 over the last two axes, warning per matrix
     whose antisymmetry deviation exceeds ROUNDING_RESIDUE_TOL times its
-    largest entry."""
+    largest entry, or times 1 if that is larger."""
     flipped = np.swapaxes(gamma, -1, -2)
     _warn_residues(np.abs(gamma + flipped).max(axis=(-2, -1)), gamma, "composite correlation antisymmetry deviation")
     return (gamma - flipped) / 2.0
@@ -370,15 +371,21 @@ def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     used, so the accuracy does not depend on the platform's long double.
 
     Raises LinAlgError when a is exactly singular, or when any system of
-    the stack has 1/kappa_1 < n INVERTIBILITY_TOL, with kappa_1 =
-    ||a||_1 ||a^{-1}||_1 read from the same inverse.  Since kappa_2 <= n
-    kappa_1, this fires wherever 1/kappa_2 < INVERTIBILITY_TOL does.
+    the stack has 1/kappa_2 < INVERTIBILITY_TOL.  The guard reads kappa_1 =
+    ||a||_1 ||a^{-1}||_1 from the same inverse.  Since kappa_2 <= n kappa_1,
+    only a system with 1/kappa_1 < n INVERTIBILITY_TOL can fail, and only
+    such a system gets the SVD that decides.  A kappa_1 test alone would be
+    up to n^2 stricter than the kappa_2 one: it would zero reduce-branch
+    fidelities of ~2e-6 that the solve still gets right.
     """
     n = a.shape[-1]
     inverse = np.linalg.inv(a)
     kappa = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inverse).sum(axis=-2).max(axis=-1)
-    if not np.all(kappa <= 1.0 / (n * INVERTIBILITY_TOL)):  # NaN fails too
-        raise np.linalg.LinAlgError(f"1/kappa_1 below n * {INVERTIBILITY_TOL:g}: matrix is numerically singular")
+    flagged = ~(kappa <= 1.0 / (n * INVERTIBILITY_TOL))  # NaN is flagged too
+    if flagged.any():
+        s = np.linalg.svd(a[flagged], compute_uv=False)
+        if np.any(s[:, -1] / s[:, 0] < INVERTIBILITY_TOL):
+            raise np.linalg.LinAlgError(f"1/kappa_2 below {INVERTIBILITY_TOL:g}: matrix is numerically singular")
     a1, a2 = _row_split(a)
     x = inverse @ b
     for _ in range(2):
@@ -402,8 +409,8 @@ def _compose_real(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     The regular branch composes a half state m_1, whose pair values lie
     below 1 - 1.4e-5 when the state's lie below 1 - UNIT_MODE_TOL, so there
     ||(1 - m_2 m_1)^{-1}||_2 < 7.1e4, kappa_2 < 1.5e5 and kappa_1 <= n
-    kappa_2: the guard of :func:`_solve_refined`, kappa_1 > 1 / (n
-    INVERTIBILITY_TOL), cannot fire below n = 2,600."""
+    kappa_2: the kappa_1 screen of :func:`_solve_refined`, kappa_1 > 1 / (n
+    INVERTIBILITY_TOL), flags nothing below n = 2,600, so no SVD runs."""
     eye = np.eye(m1.shape[-1])
     a = _solve_core(eye - m2 @ m1, eye)  # real form of 1 + Gamma_2 Gamma_1
     return (eye - a + m1 @ a @ m2) + 1j * (a @ m2 + m1 @ a)
@@ -451,7 +458,7 @@ def gaussian_compose(state_1, state_2) -> GaussianProduct:
     Two plain states compose through real solves; once either factor is
     already a product the arithmetic is complex.  The result is complex
     antisymmetric whenever the factors fail to commute.  Raises ValueError
-    where 1 + Gamma_2 Gamma_1 is singular to the kappa_1 guard of
+    where 1 + Gamma_2 Gamma_1 is singular to the guard of
     :func:`_solve_refined`.
     """
     g1, g2 = _gamma_of(state_1), _gamma_of(state_2)
@@ -556,8 +563,8 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     more digits in double precision.  Composing sqrt(rho_1) rather than
     rho_1 also caps the conditioning of the real solve at ~(1-g)^{-1/2};
     rho_1 is chosen as the more mixed of the two inputs.  No norm bound
-    covers the complex solve, so its kappa_1 guard, read from the inverse
-    that :func:`_solve_refined` refines with, can raise.
+    covers the complex solve, so its guard in :func:`_solve_refined` can
+    raise; it reads kappa_1 from the inverse the solve refines with.
     Accuracy degrades to ~1e-8 absolute only when both states share an
     aligned pair value g with (1-g)^2 below double precision, where the
     sandwich value is numerically indistinguishable from 1.
@@ -593,8 +600,8 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, fo
     by the unit block and the two correlation matrices of the remaining
     modes, with ``bulk_s`` carrying the Schur-complement correction from the
     off-diagonal blocks.  When the unit blocks are orthogonal (the overlap
-    determinant is not positive, or 1 - s_x r_x is singular to the kappa_1
-    guard of :func:`_solve_refined`) ``(0.0, None, None)`` is returned.
+    determinant is not positive, or 1 - s_x r_x is singular to the guard
+    of :func:`_solve_refined`) ``(0.0, None, None)`` is returned.
     """
     x = int(_unit_pairs(form.pair_values))
     if x == 0 or x == state_r.ell:

@@ -314,13 +314,16 @@ def test_gray_commuting_exact():
 def test_near_unit_regular_pairs_log_no_warning(caplog):
     # composing amplifies rounding by about ||(1 + Gamma_2 Gamma_1)^{-1}||^2,
     # so at 1 - g = 1e-10 the residues pass any absolute threshold; relative
-    # to each matrix's largest entry they stay rounding-sized
+    # to each matrix's largest entry they stay rounding-sized.  The L = 10
+    # Ising sweep has pairs whose composite Gamma is near 0, of order 1e-16,
+    # with residues that are rounding of order-1 terms
     rng = np.random.default_rng(66)
     with caplog.at_level(logging.WARNING, logger="fgdist.correlation"):
         for ell in range(2, 7):
             states = [planted_state(1.0 - 10.0 ** rng.uniform(-10, -1, size=ell), rng=rng) for _ in range(80)]
             assert not any(state.unit_pair_count() for state in states)
             pair_fidelities(stack(states), [(i, i + 1) for i in range(79)])
+        ising_sweep(10, 1.0, "bures", [3])
     assert not caplog.records
 
 
@@ -440,6 +443,18 @@ def test_reduction_keeps_small_fidelities():
         rng = np.random.default_rng(seed)
         for eps in (1e-11, 1e-10, 1e-8, 1.9e-7, 1e-6, 1e-4):
             g_r, g_s = [1.0, 0.5], [-1.0 + eps, 0.5]
+            s1, s2 = commuting_pair(g_r, g_s, rng)
+            assert abs(fidelity(s1, s2) - factorized_fidelity(g_r, g_s)) < 1e-9
+
+
+def test_reduction_keeps_small_fidelities_behind_many_unit_pairs():
+    # 1 - s_x r_x has kappa_2 ~ 2 / eps, inside the guard, but from x = 4 on
+    # its kappa_1 passes 1 / (2 x INVERTIBILITY_TOL): the SVD, not kappa_1,
+    # must decide, or these fidelities read 0
+    rng = np.random.default_rng(8)
+    for x in (4, 8, 16):
+        for eps in (1e-11, 3e-11):
+            g_r, g_s = [1.0] * x + [0.5], [-1.0 + eps] + [1.0] * (x - 1) + [0.5]
             s1, s2 = commuting_pair(g_r, g_s, rng)
             assert abs(fidelity(s1, s2) - factorized_fidelity(g_r, g_s)) < 1e-9
 
