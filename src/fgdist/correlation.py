@@ -98,11 +98,12 @@ INVERTIBILITY_TOL = 1e-12
 
 # A composed Gamma's antisymmetry deviation, and the sandwich state's
 # imaginary residue, are logged above this fraction of the matrix's largest
-# entry, or of 1 if that is larger.  Composition amplifies the float64 rounding of its inputs by about
-# ||(1 + Gamma_2 Gamma_1)^{-1}||^2, up to 5e9 in the real solve of a regular
-# pair, where the half state keeps that norm below 7.1e4.  Over 40,000
-# random regular pairs at ell = 2 to 6 with 1 - g down to 1e-10, the largest
-# deviation was 6.2e-7 of the largest entry: rounding, not a fault.
+# entry, or of 1 if that is larger.  Composition amplifies the float64
+# rounding of its inputs by about ||(1 + Gamma_2 Gamma_1)^{-1}||^2, up to 5e9
+# in the real solve of a regular pair, where the half state keeps that norm
+# below 7.1e4.  Over 40,000 random regular pairs at ell = 2 to 6 with 1 - g
+# down to 1e-10, the largest deviation was 6.2e-7 of the largest entry:
+# rounding, not a fault.
 ROUNDING_RESIDUE_TOL = 1e-4
 
 # Bures distances of close regular pairs come from the second-order metric
@@ -571,7 +572,7 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     """
     product = _antisymmetrize(_compose_real(half, m2))
     m_z = -1j * _antisymmetrize(_compose_complex(product, 1j * half))
-    _warn_residues(np.abs(m_z.imag).max(axis=(-2, -1)), m_z, "sandwich correlation matrix imaginary residue")
+    _warn_residues(np.abs(m_z.imag).max(axis=(-2, -1)), m_z, "sandwich correlation matrix has imaginary residue")
     zeta = np.linalg.svd(np.ascontiguousarray(m_z.real), compute_uv=False)[..., 0::2]
     zeta = np.minimum(zeta, 1.0)
     sign, logabs = np.linalg.slogdet((np.eye(m1.shape[-1]) - m1 @ m2) / 2.0)

@@ -183,9 +183,9 @@ def test_exactly_singular_core_in_a_stack_raises_value_error():
 @given(n=st.integers(2, 12), k=st.integers(1, 3), log_cond=st.floats(10.0, 12.0), complex_=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
 def test_refined_stacks_are_accurate_up_to_the_guard(n, k, log_cond, complex_, seed):
-    # condition numbers up to 1e12 / n, where the kappa_1 guard cuts in
+    # condition numbers up to 1 / INVERTIBILITY_TOL, where the guard cuts in
     rng = np.random.default_rng(seed)
-    a = _conditioned_stack(n, [10.0**log_cond / n] * k, rng, complex_)
+    a = _conditioned_stack(n, [10.0**log_cond] * k, rng, complex_)
     b = rng.standard_normal((k, n, 1))
     if complex_:
         b = b + 1j * rng.standard_normal((k, n, 1))
@@ -199,5 +199,5 @@ def test_refined_stacks_are_accurate_up_to_the_guard(n, k, log_cond, complex_, s
             scale = float(mpmath.mnorm(want, 1))
             err = float(mpmath.mnorm(_mp(xi) - want, 1))
         # the refinement's fixed point: the rounding of x, plus cond times
-        # the Ozaki residual's accuracy (measured up to cond 2^-77)
+        # the Ozaki residual's accuracy (at worst about 2^-77 cond measured)
         assert err <= (2.0**-52 * n + 2.0**-72 * np.linalg.cond(ai)) * scale
