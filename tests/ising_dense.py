@@ -28,9 +28,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import ising
-from .dense import _check_guard, majorana_operators, parity_diagonal, site_operator, translation_operator
-from .ising import EigenstateLabel, charge_weights, dispersion, sector_momenta
+from fgdist import ising
+from fgdist.dense import _check_guard, majorana_operators
+from fgdist.ising import EigenstateLabel, charge_weights, dispersion, sector_momenta
+from oracles import parity_diagonal, site_operator, translation_operator
 
 __all__ = [
     "ising_hamiltonian",

@@ -52,7 +52,6 @@ from fgdist.ising import (
     sort_spectrum,
     subsystem_correlations,
 )
-from fgdist.ising_dense import charge_operator, eigenstate_vector, ising_hamiltonian
 from fgdist.random_ensemble import RandomEnsembleSpec
 from fgdist.xxz import (
     xxz_block_hamiltonian,
@@ -60,6 +59,7 @@ from fgdist.xxz import (
     xxz_pairwise_average,
     xxz_sector_basis,
 )
+from ising_dense import charge_operator, eigenstate_vector, ising_hamiltonian
 
 FIELDS = (0.5, 1.0, 2.0)
 

@@ -41,12 +41,12 @@ from fgdist.dense import (
     density_from_gamma,
     density_stack,
     fidelity_dense,
-    gamma_from_density,
     trace_distance,
 )
 from fgdist.experiments import apply_ordering, ising_sweep, random_sweep
 from fgdist.ising import enumerate_spectrum, subsystem_correlations
 from fgdist.random_ensemble import RandomEnsembleSpec, sample_ensemble
+from oracles import gamma_from_density
 
 
 def dense_fidelity_of(state_1, state_2):

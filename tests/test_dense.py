@@ -15,22 +15,24 @@ from fgdist.dense import (
     DENSE_GUARD,
     PAULI,
     density_from_gamma,
-    density_from_gamma_exponential,
     density_stack,
     fidelity_dense,
-    fidelity_dense_product,
-    gamma_from_density,
     majorana_operators,
-    parity_diagonal,
     partial_trace,
     root_eigensystem,
-    site_operator,
     trace_distance,
-    translation_operator,
 )
 from fgdist.errors import GuardExceeded
-from fgdist.ising_dense import annihilation_operators, ising_hamiltonian
 from fgdist.xxz import xxz_dense_hamiltonian, xxz_eigen_rdm, xxz_sector_basis
+from ising_dense import annihilation_operators, ising_hamiltonian
+from oracles import (
+    density_from_gamma_exponential,
+    fidelity_dense_product,
+    gamma_from_density,
+    parity_diagonal,
+    site_operator,
+    translation_operator,
+)
 
 
 def random_density(dim: int, rng, rank: int | None = None) -> np.ndarray:

@@ -8,9 +8,9 @@ correlation matrices the fast pipeline is built on.
 import numpy as np
 import pytest
 
-from fgdist.dense import gamma_from_density, partial_trace
+from fgdist.dense import partial_trace
 from fgdist.ising import EigenstateLabel, enumerate_spectrum, eigenstate_correlation
-from fgdist.ising_dense import (
+from ising_dense import (
     bogoliubov_vacuum,
     charge_operator,
     eigenstate_vector,
@@ -19,6 +19,7 @@ from fgdist.ising_dense import (
     quasiparticle_operators,
     translation_phase,
 )
+from oracles import gamma_from_density
 
 
 def test_hamiltonian_is_real_symmetric():

@@ -6,7 +6,6 @@ import scipy.sparse as sp
 from scipy.special import comb
 
 from fgdist import xxz
-from fgdist.dense import site_operator
 from fgdist.xxz import (
     XXZSector,
     translate_bits,
@@ -18,6 +17,7 @@ from fgdist.xxz import (
     xxz_sector_basis,
     _eigensystem,
 )
+from oracles import site_operator
 
 
 def test_translate_bits_cycles():
