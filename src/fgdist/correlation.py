@@ -71,7 +71,6 @@ import scipy.linalg
 __all__ = [
     "CorrelationMatrix",
     "CanonicalForm",
-    "GaussianProduct",
     "canonical_form",
     "gaussian_product_trace",
     "gaussian_compose",
@@ -93,7 +92,6 @@ ANTISYMMETRY_TOL = 1e-12
 EIGENVALUE_SLACK = 1e-9
 UNIT_MODE_TOL = 1e-10
 CANONICAL_RECONSTRUCTION_TOL = 1e-10
-IMAG_RESIDUE_TOL = 1e-10
 INVERTIBILITY_TOL = 1e-12
 
 # A composed Gamma's antisymmetry deviation, and the sandwich state's
@@ -261,23 +259,6 @@ def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
     return CanonicalForm(pair_values=np.minimum(values, 1.0), rotation=rotation)
 
 
-class GaussianProduct:
-    """Correlation data of a normalized product rho_1 rho_2 / tr(rho_1 rho_2).
-
-    The product of two Gaussian density matrices is a Gaussian operator but
-    not Hermitian, so its correlation matrix is complex antisymmetric rather
-    than i times a real matrix.
-    """
-
-    def __init__(self, gamma: np.ndarray):
-        gamma = np.asarray(gamma, dtype=complex)
-        self.gamma = _antisymmetrize(gamma)
-        self.ell = gamma.shape[0] // 2
-
-    def __repr__(self):
-        return f"GaussianProduct(ell={self.ell})"
-
-
 def _warn_residues(residue: np.ndarray, matrices: np.ndarray, what: str):
     """Log each residue that exceeds ROUNDING_RESIDUE_TOL times the largest
     entry of its matrix of the stack, or times 1 if that is larger: the
@@ -295,14 +276,6 @@ def _antisymmetrize(gamma: np.ndarray) -> np.ndarray:
     flipped = np.swapaxes(gamma, -1, -2)
     _warn_residues(np.abs(gamma + flipped).max(axis=(-2, -1)), gamma, "composite correlation antisymmetry deviation")
     return (gamma - flipped) / 2.0
-
-
-def _gamma_of(state) -> np.ndarray:
-    if isinstance(state, CorrelationMatrix):
-        return 1j * state.m
-    if isinstance(state, GaussianProduct):
-        return state.gamma
-    raise TypeError(f"expected CorrelationMatrix or GaussianProduct, got {type(state)}")
 
 
 def _split(v: np.ndarray, axis: int, inner: int):
@@ -424,27 +397,18 @@ def _compose_complex(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return eye - (eye - g1) @ _solve_core(eye + g2 @ g1, eye - g2)
 
 
-def gaussian_product_trace(state_1, state_2) -> float:
+def gaussian_product_trace(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     """Overlap trace tr(rho_1 rho_2) = sqrt(det((1 + Gamma_1 Gamma_2) / 2)).
 
-    Accepts CorrelationMatrix (the usual case, fully real arithmetic) or a
-    GaussianProduct from :func:`gaussian_compose`.  The determinant must be
-    real up to a small residue and non-negative.
+    In real arithmetic, as det((1 - m_1 m_2) / 2).  The determinant must be
+    non-negative; a negative one within 1e-12 of 0 reads as orthogonal
+    states, trace 0.
     """
-    if isinstance(state_1, CorrelationMatrix) and isinstance(state_2, CorrelationMatrix):
-        if state_1.ell != state_2.ell:
-            raise ValueError("states must have the same number of modes")
-        arg = (np.eye(2 * state_1.ell) - state_1.m @ state_2.m) / 2.0
-        sign, logabs = np.linalg.slogdet(arg)
-        det = sign * np.exp(logabs)
-    else:
-        g1, g2 = _gamma_of(state_1), _gamma_of(state_2)
-        if g1.shape != g2.shape:
-            raise ValueError("states must have the same number of modes")
-        det_c = np.linalg.det((np.eye(g1.shape[0]) + g1 @ g2) / 2.0)
-        if abs(det_c.imag) > IMAG_RESIDUE_TOL * max(1.0, abs(det_c.real)):
-            raise ValueError(f"overlap determinant has imaginary residue {det_c.imag:.3e}")
-        det = det_c.real
+    if state_1.ell != state_2.ell:
+        raise ValueError("states must have the same number of modes")
+    arg = (np.eye(2 * state_1.ell) - state_1.m @ state_2.m) / 2.0
+    sign, logabs = np.linalg.slogdet(arg)
+    det = sign * np.exp(logabs)
     if det < 0.0:
         if det > -1e-12:
             return 0.0
@@ -452,22 +416,18 @@ def gaussian_product_trace(state_1, state_2) -> float:
     return float(np.sqrt(det))
 
 
-def gaussian_compose(state_1, state_2) -> GaussianProduct:
-    """Correlation matrix of rho_1 rho_2 / tr(rho_1 rho_2).
+def gaussian_compose(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> np.ndarray:
+    """Complex Gamma of rho_1 rho_2 / tr(rho_1 rho_2).
 
-    Gamma_12 = 1 - (1 - Gamma_1)(1 + Gamma_2 Gamma_1)^{-1}(1 - Gamma_2).
-    Two plain states compose through real solves; once either factor is
-    already a product the arithmetic is complex.  The result is complex
-    antisymmetric whenever the factors fail to commute.  Raises ValueError
-    where 1 + Gamma_2 Gamma_1 is singular to the guard of
-    :func:`_solve_refined`.
+    Gamma_12 = 1 - (1 - Gamma_1)(1 + Gamma_2 Gamma_1)^{-1}(1 - Gamma_2),
+    from real solves.  The product is Gaussian but not Hermitian, so Gamma_12
+    is complex antisymmetric, not i times a real matrix, whenever the factors
+    fail to commute.  Raises ValueError where 1 + Gamma_2 Gamma_1 is
+    singular to the guard of :func:`_solve_refined`.
     """
-    g1, g2 = _gamma_of(state_1), _gamma_of(state_2)
-    if g1.shape != g2.shape:
+    if state_1.ell != state_2.ell:
         raise ValueError("states must have the same number of modes")
-    if isinstance(state_1, CorrelationMatrix) and isinstance(state_2, CorrelationMatrix):
-        return GaussianProduct(_compose_real(state_1.m, state_2.m))
-    return GaussianProduct(_compose_complex(g1, g2))
+    return _antisymmetrize(_compose_real(state_1.m, state_2.m))
 
 
 def _clipped_single_mode(g1: float, g2: float):

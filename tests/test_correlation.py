@@ -23,7 +23,6 @@ from fgdist import correlation
 from fgdist.correlation import (
     STACK_ELEMENTS,
     CorrelationMatrix,
-    GaussianProduct,
     bures_distance,
     bures_distances,
     canonical_form,
@@ -33,7 +32,9 @@ from fgdist.correlation import (
     gaussian_product_trace,
     pair_fidelities,
     reduce_unit_modes,
+    _antisymmetrize,
     _block_matrix,
+    _compose_complex,
     _eigensystems,
     _half_matrices,
 )
@@ -173,8 +174,13 @@ def test_compose_matches_dense_product():
         want = gamma_from_density(prod)  # complex antisymmetric for products
         if isinstance(want, CorrelationMatrix):  # commuting factors: Hermitian
             want = 1j * want.m
-        got = gaussian_compose(s1, s2).gamma
+        got = gaussian_compose(s1, s2)
         assert np.abs(got - want).max() < 1e-10
+
+
+def test_compose_rejects_unequal_sizes():
+    with pytest.raises(ValueError):
+        gaussian_compose(planted_state([0.1]), planted_state([0.1, 0.2]))
 
 
 def test_compose_accepts_products():
@@ -183,7 +189,7 @@ def test_compose_accepts_products():
     s1, s2, s3 = (random_mixed_state(2, rng) for _ in range(3))
     triple = density_from_gamma(s1) @ density_from_gamma(s2) @ density_from_gamma(s3)
     triple /= np.trace(triple)
-    got = gaussian_compose(gaussian_compose(s1, s2), s3).gamma
+    got = _antisymmetrize(_compose_complex(gaussian_compose(s1, s2), 1j * s3.m))
     assert np.abs(got - gamma_from_density(triple)).max() < 1e-10
 
 
@@ -195,7 +201,10 @@ def test_compose_chain_trace():
         r1, r2 = (density_from_gamma(s) for s in (s1, s2))
         want = np.trace(r1 @ r2 @ r1).real
         pair = gaussian_product_trace(s1, s2)
-        got = pair * gaussian_product_trace(gaussian_compose(s1, s2), s1)
+        # tr(rho_12 rho_1) = sqrt(det((1 + Gamma_12 Gamma_1) / 2)), real up to a residue
+        det = np.linalg.det((np.eye(6) + gaussian_compose(s1, s2) @ (1j * s1.m)) / 2.0)
+        assert abs(det.imag) < 1e-10 * max(1.0, abs(det.real))
+        got = pair * np.sqrt(det.real)
         assert abs(got - want) < 1e-12
 
 
@@ -204,7 +213,7 @@ def test_compose_idempotent_state():
     rng = np.random.default_rng(34)
     g = rng.uniform(0.1, 0.9, size=3)
     state = planted_state(g, rng=rng)
-    sq = gaussian_compose(state, state).gamma
+    sq = gaussian_compose(state, state)
     assert np.abs(sq.real).max() < 1e-12  # Hermitian product: gamma = i m
     vals = np.sort(np.linalg.svd(sq.imag, compute_uv=False)[0::2])
     assert np.abs(vals - np.sort(2 * g / (1 + g * g))).max() < 1e-12
@@ -233,7 +242,7 @@ def test_half_state_squares_back():
     rng = np.random.default_rng(42)
     state = random_mixed_state(3, rng)
     half = CorrelationMatrix(_half_matrices(*_eigensystems(state.m[None]))[0], validate=False)
-    back = gaussian_compose(half, half).gamma
+    back = gaussian_compose(half, half)
     assert np.abs(back - 1j * state.m).max() < 1e-11
 
 
@@ -331,7 +340,7 @@ def test_non_antisymmetric_composite_warns(caplog):
     gamma = 1j * random_mixed_state(3, np.random.default_rng(67)).m
     gamma[0, 1] += 1e-3 * np.abs(gamma).max()
     with caplog.at_level(logging.WARNING, logger="fgdist.correlation"):
-        GaussianProduct(gamma)
+        _antisymmetrize(gamma)
     assert any("antisymmetry deviation" in record.getMessage() for record in caplog.records)
 
 
