@@ -12,8 +12,10 @@ identical invocations emit byte-identical files.  Sweep runs with --out
 also write a JSON sidecar next to the CSV (carrying the fit under --fit);
 --sector-out, with --model xxz only, exports the sector's energies.  The
 directories of --out and --sector-out are checked before anything is
-computed.  Exit codes: 0 success, 2 invalid arguments or parameters or an
-output path that cannot be written, 3 request exceeds a dense-size guard.
+computed, and every file is written under a temporary name and renamed
+into place, so a failed run leaves no partial file.  Exit codes: 0
+success, 2 invalid arguments or parameters or an output path that cannot
+be written, 3 request exceeds a dense-size guard.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import contextlib
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -79,11 +82,31 @@ def _check_output_directory(path: str | None):
 
 @contextlib.contextmanager
 def _output(path: str | None):
+    """A text stream to ``path``, or stdout without one.  The file is written
+    under a temporary name in its directory and renamed onto ``path`` only
+    once the writer returns, so a failed run leaves no partial file and any
+    earlier file at ``path`` as it was."""
     if path is None:
         yield sys.stdout
-    else:
-        with open(path, "w") as stream:
+        return
+    target = Path(path)
+    fd, temporary = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+    try:
+        with open(fd, "w") as stream:
             yield stream
+        os.chmod(temporary, _new_file_mode())
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def _new_file_mode() -> int:
+    """The mode ``open`` gives a new file, 0o666 less the umask; mkstemp
+    creates its file as 0o600."""
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +195,7 @@ def _run_sweep(args) -> int:
             energies, _ = xxz_eigenstates(xxz_sector_basis(args.L, momentum, n_down), args.delta, args.h_z)
             n = len(energies)
             columns = [[args.L] * n, [momentum] * n, [n_down] * n, [args.delta] * n, range(n), energies]
-            with open(args.sector_out, "w") as stream:
+            with _output(args.sector_out) as stream:
                 experiments._write_csv(stream, ["L", "K", "n_down", "delta", "index", "energy"], columns)
     else:
         spec = RandomEnsembleSpec(L=args.L, count=args.count, seed=args.seed)
@@ -180,7 +203,8 @@ def _run_sweep(args) -> int:
     with _output(args.out) as stream:
         stream.write(result.csv_text())
     if args.out is not None:
-        Path(args.out).with_suffix(".json").write_text(result.sidecar_text())
+        with _output(Path(args.out).with_suffix(".json")) as stream:
+            stream.write(result.sidecar_text())
     return 0
 
 

@@ -526,9 +526,12 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     rho_1 is chosen as the more mixed of the two inputs.  No norm bound
     covers the complex solve, so its guard in :func:`_solve_refined` can
     raise; it reads kappa_1 from the inverse the solve refines with.
-    Accuracy degrades to ~1e-8 absolute only when both states share an
-    aligned pair value g with (1-g)^2 below double precision, where the
-    sandwich value is numerically indistinguishable from 1.
+    Accuracy degrades only on modes where both states have an aligned pair
+    value g with (1-g)^2 below double precision, where the sandwich value
+    is numerically indistinguishable from 1.  Each such mode costs up to
+    ~1e-8 absolute, and the costs add up over modes: at ell = 28 with 1 - g
+    in [1e-10, 1e-6], the worst error over 600 pairs was 8.3e-9 per such
+    mode, and 1.2e-7 with 25 of them.
     """
     product = _antisymmetrize(_compose_real(half, m2))
     m_z = -1j * _antisymmetrize(_compose_complex(product, 1j * half))

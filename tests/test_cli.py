@@ -1,7 +1,9 @@
 """Command-line interface: wiring, exit codes, determinism."""
 
+import errno
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import package_env
+from fgdist import experiments
 from fgdist.cli import build_parser, main
 from fgdist.experiments import CSV_HEADER
 
@@ -229,6 +232,40 @@ def test_export_arguments_outside_the_table_exit_2(argv, capsys, tmp_path):
     assert main([*argv, "--out", str(out)]) == 2
     assert "fgdist:" in capsys.readouterr().err
     assert not out.exists()
+
+
+class _DiskFullAfterFirstBlock:
+    """Stream that takes the header and the first 1,024-row block, then
+    fails the way a full disk does."""
+
+    def __init__(self, stream):
+        self.stream, self.writes = stream, 0
+
+    def write(self, text):
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes += 1
+        return self.stream.write(text)
+
+
+def test_failed_write_leaves_no_partial_file(monkeypatch, capsys, tmp_path):
+    argv = ["spectrum", "--L", "12", "--h", "0.95", "--out"]
+    out = tmp_path / "out.csv"
+    assert main([*argv, str(out)]) == 0
+    reference = tmp_path / "reference"
+    reference.touch()
+    assert out.stat().st_mode == reference.stat().st_mode  # the mode a plain open gives
+    reference.unlink()
+    finished = out.read_bytes()
+
+    real = experiments.write_spectrum_csv
+    failing = lambda table, stream, count: real(table, _DiskFullAfterFirstBlock(stream), count)
+    monkeypatch.setattr(experiments, "write_spectrum_csv", failing)
+    assert main([*argv, str(tmp_path / "new.csv")]) == 2
+    assert main([*argv, str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["out.csv"]
+    assert out.read_bytes() == finished
 
 
 def test_random_sweep_command(capsys):

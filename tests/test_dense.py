@@ -23,6 +23,8 @@ from fgdist.dense import (
     trace_distance,
 )
 from fgdist.errors import GuardExceeded
+from fgdist.experiments import apply_ordering
+from fgdist.ising import enumerate_spectrum, subsystem_correlations
 from fgdist.xxz import xxz_dense_hamiltonian, xxz_eigen_rdm, xxz_sector_basis
 from ising_dense import annihilation_operators, ising_hamiltonian
 from oracles import (
@@ -229,6 +231,16 @@ def test_density_stack_is_the_same_in_any_stack():
         for k in range(len(m)):
             assert np.array_equal(density_stack(m[k : k + 1])[0], whole[k])
         assert np.array_equal(density_stack(m[2:5]), whole[2:5])
+
+
+@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError, reason="real Schur form does not converge")
+def test_density_from_gamma_on_a_fourfold_pair_value():
+    # state 2078 of this table has the fourfold pair value 0.5577 at ell = 2;
+    # density_from_gamma rotates through canonical_form, whose real Schur form
+    # of that m raises "Schur form not found"
+    m = subsystem_correlations(apply_ordering(enumerate_spectrum(0.95, 12), "charges:default"), 2)[2078]
+    got = density_from_gamma(CorrelationMatrix(m, validate=False))
+    assert np.abs(got - density_stack(m[None])[0]).max() < 1e-12
 
 
 def test_density_stack_rejects_other_shapes():
