@@ -24,7 +24,6 @@ import argparse
 import contextlib
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -90,23 +89,17 @@ def _output(path: str | None):
         yield sys.stdout
         return
     target = Path(path)
-    fd, temporary = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+    temporary = target.parent / f".{target.name}.{os.urandom(6).hex()}.tmp"
+    # O_EXCL: a new file of this run's own; the kernel takes the umask off
+    # 0o666, so it gets the mode a plain open gives
+    fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w") as stream:
             yield stream
-        os.chmod(temporary, _new_file_mode())
         os.replace(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
-
-
-def _new_file_mode() -> int:
-    """The mode ``open`` gives a new file, 0o666 less the umask; mkstemp
-    creates its file as 0o600."""
-    umask = os.umask(0)
-    os.umask(umask)
-    return 0o666 & ~umask
 
 
 def build_parser() -> argparse.ArgumentParser:

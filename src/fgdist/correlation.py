@@ -121,8 +121,8 @@ class CorrelationMatrix:
     m : array_like
         Real antisymmetric matrix of shape (2*ell, 2*ell) with Gamma = i*m.
     validate : bool
-        Check shape and antisymmetry on construction (cheap); the singular
-        value range check runs lazily on first use.
+        Check shape, finite entries and antisymmetry on construction
+        (cheap); the singular value range check runs lazily on first use.
     """
 
     def __init__(self, m, *, validate: bool = True):
@@ -133,6 +133,8 @@ class CorrelationMatrix:
             n = m.shape[0]
             if n < 2 or n % 2:
                 raise ValueError(f"matrix dimension must be even and >= 2, got {n}")
+            if not np.isfinite(m).all():
+                raise ValueError("correlation matrix has non-finite entries")
             dev = np.abs(m + m.T).max()
             if dev > ANTISYMMETRY_TOL:
                 raise ValueError(f"matrix is not antisymmetric (deviation {dev:.3e})")
@@ -194,6 +196,15 @@ def _state_stack(m) -> np.ndarray:
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] % 2 or not m.shape[1]:
         raise ValueError(f"need a stack of 2 ell x 2 ell correlation matrices, got shape {m.shape}")
     return m
+
+
+def _index_pairs(pairs, n: int) -> np.ndarray:
+    """``pairs`` as a (k, 2) int64 array, k = 0 included; raises ValueError
+    unless every index addresses one of the n states, 0..n-1."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if pairs.size and not (0 <= pairs.min() and pairs.max() < n):
+        raise ValueError(f"pair indices must lie in 0..{n - 1}")
+    return pairs
 
 
 def _unit_pairs(values: np.ndarray):
@@ -661,7 +672,7 @@ def _pair_kernel(m, pairs, metric: bool):
     sqrt(2 (1 - g_max)), g_max the largest pair value of its two states."""
     m = _state_stack(m)
     ell = m.shape[1] // 2
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _index_pairs(pairs, len(m))
     values = np.empty(len(pairs))
     direct = np.zeros(len(pairs), dtype=bool)
     if ell == 1:

@@ -2,11 +2,14 @@
 
 Conventions.  Site 1 is the leftmost Kronecker factor, i.e. the most
 significant bits of the basis index; the y-type string of site j acts as
-Z^(j-1) x Y x 1^(L-j).  Jordan-Wigner strings therefore stay inside any
-leading block of sites, which is why subsystems are always the leading
-``ell`` sites here: the Majorana algebra of a leading block closes on the
-block.  sigma^z = diag(1, -1) and the mode of site j is occupied when the
-spin points down.
+Z^(j-1) x Y x 1^(L-j).  :func:`_majorana_strings` holds this Jordan-Wigner
+convention as one table, d_a = i^p X^x Z^z, and the sparse operators, the
+entries :func:`density_from_gamma` fills and the Wick plan of
+:func:`density_stack` are all built from it.  Jordan-Wigner strings stay
+inside any leading block of sites, which is why subsystems are always the
+leading ``ell`` sites here: the Majorana algebra of a leading block closes
+on the block.  sigma^z = diag(1, -1) and the mode of site j is occupied
+when the spin points down.
 
 Everything in this module scales exponentially with system size and is
 guarded.  Trace sweeps build their states with :func:`density_stack` and
@@ -24,7 +27,9 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse
 
-from .correlation import CorrelationMatrix, _state_stack, canonical_form
+# canonical_form is not called here, but perfbench/tracing.py wraps the name
+# in this namespace
+from .correlation import CorrelationMatrix, _state_stack, canonical_form  # noqa: F401
 from .errors import GuardExceeded
 from .pfaffian import PLAN_CACHE_MODES, popcount, principal_pfaffians
 
@@ -44,17 +49,29 @@ __all__ = [
 # matrix is 256 MiB
 DENSE_GUARD = 12
 
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 
 def _check_guard(ell: int):
     if ell > DENSE_GUARD:
         raise GuardExceeded(f"{ell} sites exceed the dense guard of {DENSE_GUARD}")
+
+
+def _majorana_strings(ell: int):
+    """The Jordan-Wigner convention, in one place: d_a = i^p X^x Z^z for the
+    2 ell Majoranas in interleaved order, as three int32 arrays (x, z, p).
+    Site j is bit ell - j.  d_{2j-1} flips that bit under a Z string on the
+    sites to its left (p = 0), and d_{2j} = i d_{2j-1} Z_j (p = 1)."""
+    p = np.tile(np.array([0, 1], dtype=np.int32), ell)
+    x = np.repeat(1 << np.arange(ell - 1, -1, -1, dtype=np.int32), 2)
+    return x, 2**ell - (2 - p) * x, p  # z: the bits above x, and x itself for p = 1
+
+
+def _majorana_rows(ell: int):
+    """Column c = r ^ x and sign (-1)^popcount(z & c) of the one entry of
+    row r of X^x Z^z, for every Majorana of :func:`_majorana_strings`
+    (rows) and basis row r (columns): two (2 ell, 2^ell) arrays."""
+    x, z, _ = _majorana_strings(ell)
+    columns = np.arange(2**ell, dtype=np.int32) ^ x[:, None]
+    return columns, 1.0 - 2.0 * (popcount(z[:, None] & columns) % 2)
 
 
 @lru_cache(maxsize=8)
@@ -62,88 +79,63 @@ def majorana_operators(ell: int):
     """The 2*ell sparse Majorana operators in interleaved order.
 
     d_{2j-1} = Z..Z X 1..1 and d_{2j} = Z..Z Y 1..1 with the string on the
-    j-1 sites to the left.  Cached.  Each operator is a signed permutation
-    matrix: its CSR form stores exactly one entry per row.  The two
-    operators of one site share their column indices (both flip the bit of
-    site j); the entries of d_{2j-1} are real (+-1) and those of d_{2j}
-    imaginary (+-i).  ``density_from_gamma`` relies on this structure and
-    checks it.  Raises :class:`GuardExceeded` above ``DENSE_GUARD`` modes.
+    j-1 sites to the left.  Cached.  Each is a signed permutation matrix
+    built straight from :func:`_majorana_strings`: its CSR form stores one
+    entry per row, +-1 for d_{2j-1} and +-i for d_{2j}.  Raises
+    :class:`GuardExceeded` above ``DENSE_GUARD`` modes.
     """
     if ell < 1:
         raise ValueError("need at least one mode")
     _check_guard(ell)
-    ops = []
-    eye = scipy.sparse.identity(1, dtype=complex, format="csr")
-    string = eye
-    for j in range(ell):
-        tail = scipy.sparse.identity(2 ** (ell - j - 1), dtype=complex, format="csr")
-        for label in ("X", "Y"):
-            op = scipy.sparse.kron(
-                scipy.sparse.kron(string, scipy.sparse.csr_matrix(PAULI[label]), format="csr"),
-                tail,
-                format="csr",
-            )
-            ops.append(op)
-        string = scipy.sparse.kron(string, scipy.sparse.csr_matrix(PAULI["Z"]), format="csr")
-    return tuple(ops)
+    dim = 2**ell
+    columns, signs = _majorana_rows(ell)
+    data = signs * np.where(_majorana_strings(ell)[2], 1j, 1.0)[:, None] + 0.0  # + 0.0: no -0.0 part
+    indptr = np.arange(dim + 1, dtype=np.int32)
+    return tuple(scipy.sparse.csr_matrix((d, c, indptr.copy()), shape=(dim, dim)) for d, c in zip(data, columns))
+
+
+def _canonical_pairs(state: CorrelationMatrix):
+    """Pair values g_j, descending and clamped to 1, and the rotation O whose
+    rows 2j-1, 2j are the canonical pair of g_j: sqrt(2) (Re u, Im u) for
+    the eigenvector u of -g_j, one of the ell smallest eigenvalues of
+    Gamma = i m.  For g_j > 0, u is orthogonal to its conjugate, an
+    eigenvector of +g_j, so these rows are orthonormal; for g_j = 0 they
+    need not be, and the pair's factor 1 - g_j i d'd' is 1 whatever they
+    are.  Raises ValueError, as ``state.pair_values`` does, for a pair
+    value beyond ``EIGENVALUE_SLACK`` above 1."""
+    state.pair_values
+    w, v = np.linalg.eigh(1j * state.m)
+    rotation = np.sqrt(2.0) * np.ascontiguousarray(v[:, : state.ell]).view(float).T
+    return np.minimum(-w[: state.ell], 1.0), rotation
 
 
 def density_from_gamma(state: CorrelationMatrix) -> np.ndarray:
     """Dense density matrix with the given Majorana correlations.
 
     Built as the commuting product prod_j (1 - g_j i d'_{2j-1} d'_{2j}) / 2
-    over the canonical modes d' = O d, which stays finite for pure modes
-    (g_j = 1), unlike the exponential form.  Row r of d'_a holds one entry
-    per site j, at the column where d_{2j-1} and d_{2j} have theirs:
-    O_{a,2j-1} (+-1) + i O_{a,2j} (+-1), exact, so each d'_a is filled
-    in place rather than summed from 2 ell dense operators.
+    over the canonical modes d' = O d of :func:`_canonical_pairs`, which
+    stays finite for pure modes (g_j = 1), unlike the exponential form, and
+    takes one ``eigh``, no Schur form, so degenerate pair values need no
+    care.  Row r of d'_a holds one entry per site j, at the column where
+    d_{2j-1} and d_{2j} have theirs: O_{a,2j-1} (+-1) + i O_{a,2j} (+-1),
+    exact, so each d'_a is filled in place rather than summed from 2 ell
+    dense operators.
     """
     _check_guard(state.ell)
-    form = canonical_form(state)
-    flat, x_signs, y_signs = _majorana_pattern(state.ell)
+    values, rot = _canonical_pairs(state)
     dim = 2**state.ell
+    columns, signs = _majorana_rows(state.ell)
+    flat = np.arange(dim) * dim + columns[0::2]  # d_{2j-1} and d_{2j} flip the same bit
     rho = np.eye(dim, dtype=complex) * 2.0**-state.ell
-    rot = form.rotation
-    for j, g in enumerate(form.pair_values):
+    for j, g in enumerate(values):
         coeffs = rot[2 * j : 2 * j + 2, :, None]
         pair = np.zeros((2, dim * dim), dtype=complex)
         # + 0.0: a zero coefficient gives +0.0, the zero a sum into zeros gives
-        pair.real[:, flat] = coeffs[:, 0::2] * x_signs + 0.0
-        pair.imag[:, flat] = coeffs[:, 1::2] * y_signs + 0.0
+        pair.real[:, flat] = coeffs[:, 0::2] * signs[0::2] + 0.0
+        pair.imag[:, flat] = coeffs[:, 1::2] * signs[1::2] + 0.0
         da, db = pair.reshape(2, dim, dim)
         rho = rho @ (np.eye(dim) - g * 1j * (da @ db))
     return rho
-
-
-@lru_cache(maxsize=8)
-def _majorana_pattern(ell: int):
-    """Per site j (rows) and basis row r (columns) of ``majorana_operators(ell)``:
-    the flat index r * 2^ell + c of the one entry of row r of d_{2j-1} and
-    d_{2j}, the real entry of d_{2j-1} and the imaginary part of the entry of
-    d_{2j}.  Three (ell, 2^ell) arrays.
-
-    Raises if the operators lack the structure this relies on.
-    """
-    ops = majorana_operators(ell)
-    dim = 2**ell
-    one_per_row = np.arange(dim + 1)
-    flat = np.empty((ell, dim), dtype=np.int64)
-    x_signs = np.empty((ell, dim))
-    y_signs = np.empty((ell, dim))
-    for j in range(ell):
-        x_op, y_op = ops[2 * j], ops[2 * j + 1]
-        if not (np.array_equal(x_op.indptr, one_per_row) and np.array_equal(y_op.indptr, one_per_row)):
-            raise ValueError(f"Majoranas of site {j + 1} do not store one entry per row")
-        if not np.array_equal(x_op.indices, y_op.indices):
-            raise ValueError(f"Majoranas of site {j + 1} do not share their columns")
-        if np.any(x_op.data.imag != 0.0) or np.any(y_op.data.real != 0.0):
-            raise ValueError(f"Majoranas of site {j + 1} are not real and imaginary")
-        flat[j] = np.arange(dim) * dim + x_op.indices
-        x_signs[j] = x_op.data.real
-        y_signs[j] = y_op.data.imag
-    if np.unique(flat).size != flat.size:
-        raise ValueError("Majoranas of two sites share an entry")
-    return flat, x_signs, y_signs
 
 
 def density_stack(m) -> np.ndarray:
@@ -181,13 +173,13 @@ def _wick_plan(ell: int):
     """Where :func:`density_stack` puts each term; four flat arrays.
 
     ``masks`` are the even subsets S (bit a for Majorana a + 1).  Majorana
-    strings are multiplied left to right as i^p X^x Z^z with site j at bit
-    ell - j, and Z^z X^x' = (-1)^popcount(z & x') X^x' Z^z.  ``slots`` is
-    the float index of the term of S in the (2^(ell-1), 2^ell) complex array
-    of (even flip mask, Z mask): its real part for a real phase, its
-    imaginary part otherwise.  ``signs`` is the sign of that part times
-    2^-ell.  ``cells`` is the flat index (c ^ x) 2^ell + c in rho of every
-    (even x, c) entry of the transform.
+    strings are multiplied left to right as i^p X^x Z^z, each d_a taken
+    from :func:`_majorana_strings`, and Z^z X^x' = (-1)^popcount(z & x')
+    X^x' Z^z.  ``slots`` is the float index of the term of S in the
+    (2^(ell-1), 2^ell) complex array of (even flip mask, Z mask): its real
+    part for a real phase, its imaginary part otherwise.  ``signs`` is the
+    sign of that part times 2^-ell.  ``cells`` is the flat index
+    (c ^ x) 2^ell + c in rho of every (even x, c) entry of the transform.
     """
     n, dim = 2 * ell, 2**ell
     # int32 throughout: 4^ell <= 2^24 under the guard
@@ -195,12 +187,10 @@ def _wick_plan(ell: int):
     flips = np.zeros(masks.shape, dtype=np.int32)
     zs = np.zeros(masks.shape, dtype=np.int32)
     powers = np.zeros(masks.shape, dtype=np.int32)  # of i
-    for a in range(n):
-        bit = 1 << (ell - 1 - a // 2)
-        z = ((dim - 1) ^ (2 * bit - 1)) | (bit if a % 2 else 0)
+    for a, (x, z, p) in enumerate(zip(*_majorana_strings(ell))):
         has = (masks >> a) & 1
-        powers += has * ((a % 2) + 2 * ((zs & bit) != 0))
-        flips ^= has * bit
+        powers += has * (p + 2 * ((zs & x) != 0))  # x is one bit
+        flips ^= has * x
         zs ^= has * z
     powers = (powers - popcount(masks) // 2) % 4
     parities = popcount(np.arange(dim, dtype=np.int32)) % 2

@@ -54,7 +54,7 @@ import numpy as np
 
 # bures_distance and density_from_gamma are not called here, but
 # perfbench/tracing.py wraps the names in this namespace
-from .correlation import bures_distance, bures_distances  # noqa: F401
+from .correlation import _index_pairs, bures_distance, bures_distances  # noqa: F401
 from .dense import _check_guard, density_from_gamma, density_stack, trace_distance  # noqa: F401
 from .ising import SECTORS, SpectrumTable, enumerate_spectrum, sort_spectrum, subsystem_correlations
 from .random_ensemble import RandomEnsembleSpec, sample_ensemble
@@ -243,14 +243,14 @@ def _pair_distances(m: np.ndarray, pairs: list, metric: str) -> np.ndarray:
     if metric != "trace":
         raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
     size = max(1, TRACE_STACK_ELEMENTS // 4 ** (m.shape[-1] // 2))
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    pairs = _index_pairs(pairs, len(m))
     blocks, rows = np.divmod(pairs, size)
     codes = blocks[:, 0] * len(m) + blocks[:, 1]
     order = np.argsort(codes, kind="stable")
     starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
     values = np.empty(len(pairs))
     built = {}
-    for group in np.split(order, starts[1:]):
+    for group in np.split(order, starts)[1:]:  # [1:]: the empty piece before starts[0] = 0
         bi, bj = blocks[group[0]].tolist()
         built = {b: rho for b, rho in built.items() if b in (bi, bj)}
         for b in (bi, bj):

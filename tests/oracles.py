@@ -15,7 +15,14 @@ import scipy.linalg
 import scipy.sparse
 
 from fgdist.correlation import CorrelationMatrix
-from fgdist.dense import PAULI, _check_guard, majorana_operators
+from fgdist.dense import _check_guard, majorana_operators
+
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
 
 # eigenvalues of rho sigma below this magnitude count as exact zeros in
 # fidelity_dense_product

@@ -60,6 +60,11 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert main(["sweep", "--L", "6", "--ell-min", "4", "--ell-max", "2"]) == 2
     assert main(["sweep", "--L", "6", "--ordering", "nonsense:1"]) == 2
     assert main(["sweep", "--model", "ising", "--L", "6", "--sector-out", str(tmp_path / "e.csv")]) == 2
+    for sector in ("+1", "+1,0,2"):
+        assert main(["sweep", "--L", "6", "--sector", sector, "--ell-max", "2"]) == 2
+    assert main(["sweep", "--model", "xxz", "--L", "8", "--sector", "1", "--ell-max", "2"]) == 2
+    for top in ("-1", "6"):
+        assert main(["degeneracy", "--L", "6", "--h", "1.0", "--max-m", top]) == 2
     assert not (tmp_path / "e.csv").exists()
     err = capsys.readouterr().err
     assert "fgdist:" in err

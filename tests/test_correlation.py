@@ -44,7 +44,7 @@ from fgdist.dense import (
     fidelity_dense,
     trace_distance,
 )
-from fgdist.experiments import apply_ordering, ising_sweep, random_sweep
+from fgdist.experiments import _pair_distances, apply_ordering, ising_sweep, random_sweep
 from fgdist.ising import enumerate_spectrum, subsystem_correlations
 from fgdist.random_ensemble import RandomEnsembleSpec, sample_ensemble
 from oracles import gamma_from_density
@@ -65,6 +65,13 @@ def test_constructor_rejects_bad_input():
     bad = np.array([[0.0, 0.3], [0.3, 0.0]])  # symmetric, not antisymmetric
     with pytest.raises(ValueError):
         CorrelationMatrix(bad)
+    # NaN passes an antisymmetry test and inf makes it warn; both are
+    # rejected before it, with no RuntimeWarning (an error under pytest)
+    for entry in (np.nan, np.inf, -np.inf):
+        m = planted_state([0.5, 0.2]).m.copy()
+        m[0, 3], m[3, 0] = entry, -entry
+        with pytest.raises(ValueError, match="non-finite"):
+            CorrelationMatrix(m)
 
 
 def test_pair_value_slack():
@@ -679,6 +686,22 @@ def test_pair_kernel_rejects_other_shapes():
             pair_fidelities(np.zeros(shape), [(0, 0)])
         with pytest.raises(ValueError):
             bures_distances(np.zeros(shape), [(0, 0)])
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_pair_kernel_rejects_indices_outside_the_stack(ell):
+    # a negative index must not address a state from the end of the stack;
+    # the trace path checks the same way, and no pairs give no values
+    m = stack([random_mixed_state(ell, np.random.default_rng(ell)) for _ in range(3)])
+    for distances in (
+        lambda pairs: pair_fidelities(m, pairs),
+        lambda pairs: bures_distances(m, pairs),
+        lambda pairs: _pair_distances(m, pairs, "trace"),
+    ):
+        for pairs in ([(0, -1)], [(-3, 1)], [(0, 1), (2, 3)]):
+            with pytest.raises(ValueError, match=r"pair indices must lie in 0\.\.2"):
+                distances(pairs)
+        assert distances([]).shape == (0,)
 
 
 def test_pair_kernel_shape_mismatch():

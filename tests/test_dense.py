@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from conftest import planted_state, rand_rotation, random_mixed_state
 from fgdist import dense
-from fgdist.correlation import CorrelationMatrix, canonical_form, fidelity_single_mode
+from fgdist.correlation import CorrelationMatrix, fidelity_single_mode
 from fgdist.dense import (
     DENSE_GUARD,
-    PAULI,
     density_from_gamma,
     density_stack,
     fidelity_dense,
@@ -28,6 +27,7 @@ from fgdist.ising import enumerate_spectrum, subsystem_correlations
 from fgdist.xxz import xxz_dense_hamiltonian, xxz_eigen_rdm, xxz_sector_basis
 from ising_dense import annihilation_operators, ising_hamiltonian
 from oracles import (
+    PAULI,
     density_from_gamma_exponential,
     fidelity_dense_product,
     gamma_from_density,
@@ -87,32 +87,31 @@ def test_site_operator_matches_chained_kron_bytes():
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, site, length, field)
 
 
-def _broken_pattern(monkeypatch, ops):
-    monkeypatch.setattr(dense, "majorana_operators", lambda ell: tuple(ops))
-    return dense._majorana_pattern.__wrapped__(len(ops) // 2)
+def _chained_kron_majoranas(ell):
+    """d_{2j-1} = Z..Z X 1..1 and d_{2j} = Z..Z Y 1..1 as chained Kronecker
+    products of the Pauli matrices."""
+    ops = []
+    string = scipy.sparse.identity(1, dtype=complex, format="csr")
+    for j in range(ell):
+        tail = scipy.sparse.identity(2 ** (ell - j - 1), dtype=complex, format="csr")
+        for label in ("X", "Y"):
+            op = scipy.sparse.kron(string, scipy.sparse.csr_matrix(PAULI[label]), format="csr")
+            ops.append(scipy.sparse.kron(op, tail, format="csr"))
+        string = scipy.sparse.kron(string, scipy.sparse.csr_matrix(PAULI["Z"]), format="csr")
+    return ops
 
 
-def test_majorana_pattern_rejects_other_structure(monkeypatch):
-    ops = list(majorana_operators(2))
-    shifted = list(ops)
-    shifted[1] = ops[3]  # d_2 no longer shares the columns of d_1
-    with pytest.raises(ValueError, match="share their columns"):
-        _broken_pattern(monkeypatch, shifted)
-    summed = list(ops)
-    summed[0] = (ops[0] + ops[2]).tocsr()  # two entries per row
-    with pytest.raises(ValueError, match="one entry per row"):
-        _broken_pattern(monkeypatch, summed)
-    rotated = list(ops)
-    rotated[2] = (1j * ops[2]).tocsr()  # d_3 imaginary
-    with pytest.raises(ValueError, match="real and imaginary"):
-        _broken_pattern(monkeypatch, rotated)
-    doubled = list(ops)
-    doubled[2:4] = ops[0:2]  # site 2 flips the bit of site 1
-    with pytest.raises(ValueError, match="share an entry"):
-        _broken_pattern(monkeypatch, doubled)
-    monkeypatch.undo()
-    flat, x_signs, y_signs = dense._majorana_pattern.__wrapped__(2)
-    assert flat.shape == x_signs.shape == y_signs.shape == (2, 4)
+def test_majorana_operators_match_chained_kron_bytes():
+    for ell in range(1, 9):
+        got, want = majorana_operators(ell), _chained_kron_majoranas(ell)
+        assert len(got) == len(want) == 2 * ell
+        for a, (g, w) in enumerate(zip(got, want)):
+            assert type(g) is type(w) and g.shape == w.shape
+            for field in ("data", "indices", "indptr"):
+                x, y = getattr(g, field), getattr(w, field)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), (ell, a, field)
+    with pytest.raises(ValueError, match="at least one mode"):
+        majorana_operators(0)
 
 
 def test_translation_operator_order():
@@ -176,13 +175,13 @@ def test_pure_state_density_is_projector():
 
 def _density_by_operator_sums(state):
     """The rotated Majoranas summed from dense copies of the 2 ell operators."""
-    form = canonical_form(state)
+    values, rotation = dense._canonical_pairs(state)
     ops = majorana_operators(state.ell)
     dim = 2**state.ell
     rho = np.eye(dim, dtype=complex) * 2.0**-state.ell
-    for j, g in enumerate(form.pair_values):
+    for j, g in enumerate(values):
         rotated = []
-        for coeffs in form.rotation[2 * j : 2 * j + 2]:
+        for coeffs in rotation[2 * j : 2 * j + 2]:
             out = np.zeros((dim, dim), dtype=complex)
             for c, op in zip(coeffs, ops):
                 if c != 0.0:
@@ -201,7 +200,7 @@ def test_density_from_gamma_bitwise_matches_operator_sums(ell):
         random_mixed_state(ell, rng),
         planted_state(np.ones(ell), rng=rng),
         planted_state(gammas),  # canonical already: exact zero coefficients
-        planted_state(gammas, rng=rng),  # zero pair values: 1x1 Schur blocks
+        planted_state(gammas, rng=rng),  # zero pair values: a degenerate eigenspace
     ]
     for state in states:
         assert np.array_equal(density_from_gamma(state), _density_by_operator_sums(state))
@@ -233,11 +232,10 @@ def test_density_stack_is_the_same_in_any_stack():
         assert np.array_equal(density_stack(m[2:5]), whole[2:5])
 
 
-@pytest.mark.xfail(strict=True, raises=np.linalg.LinAlgError, reason="real Schur form does not converge")
 def test_density_from_gamma_on_a_fourfold_pair_value():
-    # state 2078 of this table has the fourfold pair value 0.5577 at ell = 2;
-    # density_from_gamma rotates through canonical_form, whose real Schur form
-    # of that m raises "Schur form not found"
+    # state 2078 of this table has the fourfold pair value 0.5577 at ell = 2,
+    # where the real Schur form of canonical_form raises "Schur form not
+    # found"; density_from_gamma rotates through eigh instead
     m = subsystem_correlations(apply_ordering(enumerate_spectrum(0.95, 12), "charges:default"), 2)[2078]
     got = density_from_gamma(CorrelationMatrix(m, validate=False))
     assert np.abs(got - density_stack(m[None])[0]).max() < 1e-12
@@ -431,6 +429,21 @@ def test_trace_distance_rejects_non_hermitian_difference():
 
 
 # --------------------------------------------------------------- partial trace
+
+
+@pytest.mark.parametrize(
+    "state, keep, match",
+    [
+        (np.ones(16), 0, "cannot keep"),
+        (np.ones(16), 5, "cannot keep"),
+        (np.ones(8), 2, "vector length"),
+        (np.eye(8), 2, "matrix shape"),
+        (np.ones((16, 8)), 2, "matrix shape"),
+    ],
+)
+def test_partial_trace_rejects_bad_input(state, keep, match):
+    with pytest.raises(ValueError, match=match):
+        partial_trace(state, 4, keep)
 
 
 def test_partial_trace_product_state():

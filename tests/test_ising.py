@@ -36,6 +36,8 @@ def test_sector_momenta_layout():
     assert list(ns) == [1, 3, 5, 7, 9, 11]
     assert list(r) == [0, 2, 4, 6, 8, 10]
     assert len(sector_momenta(9, "NS")) == 9
+    with pytest.raises(ValueError, match="unknown sector"):
+        sector_momenta(6, "ns")
 
 
 def test_dispersion_positive_except_signed_zero_mode():
@@ -83,6 +85,15 @@ def test_enumeration_sector_filter():
     assert set(partial.parity.tolist()) == {1, -1}
 
 
+@pytest.mark.parametrize(
+    "sector_filter, match",
+    [((0, None), "parity filter"), ((2, 1), "parity filter"), ((None, -1), "momentum filter"), ((1, 6), "momentum filter")],
+)
+def test_enumeration_rejects_bad_sector_filter(sector_filter, match):
+    with pytest.raises(ValueError, match=match):
+        enumerate_spectrum(1.0, 6, sector_filter=sector_filter)
+
+
 def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
         enumerate_spectrum(1.0, 17)
@@ -95,6 +106,8 @@ def test_label_validation():
         EigenstateLabel(L=6, h=1.0, sector="NS", occupied=(1,))  # odd count
     with pytest.raises(ValueError):
         EigenstateLabel(L=6, h=1.0, sector="R", occupied=(0, 2))  # even count
+    with pytest.raises(ValueError, match="distinct"):
+        EigenstateLabel(L=6, h=1.0, sector="NS", occupied=(1, 1))
 
 
 def test_label_round_trip():
@@ -201,6 +214,26 @@ def test_sort_spectrum_tie_chains_and_stability():
         assert part.sort_keys == (0, 1)
 
 
+@pytest.mark.parametrize("key_order", [(0, 0), (6,), (-1, 2)])
+def test_sort_spectrum_rejects_bad_key_order(key_order):
+    with pytest.raises(ValueError, match="key order"):
+        sort_spectrum(enumerate_spectrum(1.0, 6), key_order)
+
+
+def test_degeneracy_ratio_rejects_unsorted_and_short_tables():
+    table = enumerate_spectrum(1.0, 6)
+    for other in (table, sort_spectrum(table, key_order=(1, 0))):
+        with pytest.raises(ValueError, match="not sorted"):
+            degeneracy_ratio(other, 0)
+    with pytest.raises(ValueError, match="not sorted"):
+        degeneracy_ratio(sort_spectrum(table, key_order=(0, 2, 1)), 1)
+    single = sort_spectrum(table).reordered([0], sort_keys=tuple(range(6)))
+    with pytest.raises(ValueError, match="at least two states"):
+        degeneracy_ratio(single, 0)
+    with pytest.raises(ValueError, match="at least two states"):
+        mode_number_difference(single)
+
+
 def test_degeneracy_profiles_at_critical_field():
     # tied-adjacent-pair counts out of len-1; odd L loses all ties at m=1
     profiles = {
@@ -245,6 +278,15 @@ def test_subsystem_correlations_are_exactly_antisymmetric(L, h):
     label = table.label(len(table) // 3)
     m = eigenstate_correlation(label, L // 2).m
     assert np.array_equal(m, -m.T)
+
+
+@pytest.mark.parametrize("ell", [0, 7])
+def test_subsystem_size_outside_the_chain(ell):
+    table = enumerate_spectrum(1.0, 6)
+    with pytest.raises(ValueError, match="outside 1..6"):
+        subsystem_correlations(table, ell)
+    with pytest.raises(ValueError, match="outside 1..6"):
+        eigenstate_correlation(table.label(0), ell)
 
 
 def test_correlation_matrix_is_valid_state():
