@@ -33,9 +33,11 @@ Unit modes must be split off first because the overlap determinant and the
 composition solve (1 + Gamma_2 Gamma_1)^{-1} turn singular when an occupied
 mode meets an empty one.  The compose and reduction solves
 (:func:`_solve_refined`) take one inverse of their matrix and refine its
-solution twice on residuals from Ozaki-split float64 products, with no
-extended-precision type.  Their invertibility guard screens with kappa_1
-from the same inverse and takes an SVD only of a system the screen flags.
+solution on residuals from Ozaki-split float64 products, with no
+extended-precision type: once, and a second time only on a system with n
+kappa_1 above SECOND_STEP_NKAPPA.  Their invertibility guard screens with
+kappa_1 from the same inverse and takes an SVD only of a system the screen
+flags.
 
 :func:`fidelity` runs this dispatch on one pair, and the reduction recurses
 into it on the smaller pair.  :func:`pair_fidelities` takes the states as
@@ -55,8 +57,9 @@ distance lies below SMALL_DISTANCE sqrt(2 (1 - g_max)) that distance
 instead, computed from m_2 - m_1 in the eigenbasis of the more mixed
 state's Gamma (:func:`_metric_distances`), and a single-mode pair the
 closed form of :func:`_single_mode_distance`, which does not cancel.  The
-fidelity functions never take either: a fidelity within 1e-16 of 1 cannot
-be stored.
+metric distance is at least ||m_2 - m_1||_F / 4, so it is computed only for
+pairs where that bound lies below twice the switch.  The fidelity functions
+never take either path: a fidelity within 1e-16 of 1 cannot be stored.
 """
 
 from __future__ import annotations
@@ -103,6 +106,10 @@ INVERTIBILITY_TOL = 1e-12
 # down to 1e-10, the largest deviation was 6.2e-7 of the largest entry:
 # rounding, not a fault.
 ROUNDING_RESIDUE_TOL = 1e-4
+
+# A refined solve takes its second step only on a system with n kappa_1 above
+# this; see _solve_refined.
+SECOND_STEP_NKAPPA = 2**20
 
 # Bures distances of close regular pairs come from the second-order metric
 # below this multiple of sqrt(2 (1 - g_max)); see bures_distances.
@@ -191,10 +198,13 @@ def _snapped_pair_values(svals: np.ndarray) -> np.ndarray:
 
 def _state_stack(m) -> np.ndarray:
     """``m`` as a float stack (n, 2 ell, 2 ell) of correlation matrices, not
-    copied when it is one already; raises ValueError on any other shape."""
+    copied when it is one already; raises ValueError on any other shape and
+    on non-finite entries."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] % 2 or not m.shape[1]:
         raise ValueError(f"need a stack of 2 ell x 2 ell correlation matrices, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("correlation matrices have non-finite entries")
     return m
 
 
@@ -339,13 +349,12 @@ def _residual(a1: np.ndarray, a2: np.ndarray, x: np.ndarray, b: np.ndarray) -> n
 
 
 def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b from one inverse of a, refined twice on accurate
-    residuals.
+    """Solve a x = b from one inverse of a, refined on accurate residuals.
 
     Works on single systems and on stacks (..., n, n).  x = A^{-1} b is
-    refined twice by x += A^{-1} r.  Near-unit pair values push the
-    condition number of the compose and reduction solves to ~(1-g)^{-1/2}
-    and ~(1-g)^{-1}; the residuals r = b - a x are taken with the Ozaki
+    refined by x += A^{-1} r.  Near-unit pair values push the condition
+    number of the compose and reduction solves to ~(1-g)^{-1/2} and
+    ~(1-g)^{-1}; the residuals r = b - a x are taken with the Ozaki
     split of :func:`_residual`, four float64 BLAS products accurate to about
     2^-76 |a| |x| at n = 64, which removes the resulting kappa*u forward
     error that the fidelity would otherwise amplify by another 1/sqrt(1-g).
@@ -354,6 +363,12 @@ def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     kappa*u << 1 (Ozaki, Ogita, Oishi and Rump, as above).  a is split, and
     embedded when complex, once per solve.  No extended-precision type is
     used, so the accuracy does not depend on the platform's long double.
+
+    Every system takes one step.  From x = A^{-1} b, off by about n kappa u
+    |x|, it leaves about (n kappa u)^2 |x|, at most 2^-66 |x| while n
+    kappa_1 <= SECOND_STEP_NKAPPA: below the rounding of x, which a second
+    step cannot improve.  Only the systems above that take a second step,
+    as a sub-stack, so each system's result is the same in any stack.
 
     Raises LinAlgError when a is exactly singular, or when any system of
     the stack has 1/kappa_2 < INVERTIBILITY_TOL.  The guard reads kappa_1 =
@@ -373,8 +388,11 @@ def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             raise np.linalg.LinAlgError(f"1/kappa_2 below {INVERTIBILITY_TOL:g}: matrix is numerically singular")
     a1, a2 = _row_split(a)
     x = inverse @ b
-    for _ in range(2):
-        x = x + inverse @ _residual(a1, a2, x, b)
+    x = x + inverse @ _residual(a1, a2, x, b)
+    again = n * kappa > SECOND_STEP_NKAPPA
+    if again.any():
+        b = np.broadcast_to(b, x.shape)
+        x[again] += inverse[again] @ _residual(a1[again], a2[again], x[again], b[again])
     return x
 
 
@@ -669,7 +687,9 @@ def _pair_kernel(m, pairs, metric: bool):
     Only with ``metric`` is any pair direct: a single-mode pair, which takes
     :func:`_single_mode_distance`, and a regular-branch pair whose metric
     distance D_m of :func:`_metric_distances` lies below SMALL_DISTANCE
-    sqrt(2 (1 - g_max)), g_max the largest pair value of its two states."""
+    sqrt(2 (1 - g_max)), g_max the largest pair value of its two states.
+    D_m is computed only where its lower bound ||m_2 - m_1||_F / 4 lies
+    below twice that switch; no other pair can be near."""
     m = _state_stack(m)
     ell = m.shape[1] // 2
     pairs = _index_pairs(pairs, len(m))
@@ -700,9 +720,14 @@ def _pair_kernel(m, pairs, metric: bool):
         lam, u = map(np.stack, zip(*(eigen[k] for k in first.tolist())))
         m1, m2 = m[first], m[second]
         if metric:
-            distances = _metric_distances(lam, u, m1, m2)
-            near = distances < SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[second]))
-            values[at[near]] = distances[near]
+            switch = SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[second]))
+            # U is unitary and every denominator of D_m is at most 2, so D_m >=
+            # ||m_2 - m_1||_F / 4: a pair above twice the switch cannot be near
+            maybe = np.linalg.norm(m2 - m1, axis=(1, 2)) / 4.0 < 2.0 * switch
+            distances = _metric_distances(lam[maybe], u[maybe], m1[maybe], m2[maybe])
+            near = np.zeros_like(maybe)
+            near[maybe] = distances < switch[maybe]
+            values[at[near]] = distances[near[maybe]]
             direct[at[near]] = True
             at, lam, u, m1, m2 = at[~near], lam[~near], u[~near], m1[~near], m2[~near]
         if len(at):

@@ -688,6 +688,22 @@ def test_pair_kernel_rejects_other_shapes():
             bures_distances(np.zeros(shape), [(0, 0)])
 
 
+def test_stack_with_a_non_finite_state_raises_value_error():
+    # as CorrelationMatrix does, before LAPACK sees the entries: an SVD or
+    # eigh of them would not converge, and the Wick expansion gives NaN
+    m = stack([random_mixed_state(3, np.random.default_rng(115)) for _ in range(3)])
+    m[1, 0, 1], m[1, 1, 0] = np.nan, np.nan
+    for build in (
+        lambda: bures_distances(m, [(0, 1), (1, 2)]),
+        lambda: pair_fidelities(m, [(0, 1), (1, 2)]),
+        lambda: _pair_distances(m, [(0, 1), (1, 2)], "trace"),
+        lambda: density_stack(m),
+    ):
+        with pytest.raises(ValueError, match="non-finite") as info:
+            build()
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
 @pytest.mark.parametrize("ell", [1, 2])
 def test_pair_kernel_rejects_indices_outside_the_stack(ell):
     # a negative index must not address a state from the end of the stack;

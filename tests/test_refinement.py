@@ -5,11 +5,23 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import planted_state
-from fgdist.correlation import INVERTIBILITY_TOL, _compose_complex, _residual, _row_split, _solve_refined, _split
+import mp_oracle
+from conftest import commuting_pair, factorized_fidelity, planted_state, rand_rotation, stack
+from fgdist import correlation
+from fgdist.correlation import (
+    INVERTIBILITY_TOL,
+    SECOND_STEP_NKAPPA,
+    _compose_complex,
+    _residual,
+    _row_split,
+    _solve_refined,
+    _split,
+    pair_fidelities,
+)
 
 exact = np.vectorize(Fraction, otypes=[object])
 
@@ -201,3 +213,112 @@ def test_refined_stacks_are_accurate_up_to_the_guard(n, k, log_cond, complex_, s
         # the refinement's fixed point: the rounding of x, plus cond times
         # the Ozaki residual's accuracy (at worst about 2^-77 cond measured)
         assert err <= (2.0**-52 * n + 2.0**-72 * np.linalg.cond(ai)) * scale
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(2, 64), k=st.integers(1, 2), log_cond=st.floats(0.0, 5.0), stacked=st.booleans(),
+       complex_=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=64, k=2, log_cond=0.0, stacked=True, complex_=True, seed=2)
+@example(n=2, k=1, log_cond=5.0, stacked=False, complex_=False, seed=3)
+def test_well_conditioned_solves_are_accurate(n, k, log_cond, stacked, complex_, seed):
+    # most of these take one refinement step (n kappa_1 <= SECOND_STEP_NKAPPA),
+    # and one step already reaches the fixed point of two
+    rng = np.random.default_rng(seed)
+    a = _conditioned_stack(n, [10.0**log_cond] * k, rng, complex_)
+    b = rng.standard_normal((k, n, 1))
+    if complex_:
+        b = b + 1j * rng.standard_normal((k, n, 1))
+    x = _solve_refined(a, b) if stacked else np.stack([_solve_refined(ai, bi) for ai, bi in zip(a, b)])
+    for ai, bi, xi in zip(a, b, x):
+        # the error x - a^-1 b is a^-1 of the exact residual, here solved in
+        # float64 to a relative kappa u <= 2^-36: an O(n^2) referee where a
+        # 50-digit LU of a 64 x 64 system takes seconds
+        residual = np.array(_exact_residual(ai, xi, bi).tolist(), dtype=ai.dtype)
+        err = np.abs(np.linalg.solve(ai, residual)).sum(axis=0).max()
+        scale = np.abs(xi).sum(axis=0).max()
+        assert err <= (2.0**-52 * n + 2.0**-72 * np.linalg.cond(ai)) * scale
+
+
+def _two_step_solve(a, b):
+    """The refined solve with two steps for every system, as before the step
+    rule."""
+    inverse = np.linalg.inv(a)
+    a1, a2 = _row_split(a)
+    x = inverse @ b
+    for _ in range(2):
+        x = x + inverse @ _residual(a1, a2, x, b)
+    return x
+
+
+def _n_kappa_1(a):
+    n = a.shape[-1]
+    return n * np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(np.linalg.inv(a)).sum(axis=-2).max(axis=-1)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_second_step_is_taken_per_system(complex_, monkeypatch):
+    # one system below the threshold and one above, stacked both ways: each
+    # row is its solo solve, and the row above is the two-step solve
+    steps = []
+    residual = correlation._residual
+
+    def counting_residual(a1, a2, x, b):
+        steps.append(x.shape[:-2])
+        return residual(a1, a2, x, b)
+
+    monkeypatch.setattr(correlation, "_residual", counting_residual)
+    rng = np.random.default_rng(8)
+    a = _conditioned_stack(8, [1e2, 1e9], rng, complex_)
+    below, above = _n_kappa_1(a)
+    assert below < SECOND_STEP_NKAPPA < above
+    b = rng.standard_normal((2, 8, 3)) + (1j * rng.standard_normal((2, 8, 3)) if complex_ else 0.0)
+    for order in ([0, 1], [1, 0]):
+        x = _solve_refined(a[order], b[order])
+        for row, i in zip(x, order):
+            assert np.array_equal(row, _solve_refined(a[i], b[i]))
+    steps.clear()
+    x = _solve_refined(a, b)
+    assert steps == [(2,), (1,)]  # both systems, then only the one above
+    assert np.array_equal(x[1], _two_step_solve(a[1], b[1]))
+
+
+def _near_unit(ell, rng):
+    """Pair values with 1 - g from just above UNIT_MODE_TOL = 1e-10 to 1e-4."""
+    return 1.0 - 10.0 ** rng.uniform(-9.99, -4.0, ell)
+
+
+def _near_unit_errors(rng):
+    """|F - F_exact| of near-unit regular pairs: against the 40-digit oracle
+    at ell = 2 and 3, the second state's basis a small rotation of the
+    first's, and against the factorized fidelity of commuting pairs up to
+    ell = 28, half their modes pulled a little away from 1 in the second."""
+    m, want = [], []
+    for ell in (2, 3):
+        for _ in range(8):
+            rotation = rand_rotation(2 * ell, rng)
+            k = rng.standard_normal((2 * ell, 2 * ell))
+            turn = scipy.linalg.expm(10.0 ** rng.uniform(-5, -1) * (k - k.T))
+            pair = [planted_state(_near_unit(ell, rng), rotation=r).m for r in (rotation, rotation @ turn)]
+            m.append(np.stack(pair))
+            want.append(float(mp_oracle.fidelity(*pair)))
+    for ell in (4, 16, 28):
+        for _ in range(8):
+            g1, g2 = _near_unit(ell, rng), _near_unit(ell, rng)
+            moved = rng.random(ell) < 0.5
+            g2[moved] = np.minimum(g1[moved], 1.0 - 1e-6) * rng.uniform(0.9, 1.0, moved.sum())
+            m.append(stack(commuting_pair(g1, g2, rng)))
+            want.append(factorized_fidelity(g1, g2))
+    got = [pair_fidelities(pair, [(0, 1)])[0] for pair in m]
+    return np.abs(np.array(got) - want)
+
+
+def test_one_step_is_as_accurate_at_the_near_unit_edge(monkeypatch):
+    # the same pairs with every system refined twice, the rule before
+    # SECOND_STEP_NKAPPA: the worst error may not grow.  Over 120 such pairs
+    # at ell = 2 and 3 and 200 up to ell = 28, one step and two had the same
+    # worst errors, 2.7e-8 and 5.2e-8: the floor of aligned near-unit modes
+    one_step = _near_unit_errors(np.random.default_rng(9))
+    monkeypatch.setattr(correlation, "SECOND_STEP_NKAPPA", 0)
+    two_steps = _near_unit_errors(np.random.default_rng(9))
+    assert one_step.max() <= two_steps.max() + 1e-13
+    assert one_step.max() < 1e-7

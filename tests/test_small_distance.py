@@ -140,3 +140,33 @@ def test_ising_ell_2_average_matches_the_oracle():
     assert np.abs(got - np.array(want, dtype=float)).max() < 1e-12
     assert abs(float(got.mean()) - average) < 1e-12
     assert _pair_kernel(m, pairs, metric=True)[1].sum() == 23
+
+
+@pytest.mark.parametrize("ell", [2, 3, 4, 5, 6])
+def test_metric_screen_moves_no_bit(ell):
+    # pairs on both sides of the switch, and far ones the screen drops: the
+    # direct flags and every value are those of computing D_m for every pair
+    rng = np.random.default_rng(70 + ell)
+    first = random_mixed_state(ell, rng, gmax=0.8)
+    direction = _direction(ell, rng)
+    unit_t = _metric_parameter(first, CorrelationMatrix(first.m + 1e-9 * direction, validate=False))[1] / 1e-9
+    sides = [0.5, 0.9, 0.99, 1.01, 1.1, 1.9, 2.1, 4.0, 30.0, 1e3]
+    states = [first] + [CorrelationMatrix(first.m + side * SMALL_DISTANCE / unit_t * direction, validate=False)
+                        for side in sides] + [random_mixed_state(ell, rng, gmax=0.8) for _ in range(4)]
+    m = stack(states)
+    pairs = [(0, k) for k in range(1, len(states))] + [(k, 0) for k in range(1, len(states))]
+    values, direct = _pair_kernel(m, pairs, metric=True)
+    # the reference: D_m of every pair, in one stack, as before the screen
+    largest = np.array([state.pair_values[0] for state in states])
+    first_of = [i if largest[i] <= largest[j] else j for i, j in pairs]
+    second_of = [j if largest[i] <= largest[j] else i for i, j in pairs]
+    d_m = _metric_distances(*_eigensystems(m[first_of]), m[first_of], m[second_of])
+    switch = SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[second_of]))
+    near = d_m < switch
+    assert np.array_equal(direct, near)
+    assert np.array_equal(values[near], d_m[near])
+    assert np.array_equal(values[~near], pair_fidelities(m, pairs)[~near])
+    # the screen both kept pairs that turned out not near and dropped some
+    bound = np.linalg.norm(m[second_of] - m[first_of], axis=(1, 2)) / 4.0
+    assert np.all(bound <= d_m * (1 + 1e-12))
+    assert np.any(~near & (bound < 2.0 * switch)) and np.any(bound >= 2.0 * switch)
