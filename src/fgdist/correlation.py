@@ -69,7 +69,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "CorrelationMatrix",
@@ -241,6 +240,8 @@ def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
     antisymmetric matrix is block diagonal up to roundoff; the rest is sign
     fixing and sorting.
     """
+    import scipy.linalg  # here, not at the top: of the sweep paths only the reduce branch needs scipy
+
     m = state.m
     n = m.shape[0]
     t, z = scipy.linalg.schur(m, output="real")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse
 
 # canonical_form is not called here, but perfbench/tracing.py wraps the name
 # in this namespace
@@ -87,6 +86,8 @@ def majorana_operators(ell: int):
     if ell < 1:
         raise ValueError("need at least one mode")
     _check_guard(ell)
+    import scipy.sparse  # a reference builder: no sweep calls it
+
     dim = 2**ell
     columns, signs = _majorana_rows(ell)
     data = signs * np.where(_majorana_strings(ell)[2], 1j, 1.0)[:, None] + 0.0  # + 0.0: no -0.0 part

@@ -16,12 +16,17 @@ significant bit).  With this phase the one-site translation acts as
 T |a(K)> = e^{-i 2 pi K / L} |a(K)>, the same eigenvalue convention the
 free-fermion momentum labels carry.
 
-The full-space H is a sparse matrix built straight from the bits of the
-2^L configurations (flip-flop entries plus a diagonal), equal entry for
-entry and bit for bit to the sum of sparse Pauli products written above.
-Blocks are assembled as B^dag H B with B the sparse matrix of Bloch
-columns; eigenvectors are lifted back to the full space the same way, so
-reduced density matrices come from ordinary partial traces.  The field
+The Hamiltonian is built straight from the bits of the configurations, one
+bond at a time (a flip-flop entry per pair of unequal neighbours plus a
+diagonal); :func:`xxz_dense_hamiltonian` assembles the full-space sparse
+matrix from it, equal entry for entry and bit for bit to the sum of sparse
+Pauli products written above.  A sector block B^dag H B is summed in numpy
+over the orbit arrays of the Bloch columns (configuration, orbit, amplitude)
+and over the rows of H that belong to the sector, term by term in the order
+and with the rounding of scipy's sparse product (B^dag H) B, so the block is
+bitwise what that product gives; eigenvectors are lifted back to the full
+space from the same arrays, so reduced density matrices come from ordinary
+partial traces.  Only :func:`xxz_dense_hamiltonian` loads scipy.  The field
 h_z commutes with everything and only shifts a fixed-magnetization block
 uniformly; it is accepted and verified but defaults to zero.
 """
@@ -32,7 +37,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dense import _check_guard, partial_trace
 
@@ -98,8 +102,10 @@ def xxz_sector_basis(L: int, K: int, n_down: int) -> XXZSector:
     return XXZSector(L, K, n_down, np.array(reps, dtype=np.int64), np.array(periods, dtype=np.int64))
 
 
-def _bloch_matrix(sector: XXZSector) -> sp.csr_matrix:
-    """Sparse 2^L x dim matrix whose columns are the normalized Bloch vectors."""
+def _orbit_arrays(sector: XXZSector):
+    """The nonzero entries of the normalized Bloch columns, in ascending
+    configuration order: configurations, their column (orbit) indices and the
+    complex amplitudes w^t R^{-1/2}."""
     L, K = sector.L, sector.K
     rows, cols, vals = [], [], []
     omega = np.exp(2j * np.pi * K / L)
@@ -110,28 +116,32 @@ def _bloch_matrix(sector: XXZSector) -> sp.csr_matrix:
             cols.append(col)
             vals.append(omega**step / np.sqrt(period))
             t = translate_bits(t, L)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(2**sector.L, sector.dim))
+    rows = np.array(rows, dtype=np.int64)
+    order = np.argsort(rows)
+    return rows[order], np.array(cols, dtype=np.int64)[order], np.array(vals, dtype=complex)[order]
 
 
-@lru_cache(maxsize=8)
-def xxz_dense_hamiltonian(L: int, delta: float, h_z: float = 0.0) -> sp.csr_matrix:
-    """Sparse full-space XXZ Hamiltonian (guarded), built from configuration bits.
+def _bond_entries(L: int, delta: float, h_z: float, configs: np.ndarray | None = None):
+    """Rows, columns and real values of H in the rows ``configs`` (all 2^L
+    by default): the diagonal first, then the flip-flop entries bond by bond
+    (guarded).
 
     Site j is bit L - j of a configuration, with Z eigenvalue s_j = +1 for a
     0 bit.  X_j X_{j+1} + Y_j Y_{j+1} is 2 between configurations that differ
     by swapping unequal spins j, j+1 and 0 otherwise, so each such bond puts
     -0.5 off the diagonal.  The diagonal is accumulated bond by bond in the
     order of the Pauli sum, d - (0.25 delta) s_j s_{j+1} and then
-    d - (0.5 h_z) s_j, and explicit zeros are dropped, so the CSR arrays equal
-    those of the summed sparse Pauli products bit for bit.  A periodic chain
-    needs two sites: at L = 1 the only bond would join site 1 to itself.
+    d - (0.5 h_z) s_j.  At L = 2 both bonds flip the same pair of sites, so
+    their entries repeat.  A periodic chain needs two sites: at L = 1 the
+    only bond would join site 1 to itself.
     """
     _check_guard(L)
     if L < 2:
         raise ValueError(f"the periodic XXZ chain needs at least two sites, got L = {L}")
-    configs = np.arange(2**L, dtype=np.int64)
+    if configs is None:
+        configs = np.arange(2**L, dtype=np.int64)
     spins = 1 - 2 * ((configs >> np.arange(L - 1, -1, -1)[:, None]) & 1)  # row j holds s_{j+1}
-    diagonal = np.zeros(2**L)
+    diagonal = np.zeros(len(configs))
     rows, cols = [configs], [configs]
     for j in range(L):
         nxt = (j + 1) % L
@@ -141,19 +151,72 @@ def xxz_dense_hamiltonian(L: int, delta: float, h_z: float = 0.0) -> sp.csr_matr
         rows.append(flip)
         cols.append(flip ^ ((1 << (L - 1 - j)) | (1 << (L - 1 - nxt))))
     rows = np.concatenate(rows)
-    values = np.full(len(rows), -0.5, dtype=complex)
-    values[: 2**L] = diagonal
-    ham = sp.csr_matrix((values, (rows, np.concatenate(cols))), shape=(2**L, 2**L))
+    values = np.full(len(rows), -0.5)
+    values[: len(configs)] = diagonal
+    return rows, np.concatenate(cols), values
+
+
+@lru_cache(maxsize=8)
+def xxz_dense_hamiltonian(L: int, delta: float, h_z: float = 0.0):
+    """Sparse full-space XXZ Hamiltonian (guarded), built from configuration
+    bits by :func:`_bond_entries`.
+
+    Repeated entries are summed and explicit zeros dropped, so the CSR arrays
+    equal those of the summed sparse Pauli products bit for bit.  The sector
+    blocks do not use it; it is the full-space reference the tests and demos
+    diagonalize, and the one place this module loads scipy.
+    """
+    rows, cols, values = _bond_entries(L, delta, h_z)
+    import scipy.sparse
+
+    ham = scipy.sparse.csr_matrix((values.astype(complex), (rows, cols)), shape=(2**L, 2**L))
     ham.eliminate_zeros()
     return ham
 
 
+def _times(ar, ai, br, bi) -> np.ndarray:
+    """(ar + i ai)(br + i bi) written out from real parts, as scipy's sparse
+    kernels round it; numpy's complex multiply may round differently."""
+    out = np.empty(np.broadcast_shapes(np.shape(ar), np.shape(br)), dtype=complex)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
 def xxz_block_hamiltonian(sector: XXZSector, delta: float, h_z: float = 0.0) -> np.ndarray:
-    """Hermitian dim x dim Hamiltonian block of the sector."""
+    """Hermitian dim x dim Hamiltonian block of the sector.
+
+    B^dag H B in two sums, each a sequential ``np.add.at`` from zero that
+    follows the sparse product (B^dag H) B term for term, so the block is
+    bitwise what that product gives:
+    T[a, c'] = sum over c ascending of H[c, c'] conj(B[c, a]), and
+    block[a, b] = sum over c' of orbit b ascending of B[c', b] T[a, c'],
+    skipping exact-zero T entries.  Only the columns c' inside the sector
+    are kept in T: B has no other rows.
+    """
     if sector.dim == 0:
         return np.zeros((0, 0))
-    bloch = _bloch_matrix(sector)
-    block = (bloch.conj().T @ xxz_dense_hamiltonian(sector.L, float(delta), float(h_z)) @ bloch).toarray()
+    L, dim = sector.L, sector.dim
+    configs, orbit, amp = _orbit_arrays(sector)
+    rows, cols, values = _bond_entries(L, float(delta), float(h_z), configs)
+    position = np.full(2**L, -1)
+    position[configs] = np.arange(len(configs))
+    # the stored entries of H in these rows: repeats summed, zeros dropped,
+    # ordered by row and then column
+    keys, inverse = np.unique(rows * 2**L + cols, return_inverse=True)
+    entries = np.zeros(len(keys))
+    np.add.at(entries, inverse.reshape(-1), values)
+    rows, cols = np.divmod(keys, 2**L)
+    keep = (entries != 0.0) & (position[cols] >= 0)
+    rows, cols, entries = rows[keep], cols[keep], entries[keep]
+    row_amp = amp[position[rows]]
+    t = np.zeros((dim, len(configs)), dtype=complex)
+    # H's stored values are complex with a zero imaginary part
+    np.add.at(t.reshape(-1), orbit[position[rows]] * len(configs) + position[cols],
+              _times(entries, np.zeros(len(entries)), row_amp.real, -row_amp.imag))
+    a, p = np.nonzero(t)  # row-major: for each a, c' ascending
+    block = np.zeros((dim, dim), dtype=complex)
+    np.add.at(block.reshape(-1), a * dim + orbit[p], _times(amp.real[p], amp.imag[p], t.real[a, p], t.imag[a, p]))
     gap = np.abs(block - block.conj().T).max()
     if gap > 1e-12:
         raise RuntimeError(f"sector block is not Hermitian (residual {gap:.2e})")
@@ -165,7 +228,12 @@ def _eigensystem(L: int, K: int, n_down: int, delta: float, h_z: float):
     sector = xxz_sector_basis(L, K, n_down)
     block = xxz_block_hamiltonian(sector, delta, h_z)
     energies, modes = np.linalg.eigh(block)
-    full = _bloch_matrix(sector) @ modes                     # 2^L x dim columns
+    # lift to 2^L x dim columns: 0 + B[c] modes[orbit of c], as the sparse
+    # product B @ modes sums it
+    configs, orbit, amp = _orbit_arrays(sector)
+    lifted = modes[orbit]
+    full = np.zeros((2**L, sector.dim), dtype=complex)
+    full[configs] = 0.0 + _times(amp.real[:, None], amp.imag[:, None], lifted.real, lifted.imag)
     # deterministic phase: largest amplitude of each column real positive
     lead = np.argmax(np.abs(full), axis=0)
     phase = full[lead, np.arange(full.shape[1])]

@@ -24,7 +24,7 @@ from fgdist.dense import (
 from fgdist.errors import GuardExceeded
 from fgdist.experiments import apply_ordering
 from fgdist.ising import enumerate_spectrum, subsystem_correlations
-from fgdist.xxz import xxz_dense_hamiltonian, xxz_eigen_rdm, xxz_sector_basis
+from fgdist.xxz import XXZSector, xxz_block_hamiltonian, xxz_dense_hamiltonian, xxz_eigen_rdm, xxz_sector_basis
 from ising_dense import annihilation_operators, ising_hamiltonian
 from oracles import (
     PAULI,
@@ -265,6 +265,9 @@ def test_guard_rejects_large_systems():
         pytest.param(lambda state: ising_hamiltonian(1.0, 13), id="ising_hamiltonian"),
         pytest.param(lambda state: annihilation_operators(13), id="annihilation_operators"),
         pytest.param(lambda state: xxz_dense_hamiltonian(13, 1.0), id="xxz_dense_hamiltonian"),
+        # a hand-built one-orbit sector: the basis walk would stop first
+        pytest.param(lambda state: xxz_block_hamiltonian(XXZSector(13, 0, 1, np.array([1]), np.array([13])), 1.0),
+                     id="xxz_block_hamiltonian"),
         pytest.param(lambda state: xxz_sector_basis(13, 0, 6), id="xxz_sector_basis"),
     ],
 )

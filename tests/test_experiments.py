@@ -261,6 +261,16 @@ def test_xxz_sweep_bytes_are_pinned():
     )
 
 
+@pytest.mark.xfail(strict=True, reason="sqrt(2 (1 - F)) cancels on dense reduced states one ulp from F = 1")
+def test_xxz_single_site_bures_average_is_zero():
+    # every single-site reduced state of a translation-invariant eigenstate
+    # with fixed magnetization is diag(1 - n_down / L, n_down / L), so the
+    # exact average is 0; the dense fidelity lands one ulp below 1 and the
+    # average reads 4.9670537312825518e-09 (pinned above)
+    _, average, _ = xxz_sweep(8, 1, 2, float(np.sqrt(2.0)), "bures", [1]).rows[0]
+    assert average < 1e-12
+
+
 def test_xxz_sidecar_carries_h_z():
     sidecars = [json.loads(xxz_sweep(8, 1, 2, 1.0, "bures", [2], h_z=h_z).sidecar_text()) for h_z in (0.0, 0.3)]
     assert [meta["h_z"] for meta in sidecars] == [0.0, 0.3]

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import comb
 
-from fgdist import xxz
 from fgdist.xxz import (
     XXZSector,
     translate_bits,
@@ -157,17 +156,68 @@ def test_dense_hamiltonian_matches_pauli_sum(L):
             assert np.array_equal(built.indices, oracle.indices)
 
 
-def test_eigenstates_bitwise_equal_under_pauli_sum_hamiltonian(monkeypatch):
+def _sparse_eigensystem(sector, ham):
+    """Block and phase-fixed lifted eigenvectors the way the sparse Bloch
+    matrix gave them: B^dag H B and B @ modes as scipy.sparse products, with
+    B built column by column from the orbits."""
+    L, K = sector.L, sector.K
+    rows, cols, vals = [], [], []
+    omega = np.exp(2j * np.pi * K / L)
+    for col, (rep, period) in enumerate(zip(sector.representatives, sector.periods)):
+        t = int(rep)
+        for step in range(int(period)):
+            rows.append(t)
+            cols.append(col)
+            vals.append(omega**step / np.sqrt(period))
+            t = translate_bits(t, L)
+    bloch = sp.csr_matrix((vals, (rows, cols)), shape=(2**L, sector.dim))
+    block = (bloch.conj().T @ ham @ bloch).toarray()
+    block = (block + block.conj().T) / 2.0
+    energies, modes = np.linalg.eigh(block)
+    full = bloch @ modes
+    lead = np.argmax(np.abs(full), axis=0)
+    phase = full[lead, np.arange(full.shape[1])]
+    return block, energies, full * (np.abs(phase) / phase)
+
+
+def _assert_bits_equal(got, want):
+    # int64 views: a sign of zero or a last-bit difference shows
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _sectors(L):
+    return [sector for n_down in range(L + 1) for K in range(L)
+            if (sector := xxz_sector_basis(L, K, n_down)).dim > 0]
+
+
+@pytest.mark.parametrize("L", range(2, 11))
+def test_block_and_lift_bitwise_equal_to_sparse_product(L):
+    for delta, h_z in ((float(np.sqrt(2.0)), 0.0), (1.205, 0.3), (-0.7, 0.0), (1.0, 0.0)):
+        ham = xxz_dense_hamiltonian(L, delta, h_z)
+        for sector in _sectors(L):
+            block, energies, full = _sparse_eigensystem(sector, ham)
+            _assert_bits_equal(xxz_block_hamiltonian(sector, delta, h_z), block)
+            got_energies, got_full = _eigensystem(L, sector.K, sector.n_down, delta, h_z)
+            _assert_bits_equal(got_energies, energies)
+            _assert_bits_equal(got_full, full)
+        _eigensystem.cache_clear()
+
+
+def test_benchmark_sector_bitwise_equal_to_sparse_product():
+    sector = xxz_sector_basis(12, 1, 4)
+    block, energies, full = _sparse_eigensystem(sector, xxz_dense_hamiltonian(12, 1.205))
+    _assert_bits_equal(xxz_block_hamiltonian(sector, 1.205), block)
+    got_energies, got_full = xxz_eigenstates(sector, 1.205)
+    _assert_bits_equal(got_energies, energies)
+    _assert_bits_equal(got_full, full)
+
+
+def test_eigenstates_bitwise_equal_under_pauli_sum_hamiltonian():
     sector = xxz_sector_basis(9, 2, 4)
     delta, h_z = float(np.sqrt(2.0)), 0.37
-    _eigensystem.cache_clear()
+    _, oracle_energies, oracle_vectors = _sparse_eigensystem(sector, _pauli_sum(9, delta, h_z))
     energies, vectors = xxz_eigenstates(sector, delta, h_z)
-    monkeypatch.setattr(xxz, "xxz_dense_hamiltonian", _pauli_sum)
-    _eigensystem.cache_clear()
-    try:
-        oracle_energies, oracle_vectors = xxz_eigenstates(sector, delta, h_z)
-    finally:
-        _eigensystem.cache_clear()
     assert sector.dim > 10
     assert energies.tobytes() == oracle_energies.tobytes()
     assert vectors.tobytes() == oracle_vectors.tobytes()
@@ -176,3 +226,6 @@ def test_eigenstates_bitwise_equal_under_pauli_sum_hamiltonian(monkeypatch):
 def test_dense_hamiltonian_needs_two_sites():
     with pytest.raises(ValueError, match="at least two sites"):
         xxz_dense_hamiltonian(1, 1.0)
+    one_site = XXZSector(1, 0, 0, np.array([0]), np.array([1]))
+    with pytest.raises(ValueError, match="at least two sites"):
+        xxz_block_hamiltonian(one_site, 1.0)
