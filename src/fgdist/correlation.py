@@ -46,8 +46,9 @@ SVD of it, runs the regular branch on stacks of pairs and hands every other
 pair to the same dispatch.  A regular pair needs no rotation: the half state
 of its more mixed state comes from the eigensystem of Gamma = i m, one
 stacked ``eigh`` per state, so degenerate pair values need no care.  Only
-the reduce branch takes a real Schur form (:func:`canonical_form`), cached
-on the state like its pair values.
+the reduce branch rotates a state into its canonical basis
+(:func:`canonical_form`, from one ``eigh`` of the same Gamma), cached on the
+state like its pair values.
 
 Bures distances take one more path.  sqrt(2 (1 - F)) cancels for close
 pairs, where one ulp of F is a distance of 1.5e-8, so
@@ -89,21 +90,28 @@ logger = logging.getLogger(__name__)
 # Tolerances.  ANTISYMMETRY_TOL guards construction; EIGENVALUE_SLACK is how
 # far above 1 a pair value may land before the input is rejected rather than
 # snapped; UNIT_MODE_TOL decides when a mode counts as exactly occupied or
-# empty for branch dispatch.
+# empty for branch dispatch.  It sits where the errors of the regular branch
+# and of the reduction, which snaps the mode to 1, cross against the 40-digit
+# oracle, and 10x above the 1 - g that exactly unit pairs round to (at most
+# 6e-15 on the Ising tables up to L = 14 and the random L = 64/128 ensembles).
 ANTISYMMETRY_TOL = 1e-12
 EIGENVALUE_SLACK = 1e-9
-UNIT_MODE_TOL = 1e-10
-CANONICAL_RECONSTRUCTION_TOL = 1e-10
+UNIT_MODE_TOL = 1e-13
 INVERTIBILITY_TOL = 1e-12
 
 # A composed Gamma's antisymmetry deviation, and the sandwich state's
 # imaginary residue, are logged above this fraction of the matrix's largest
 # entry, or of 1 if that is larger.  Composition amplifies the float64
-# rounding of its inputs by about ||(1 + Gamma_2 Gamma_1)^{-1}||^2, up to 5e9
+# rounding of its inputs by about ||(1 + Gamma_2 Gamma_1)^{-1}||^2, up to 5e12
 # in the real solve of a regular pair, where the half state keeps that norm
-# below 7.1e4.  Over 40,000 random regular pairs at ell = 2 to 6 with 1 - g
-# down to 1e-10, the largest deviation was 6.2e-7 of the largest entry:
-# rounding, not a fault.
+# below 2.3e6.  Over 7,495 random regular pairs at ell = 2 to 6 with every
+# 1 - g in [1e-10, 1e-7], the largest deviation was 6.7e-7 of the largest
+# entry: rounding, not a fault.  With one pair value per state in
+# (1e-13, 1e-10] and the rest below 0.9 it was 2.4e-14.  With every pair
+# value in that band it passes this fraction on about 1% of pairs, up to
+# 6.6e-4, while F stays within 1.1e-8 of the 40-digit oracle at ell = 2 and
+# 3.  The L = 14 Ising Bures sweeps at h = 0.9 and 1 (ell = 2 to 13), with 30
+# pair values in the band each, log none.
 ROUNDING_RESIDUE_TOL = 1e-4
 
 # A refined solve takes its second step only on a system with n kappa_1 above
@@ -235,50 +243,23 @@ def _block_matrix(values: np.ndarray) -> np.ndarray:
 def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
     """Rotate a real antisymmetric matrix to its 2x2 block canonical form.
 
-    Returns an orthogonal rotation O and pair values g_j >= 0 (descending)
-    with O m O^T = blkdiag([[0, g_j], [-g_j, 0]]).  The real Schur form of an
-    antisymmetric matrix is block diagonal up to roundoff; the rest is sign
-    fixing and sorting.
+    Returns an orthogonal rotation O and pair values g_j >= 0 (descending),
+    with O m O^T = blkdiag([[0, g_j], [-g_j, 0]]), from one ``eigh`` of
+    Gamma = i m.  Rows 2j-1, 2j of O are sqrt(2) (Re u, Im u) for the
+    eigenvector u of -g_j, one of the ell smallest eigenvalues.  For g_j > 0,
+    u is orthogonal to its conjugate, an eigenvector of +g_j, so these rows
+    are orthonormal, and degenerate pair values need no care.  For g_j = 0
+    they need not be: one QR of the rows, with the signs of R's diagonal
+    made non-negative, keeps the other rows to rounding and completes those
+    of the zero pair values to an orthonormal basis of the null space of m.
+    The pair values are clipped into [0, 1]; ``state.pair_values`` raises
+    ValueError first for one beyond EIGENVALUE_SLACK above 1.
     """
-    import scipy.linalg  # here, not at the top: of the sweep paths only the reduce branch needs scipy
-
-    m = state.m
-    n = m.shape[0]
-    t, z = scipy.linalg.schur(m, output="real")
-    rotation = z.T.copy()
-    pairs = []
-    singles = []
-    k = 0
-    while k < n:
-        if k + 1 < n and t[k + 1, k] != 0.0:
-            g = t[k, k + 1]
-            if g < 0.0:
-                rotation[[k, k + 1]] = rotation[[k + 1, k]]
-                g = -g
-            pairs.append((g, k, k + 1))
-            k += 2
-        else:
-            # 1x1 block: zero eigenvalue; these come in even numbers
-            singles.append(k)
-            k += 1
-    for a, b in zip(singles[0::2], singles[1::2]):
-        pairs.append((0.0, a, b))
-    pairs.sort(key=lambda item: -item[0])
-    perm = []
-    values = []
-    for g, a, b in pairs:
-        perm.extend((a, b))
-        values.append(g)
-    rotation = rotation[perm]
-    values = np.array(values)
-    # the residual is taken before clamping, so values inside the slack above
-    # 1 pass it, and values beyond the slack are rejected as pair_values does
-    residual = np.abs(rotation @ m @ rotation.T - _block_matrix(values)).max()
-    if residual > CANONICAL_RECONSTRUCTION_TOL:
-        raise ValueError(f"canonical form reconstruction residual {residual:.3e}")
-    if values[0] > 1.0 + EIGENVALUE_SLACK:
-        raise ValueError(f"pair value {values[0]:.15g} exceeds 1 beyond slack {EIGENVALUE_SLACK}")
-    return CanonicalForm(pair_values=np.minimum(values, 1.0), rotation=rotation)
+    state.pair_values
+    w, v = np.linalg.eigh(1j * state.m)
+    q, r = np.linalg.qr(np.sqrt(2.0) * np.ascontiguousarray(v[:, : state.ell]).view(float))
+    rotation = (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
+    return CanonicalForm(pair_values=np.clip(-w[: state.ell], 0.0, 1.0), rotation=rotation)
 
 
 def _warn_residues(residue: np.ndarray, matrices: np.ndarray, what: str):
@@ -411,10 +392,10 @@ def _compose_real(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     stacked), before antisymmetrization; every solve is real.
 
     The regular branch composes a half state m_1, whose pair values lie
-    below 1 - 1.4e-5 when the state's lie below 1 - UNIT_MODE_TOL, so there
-    ||(1 - m_2 m_1)^{-1}||_2 < 7.1e4, kappa_2 < 1.5e5 and kappa_1 <= n
+    below 1 - 4.4e-7 when the state's lie below 1 - UNIT_MODE_TOL, so there
+    ||(1 - m_2 m_1)^{-1}||_2 < 2.3e6, kappa_2 < 4.5e6 and kappa_1 <= n
     kappa_2: the kappa_1 screen of :func:`_solve_refined`, kappa_1 > 1 / (n
-    INVERTIBILITY_TOL), flags nothing below n = 2,600, so no SVD runs."""
+    INVERTIBILITY_TOL), flags nothing below n = 470, so no SVD runs."""
     eye = np.eye(m1.shape[-1])
     a = _solve_core(eye - m2 @ m1, eye)  # real form of 1 + Gamma_2 Gamma_1
     return (eye - a + m1 @ a @ m2) + 1j * (a @ m2 + m1 @ a)
@@ -561,7 +542,8 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     is numerically indistinguishable from 1.  Each such mode costs up to
     ~1e-8 absolute, and the costs add up over modes: at ell = 28 with 1 - g
     in [1e-10, 1e-6], the worst error over 600 pairs was 8.3e-9 per such
-    mode, and 1.2e-7 with 25 of them.
+    mode, and 1.2e-7 with 25 of them; with 1 - g down to 1.3e-13 it was
+    9.0e-9 per mode over 120 pairs.
     """
     product = _antisymmetrize(_compose_real(half, m2))
     m_z = -1j * _antisymmetrize(_compose_complex(product, 1j * half))
@@ -587,8 +569,9 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, fo
     """Split off the unit pairs of the reference state ``state_r`` exactly.
 
     ``form`` is the canonical form of ``state_r``.  Both states are rotated
-    into its basis, where the leading pairs with value >= 1 - UNIT_MODE_TOL
-    form the unit block and are snapped to exactly 1 in ``state_r``.
+    into its basis, where the leading ``state_r.unit_pair_count()`` pairs,
+    those with value >= 1 - UNIT_MODE_TOL, form the unit block and are
+    snapped to exactly 1 in ``state_r``.
 
     Returns ``(prefactor, bulk_r, bulk_s)``: the fidelity factor contributed
     by the unit block and the two correlation matrices of the remaining
@@ -597,7 +580,7 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, fo
     determinant is not positive, or 1 - s_x r_x is singular to the guard
     of :func:`_solve_refined`) ``(0.0, None, None)`` is returned.
     """
-    x = int(_unit_pairs(form.pair_values))
+    x = state_r.unit_pair_count()
     if x == 0 or x == state_r.ell:
         raise ValueError("reduction needs 0 < unit pairs < total pairs")
     nx = 2 * x
@@ -634,20 +617,11 @@ def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
             state_1, state_2 = state_2, state_1
         if state_1._form is None:
             state_1._form = canonical_form(state_1)
-        form = state_1._form
-        units = _unit_pairs(form.pair_values)
-        # the svd-based dispatch counts and the Schur form can read a value
-        # within a few ulp of the threshold differently; fall through to the
-        # regular or the pure formula instead of crashing on the knife edge
-        if units == 0:
-            return _regular_fidelity(state_1, state_2)
-        if units < state_1.ell:
-            prefactor, bulk_r, bulk_s = reduce_unit_modes(state_1, state_2, form)
-            if prefactor == 0.0:
-                return 0.0
-            value = prefactor * _dispatch(bulk_r, bulk_s)
-            return float(np.clip(value, 0.0, 1.0))
-    # one state is pure, or the Schur form reads every pair as a unit pair
+        prefactor, bulk_r, bulk_s = reduce_unit_modes(state_1, state_2, state_1._form)
+        if prefactor == 0.0:
+            return 0.0
+        return float(np.clip(prefactor * _dispatch(bulk_r, bulk_s), 0.0, 1.0))
+    # one state is pure
     return float(min(np.sqrt(gaussian_product_trace(state_1, state_2)), 1.0))
 
 

@@ -26,9 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# canonical_form is not called here, but perfbench/tracing.py wraps the name
-# in this namespace
-from .correlation import CorrelationMatrix, _state_stack, canonical_form  # noqa: F401
+from .correlation import CorrelationMatrix, _state_stack, canonical_form
 from .errors import GuardExceeded
 from .pfaffian import PLAN_CACHE_MODES, popcount, principal_pfaffians
 
@@ -95,35 +93,19 @@ def majorana_operators(ell: int):
     return tuple(scipy.sparse.csr_matrix((d, c, indptr.copy()), shape=(dim, dim)) for d, c in zip(data, columns))
 
 
-def _canonical_pairs(state: CorrelationMatrix):
-    """Pair values g_j, descending and clamped to 1, and the rotation O whose
-    rows 2j-1, 2j are the canonical pair of g_j: sqrt(2) (Re u, Im u) for
-    the eigenvector u of -g_j, one of the ell smallest eigenvalues of
-    Gamma = i m.  For g_j > 0, u is orthogonal to its conjugate, an
-    eigenvector of +g_j, so these rows are orthonormal; for g_j = 0 they
-    need not be, and the pair's factor 1 - g_j i d'd' is 1 whatever they
-    are.  Raises ValueError, as ``state.pair_values`` does, for a pair
-    value beyond ``EIGENVALUE_SLACK`` above 1."""
-    state.pair_values
-    w, v = np.linalg.eigh(1j * state.m)
-    rotation = np.sqrt(2.0) * np.ascontiguousarray(v[:, : state.ell]).view(float).T
-    return np.minimum(-w[: state.ell], 1.0), rotation
-
-
 def density_from_gamma(state: CorrelationMatrix) -> np.ndarray:
     """Dense density matrix with the given Majorana correlations.
 
     Built as the commuting product prod_j (1 - g_j i d'_{2j-1} d'_{2j}) / 2
-    over the canonical modes d' = O d of :func:`_canonical_pairs`, which
-    stays finite for pure modes (g_j = 1), unlike the exponential form, and
-    takes one ``eigh``, no Schur form, so degenerate pair values need no
-    care.  Row r of d'_a holds one entry per site j, at the column where
-    d_{2j-1} and d_{2j} have theirs: O_{a,2j-1} (+-1) + i O_{a,2j} (+-1),
-    exact, so each d'_a is filled in place rather than summed from 2 ell
-    dense operators.
+    over the canonical modes d' = O d of :func:`canonical_form`, which stays
+    finite for pure modes (g_j = 1), unlike the exponential form.  Row r of
+    d'_a holds one entry per site j, at the column where d_{2j-1} and d_{2j}
+    have theirs: O_{a,2j-1} (+-1) + i O_{a,2j} (+-1), exact, so each d'_a is
+    filled in place rather than summed from 2 ell dense operators.
     """
     _check_guard(state.ell)
-    values, rot = _canonical_pairs(state)
+    form = canonical_form(state)
+    values, rot = form.pair_values, form.rotation
     dim = 2**state.ell
     columns, signs = _majorana_rows(state.ell)
     flat = np.arange(dim) * dim + columns[0::2]  # d_{2j-1} and d_{2j} flip the same bit

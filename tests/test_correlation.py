@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mp_oracle
 from conftest import (
     commuting_pair,
     factorized_fidelity,
@@ -22,6 +23,7 @@ from conftest import (
 from fgdist import correlation
 from fgdist.correlation import (
     STACK_ELEMENTS,
+    UNIT_MODE_TOL,
     CorrelationMatrix,
     bures_distance,
     bures_distances,
@@ -97,9 +99,16 @@ def test_restrict_bounds():
 
 def test_canonical_form_roundtrip():
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        ell = int(rng.integers(1, 6))
-        state = random_mixed_state(ell, rng, gmax=1.0)
+    states = [random_mixed_state(int(rng.integers(1, 6)), rng, gmax=1.0) for _ in range(25)]
+    # exact zero and repeated pair values: degenerate eigenspaces of i m, where
+    # the eigenvectors of the zero pairs give rows that need not be orthonormal
+    for g in ([0.0], [0.7, 0.0, 0.0], [0.5, 0.5, 0.5, 0.0], [1.0, 1.0, 0.6, 0.0, 0.0], [0.3, 0.0, 0.3, 0.0, 0.3, 0.0]):
+        states += [planted_state(g), planted_state(g, rng=rng)]
+    # most of these Ising states have zero pair values
+    table = apply_ordering(enumerate_spectrum(1.0, 8), "charges:default")
+    states += [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, 4)]
+    for state in states:
+        ell = state.ell
         form = canonical_form(state)
         o = form.rotation
         assert np.abs(o @ o.T - np.eye(2 * ell)).max() < 1e-12
@@ -110,7 +119,7 @@ def test_canonical_form_roundtrip():
 
 
 def test_canonical_form_zero_pairs():
-    # exact zeros exercise the 1x1 Schur block pairing path
+    # exact zeros: the rows of the null space of m come from the QR completion
     rng = np.random.default_rng(12)
     state = planted_state([0.7, 0.0, 0.0], rng=rng)
     form = canonical_form(state)
@@ -119,7 +128,7 @@ def test_canonical_form_zero_pairs():
 
 def test_canonical_form_pair_value_inside_slack():
     # pair values up to EIGENVALUE_SLACK above 1 are snapped to 1, as by
-    # pair_values; the reconstruction is checked before the snap
+    # pair_values, and beyond it rejected
     rng = np.random.default_rng(21)
     other = random_mixed_state(3, rng)
     for offset in (5e-11, 2e-10, 5e-10, 9e-10):
@@ -427,6 +436,10 @@ def test_reduction_branch_matches_dense():
         s1 = planted_state(g1, rng=rng)
         s2 = random_mixed_state(ell, rng)
         assert abs(fidelity(s1, s2) - dense_fidelity_of(s1, s2)) < 1e-10
+    # zero pair values in the bulk: the reference's rotation completes their rows
+    s1 = planted_state([1.0, 1.0, 0.6, 0.0, 0.0], rng=rng)
+    s2 = random_mixed_state(5, rng)
+    assert abs(fidelity(s1, s2) - dense_fidelity_of(s1, s2)) < 1e-10
 
 
 def test_reduction_near_unit_bulk():
@@ -534,8 +547,9 @@ def test_dispatch_symmetry_across_branches():
 
 
 def test_dispatch_knife_edge_no_crash():
-    # pair value within a few ulp of the unit threshold: the svd count and
-    # the Schur partition may disagree; result must still be near the oracle
+    # pair values within a few ulp of 1 - 1e-10, a thousand times
+    # UNIT_MODE_TOL from 1: the regular branch takes them, where snapping them
+    # to 1 would cost about 5e-6, and the result must be near the oracle
     rng = np.random.default_rng(92)
     for bump in (0.0, 1e-26, -1e-26, 2e-16):
         g = 1.0 - 1e-10 + bump
@@ -543,6 +557,22 @@ def test_dispatch_knife_edge_no_crash():
         s2 = random_mixed_state(2, rng)
         f = fidelity(s1, s2)
         assert abs(f - dense_fidelity_of(s1, s2)) < 1e-7
+
+
+def test_fidelity_error_across_the_unit_threshold():
+    # above UNIT_MODE_TOL the pair takes the regular branch; at and below it
+    # the reduction snaps the pair value to 1, at a cost of about
+    # sqrt(eps (1 - g_s)) / 2 against the 40-digit oracle.  The threshold
+    # sits where the two errors cross.  Over seeds 0-5 the worst errors were
+    # 6.3e-10 above it and 1.6e-7 at and below it
+    rng = np.random.default_rng(0)
+    for eps in (1e-6, 1e-8, 1e-10, 1e-11, 1e-12, 3e-13, 1.2e-13, 1e-13, 8e-14, 1e-14, 1e-15, 2e-16):
+        s1 = planted_state([1.0 - eps, 0.5, 0.3], rng=rng)
+        assert s1.unit_pair_count() == (eps <= UNIT_MODE_TOL)
+        bound = 1e-9 if eps > UNIT_MODE_TOL else 3e-7
+        for _ in range(5):
+            s2 = random_mixed_state(3, rng)
+            assert abs(fidelity(s1, s2) - float(mp_oracle.fidelity(s1.m, s2.m))) < bound
 
 
 def test_fidelity_stays_in_unit_interval_on_every_branch():

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import planted_state, rand_rotation, random_mixed_state
-from fgdist import dense
-from fgdist.correlation import CorrelationMatrix, fidelity_single_mode
+from fgdist.correlation import CorrelationMatrix, canonical_form, fidelity_single_mode
 from fgdist.dense import (
     DENSE_GUARD,
     density_from_gamma,
@@ -175,7 +174,8 @@ def test_pure_state_density_is_projector():
 
 def _density_by_operator_sums(state):
     """The rotated Majoranas summed from dense copies of the 2 ell operators."""
-    values, rotation = dense._canonical_pairs(state)
+    form = canonical_form(state)
+    values, rotation = form.pair_values, form.rotation
     ops = majorana_operators(state.ell)
     dim = 2**state.ell
     rho = np.eye(dim, dtype=complex) * 2.0**-state.ell
@@ -234,8 +234,8 @@ def test_density_stack_is_the_same_in_any_stack():
 
 def test_density_from_gamma_on_a_fourfold_pair_value():
     # state 2078 of this table has the fourfold pair value 0.5577 at ell = 2,
-    # where the real Schur form of canonical_form raises "Schur form not
-    # found"; density_from_gamma rotates through eigh instead
+    # where a real Schur form of m is not found; canonical_form rotates
+    # through eigh instead
     m = subsystem_correlations(apply_ordering(enumerate_spectrum(0.95, 12), "charges:default"), 2)[2078]
     got = density_from_gamma(CorrelationMatrix(m, validate=False))
     assert np.abs(got - density_stack(m[None])[0]).max() < 1e-12

@@ -24,8 +24,9 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-# Runs in a fresh interpreter: the sweeps other than the reduce branch must
-# not load scipy, and the reduce branch loads scipy.linalg for its Schur form.
+# Runs in a fresh interpreter: no sweep loads scipy, the reduce branch
+# included, whose canonical form is one numpy eigh.  Only two reference
+# builders that no sweep calls import it.
 IMPORT_PATH_SCRIPT = """
 import sys
 from pathlib import Path
@@ -57,9 +58,9 @@ def test_only_the_reduce_branch_loads_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path)], capture_output=True, text=True,
                           timeout=300, env=package_env())
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True"]
+    assert done.stdout.splitlines() == ["[]", "False"]
     assert (tmp_path / "random.csv").read_text() == (
         "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
-        "random,8,0,count=6,all-pairs,bures,5,0.625,1.1218451689593105,15\n"
-        "random,8,0,count=6,all-pairs,bures,6,0.75,1.2550469290901491,15\n"
+        "random,8,0,count=6,all-pairs,bures,5,0.625,1.1218451689593103,15\n"
+        "random,8,0,count=6,all-pairs,bures,6,0.75,1.2550469290901489,15\n"
     )

@@ -283,7 +283,8 @@ def test_second_step_is_taken_per_system(complex_, monkeypatch):
 
 
 def _near_unit(ell, rng):
-    """Pair values with 1 - g from just above UNIT_MODE_TOL = 1e-10 to 1e-4."""
+    """Pair values with 1 - g from 1e-10 to 1e-4, all in the regular branch
+    (UNIT_MODE_TOL = 1e-13)."""
     return 1.0 - 10.0 ** rng.uniform(-9.99, -4.0, ell)
 
 
