@@ -11,11 +11,11 @@ All tabular output is CSV with floats at 17 significant digits; repeated
 identical invocations emit byte-identical files.  Sweep runs with --out
 also write a JSON sidecar next to the CSV (carrying the fit under --fit);
 --sector-out, with --model xxz only, exports the sector's energies.  The
-directories of --out and --sector-out are checked before anything is
-computed, and every file is written under a temporary name and renamed
-into place, so a failed run leaves no partial file.  Exit codes: 0
-success, 2 invalid arguments or parameters or an output path that cannot
-be written, 3 request exceeds a dense-size guard.
+output files, which must be different files, and their directories are
+checked before anything is computed, and every file is written under a
+temporary name and renamed into place, so a failed run leaves no partial
+file.  Exit codes: 0 success, 2 invalid arguments or parameters or an
+output path that cannot be written, 3 request exceeds a dense-size guard.
 """
 
 from __future__ import annotations
@@ -67,16 +67,23 @@ def _ells(args, L: int):
     return range(lo, hi + 1)
 
 
-def _check_output_directory(path: str | None):
-    """Raise before any computation if ``path`` cannot be created: its
-    directory is missing or not writable."""
-    if path is None:
-        return
-    directory = Path(path).parent
-    if not directory.is_dir():
-        raise FileNotFoundError(f"output directory {str(directory)!r} does not exist")
-    if not os.access(directory, os.W_OK):
-        raise PermissionError(f"output directory {str(directory)!r} is not writable")
+def _sidecar_path(out: str) -> Path:
+    """The JSON sidecar of a sweep's --out CSV."""
+    return Path(out).with_suffix(".json")
+
+
+def _check_outputs(paths):
+    """Raise before any computation if a file of ``paths`` (None for none)
+    cannot be created, its directory missing or not writable, or if two of
+    them are one file, which the later write would replace."""
+    paths = [Path(path) for path in paths if path is not None]
+    for directory in dict.fromkeys(path.parent for path in paths):
+        if not directory.is_dir():
+            raise FileNotFoundError(f"output directory {str(directory)!r} does not exist")
+        if not os.access(directory, os.W_OK):
+            raise PermissionError(f"output directory {str(directory)!r} is not writable")
+    if len({path.resolve() for path in paths}) < len(paths):
+        raise ValueError(f"two outputs name one file: {', '.join(map(str, paths))}")
 
 
 @contextlib.contextmanager
@@ -196,7 +203,7 @@ def _run_sweep(args) -> int:
     with _output(args.out) as stream:
         stream.write(result.csv_text())
     if args.out is not None:
-        with _output(Path(args.out).with_suffix(".json")) as stream:
+        with _output(_sidecar_path(args.out)) as stream:
             stream.write(result.sidecar_text())
     return 0
 
@@ -244,8 +251,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for path in (args.out, getattr(args, "sector_out", None)):
-            _check_output_directory(path)
+        sidecar = _sidecar_path(args.out) if args.command == "sweep" and args.out is not None else None
+        _check_outputs([args.out, sidecar, getattr(args, "sector_out", None)])
         return _RUNNERS[args.command](args)
     except GuardExceeded as exc:
         print(f"fgdist: {exc}", file=sys.stderr)

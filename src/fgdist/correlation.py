@@ -8,8 +8,10 @@ two-point functions,
 
 with the interleaved Majorana ordering d_1, d_2 = (x-type, y-type) of mode 1,
 then mode 2, and so on.  Gamma is Hermitian with spectrum {+g_j, -g_j}; the
-pair values g_j are the singular values of ``m`` and lie in [0, 1].  A state
-is pure exactly when every pair value equals 1.
+pair values g_j lie in [0, 1].  A state is pure exactly when every pair value
+equals 1.  One ``eigh`` of Gamma is a state's only decomposition: its ell
+smallest eigenvalues give the pair values, and its eigenvectors the half
+state and the canonical rotation.
 
 Every quantity here stays in real arithmetic where the algebra allows it:
 products Gamma_1 Gamma_2 = -m_1 m_2 are real, so overlap traces, the pure
@@ -41,14 +43,16 @@ flags.
 
 :func:`fidelity` runs this dispatch on one pair, and the reduction recurses
 into it on the smaller pair.  :func:`pair_fidelities` takes the states as
-one (n, 2 ell, 2 ell) stack of m, reads every state's pair values from one
-SVD of it, runs the regular branch on stacks of pairs and hands every other
-pair to the same dispatch.  A regular pair needs no rotation: the half state
-of its more mixed state comes from the eigensystem of Gamma = i m, one
-stacked ``eigh`` per state, so degenerate pair values need no care.  Only
-the reduce branch rotates a state into its canonical basis
-(:func:`canonical_form`, from one ``eigh`` of the same Gamma), cached on the
-state like its pair values.
+one (n, 2 ell, 2 ell) stack of m and walks its pairs in stacks: it
+decomposes each state, in one stacked ``eigh``, when the first stack that
+needs it comes up, runs the stack's regular pairs together and hands every
+other pair to the same dispatch, on states that carry that eigensystem.  So
+both paths read a pair's branch and order from the same numbers.  A regular
+pair needs no rotation: the half state of its more mixed state comes from
+the eigensystem of Gamma = i m, so degenerate pair values need no care.
+Only the reduce branch rotates a state into its canonical basis
+(:func:`canonical_form`, one QR on top of the same eigensystem), cached on
+the state like the eigensystem.
 
 Bures distances take one more path.  sqrt(2 (1 - F)) cancels for close
 pairs, where one ulp of F is a distance of 1.5e-8, so
@@ -122,7 +126,7 @@ SECOND_STEP_NKAPPA = 2**20
 # below this multiple of sqrt(2 (1 - g_max)); see bures_distances.
 SMALL_DISTANCE = 1e-5
 
-# Regular-branch pairs are evaluated in stacks of at most this many matrix
+# The pair kernel takes its pairs in stacks of at most this many matrix
 # elements, pairs x (2 ell)^2, so temporaries stay small at large ell.
 STACK_ELEMENTS = 4096
 
@@ -136,7 +140,7 @@ class CorrelationMatrix:
         Real antisymmetric matrix of shape (2*ell, 2*ell) with Gamma = i*m.
     validate : bool
         Check shape, finite entries and antisymmetry on construction
-        (cheap); the singular value range check runs lazily on first use.
+        (cheap); the pair value range check runs lazily on first use.
     """
 
     def __init__(self, m, *, validate: bool = True):
@@ -155,18 +159,27 @@ class CorrelationMatrix:
             m = (m - m.T) / 2.0
         self.m = m
         self.ell = m.shape[0] // 2
-        self._pair_values = None
+        self._eigen = None
         self._form = None  # canonical form, computed when the reduce branch first needs it
 
     @property
+    def eigensystem(self):
+        """Eigenvalues (ascending) and eigenvectors of Gamma = i m, from the
+        state's one ``eigh``."""
+        if self._eigen is None:
+            self._eigen = _eigensystems(self.m)
+        return self._eigen
+
+    @property
     def pair_values(self) -> np.ndarray:
-        """Canonical pair values g_j, descending, snapped into [0, 1]."""
-        if self._pair_values is None:
-            self._pair_values = _snapped_pair_values(np.linalg.svd(self.m, compute_uv=False))
-        return self._pair_values
+        """Canonical pair values g_j, descending, clipped into [0, 1], from
+        the eigensystem; raises ValueError for one beyond EIGENVALUE_SLACK
+        above 1."""
+        return _pair_values_of(self.eigensystem[0])
 
     def unit_pair_count(self) -> int:
-        return int(_unit_pairs(self.pair_values))
+        """How many pair values count as exactly 1 for branch dispatch."""
+        return int(np.sum(self.pair_values >= 1.0 - UNIT_MODE_TOL))
 
     def is_pure(self) -> bool:
         return self.unit_pair_count() == self.ell
@@ -193,14 +206,21 @@ class CanonicalForm:
     rotation: np.ndarray
 
 
-def _snapped_pair_values(svals: np.ndarray) -> np.ndarray:
-    """Pair values from the descending singular values of one matrix or a
-    stack: every other one, since each appears twice, snapped to at most 1.
+def _eigensystems(ms: np.ndarray):
+    """Eigenvalues (ascending) and eigenvectors of Gamma = i m for one state
+    or a stack, the same bits per state either way: the pair values are the
+    eigenvalues +-g_j."""
+    return np.linalg.eigh(1j * ms)
+
+
+def _pair_values_of(lam: np.ndarray) -> np.ndarray:
+    """Pair values, descending, from the ascending eigenvalues of Gamma of
+    one state or a stack: minus the smallest half, clipped into [0, 1].
     Raises when one exceeds 1 beyond EIGENVALUE_SLACK."""
-    top = svals.max(initial=0.0)
+    top = -lam[..., 0].min(initial=0.0)
     if top > 1.0 + EIGENVALUE_SLACK:
         raise ValueError(f"pair value {top:.15g} exceeds 1 beyond slack {EIGENVALUE_SLACK}")
-    return np.minimum(svals[..., 0::2], 1.0)
+    return np.clip(-lam[..., : lam.shape[-1] // 2], 0.0, 1.0)
 
 
 def _state_stack(m) -> np.ndarray:
@@ -217,17 +237,16 @@ def _state_stack(m) -> np.ndarray:
 
 def _index_pairs(pairs, n: int) -> np.ndarray:
     """``pairs`` as a (k, 2) int64 array, k = 0 included; raises ValueError
-    unless every index addresses one of the n states, 0..n-1."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    unless every index is an integer (not a bool) that addresses one of the
+    n states, 0..n-1."""
+    # as objects, so that a bool among ints is seen before it is cast to 1
+    objects = np.asarray(pairs, dtype=object)
+    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, objects.flat))):
+        raise ValueError("pair indices must be integers")
+    pairs = objects.astype(np.int64).reshape(-1, 2)
     if pairs.size and not (0 <= pairs.min() and pairs.max() < n):
         raise ValueError(f"pair indices must lie in 0..{n - 1}")
     return pairs
-
-
-def _unit_pairs(values: np.ndarray):
-    """How many pair values count as exactly 1 for branch dispatch, per row
-    of a stack."""
-    return np.sum(values >= 1.0 - UNIT_MODE_TOL, axis=-1)
 
 
 def _block_matrix(values: np.ndarray) -> np.ndarray:
@@ -244,22 +263,21 @@ def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
     """Rotate a real antisymmetric matrix to its 2x2 block canonical form.
 
     Returns an orthogonal rotation O and pair values g_j >= 0 (descending),
-    with O m O^T = blkdiag([[0, g_j], [-g_j, 0]]), from one ``eigh`` of
-    Gamma = i m.  Rows 2j-1, 2j of O are sqrt(2) (Re u, Im u) for the
-    eigenvector u of -g_j, one of the ell smallest eigenvalues.  For g_j > 0,
-    u is orthogonal to its conjugate, an eigenvector of +g_j, so these rows
-    are orthonormal, and degenerate pair values need no care.  For g_j = 0
-    they need not be: one QR of the rows, with the signs of R's diagonal
-    made non-negative, keeps the other rows to rounding and completes those
-    of the zero pair values to an orthonormal basis of the null space of m.
-    The pair values are clipped into [0, 1]; ``state.pair_values`` raises
-    ValueError first for one beyond EIGENVALUE_SLACK above 1.
+    with O m O^T = blkdiag([[0, g_j], [-g_j, 0]]), from the state's one
+    ``eigh`` of Gamma = i m, cached on it.  Rows 2j-1, 2j of O are sqrt(2)
+    (Re u, Im u) for the eigenvector u of -g_j, one of the ell smallest
+    eigenvalues.  For g_j > 0, u is orthogonal to its conjugate, an
+    eigenvector of +g_j, so these rows are orthonormal, and degenerate pair
+    values need no care.  For g_j = 0 they need not be: one QR of the rows,
+    with the signs of R's diagonal made non-negative, keeps the other rows to
+    rounding and completes those of the zero pair values to an orthonormal
+    basis of the null space of m.
+    The pair values are ``state.pair_values``, which raises ValueError for
+    one beyond EIGENVALUE_SLACK above 1.
     """
-    state.pair_values
-    w, v = np.linalg.eigh(1j * state.m)
-    q, r = np.linalg.qr(np.sqrt(2.0) * np.ascontiguousarray(v[:, : state.ell]).view(float))
+    q, r = np.linalg.qr(np.sqrt(2.0) * np.ascontiguousarray(state.eigensystem[1][:, : state.ell]).view(float))
     rotation = (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
-    return CanonicalForm(pair_values=np.clip(-w[: state.ell], 0.0, 1.0), rotation=rotation)
+    return CanonicalForm(pair_values=state.pair_values, rotation=rotation)
 
 
 def _warn_residues(residue: np.ndarray, matrices: np.ndarray, what: str):
@@ -475,12 +493,6 @@ def _single_mode_distance(g1: float, g2: float) -> float:
     return abs(g1 - g2) * math.sqrt(sum(terms) / 2.0)
 
 
-def _eigensystems(ms: np.ndarray):
-    """Eigenvalues (ascending) and eigenvectors of Gamma = i m for a stack
-    of states: the pair values are the eigenvalues +-g_j."""
-    return np.linalg.eigh(1j * ms)
-
-
 def _half_matrices(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Matrices m of sqrt(rho)/tr sqrt(rho) for a stack of states, from the
     eigensystems (``lam``, ``u``) of their Gamma.
@@ -557,14 +569,6 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     return np.minimum(np.exp(log_f), 1.0)
 
 
-def _regular_fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
-    """The regular formula for one pair, as a stack of one."""
-    if state_1.pair_values[0] > state_2.pair_values[0]:  # the more mixed state goes first
-        state_1, state_2 = state_2, state_1
-    m1 = state_1.m[None]
-    return float(_regular_fidelities(_half_matrices(*_eigensystems(m1)), m1, state_2.m[None])[0])
-
-
 def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, form: CanonicalForm):
     """Split off the unit pairs of the reference state ``state_r`` exactly.
 
@@ -611,7 +615,11 @@ def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     if state_1.ell == 1:
         return fidelity_single_mode(state_1.m[0, 1], state_2.m[0, 1])
     if not (state_1.unit_pair_count() or state_2.unit_pair_count()):
-        return _regular_fidelity(state_1, state_2)
+        # the regular formula as a stack of one, the more mixed state first
+        if state_1.pair_values[0] > state_2.pair_values[0]:
+            state_1, state_2 = state_2, state_1
+        lam, u = state_1.eigensystem
+        return float(_regular_fidelities(_half_matrices(lam[None], u[None]), state_1.m[None], state_2.m[None])[0])
     if not (state_1.is_pure() or state_2.is_pure()):
         if state_2.unit_pair_count() > state_1.unit_pair_count():
             state_1, state_2 = state_2, state_1
@@ -642,29 +650,34 @@ def pair_fidelities(m, pairs) -> np.ndarray:
 
     ``m`` is a stack (n, 2 ell, 2 ell) of correlation matrices, as
     :func:`fgdist.ising.subsystem_correlations` returns; any other shape
-    raises ValueError.  A pair's value does not depend on the other pairs of
-    the call.  The pair values of every state come from one stacked SVD of
-    ``m``.  Regular-branch pairs are evaluated together, in position order
-    and in stacks of at most STACK_ELEMENTS matrix elements; the eigensystem
-    of Gamma = i m of each one's more mixed state is computed once and
-    dropped after the last stack that needs it.  Every other pair goes to the
-    scalar dispatch of :func:`fidelity`, on a state made when a pair first
-    needs it and dropped, with its canonical form, after that state's last
-    such pair.  So a sweep over consecutive pairs holds about one stack's
-    worth of decompositions, and the stack itself is never copied whole.
+    raises ValueError, and so does a pair index that is not an integer in
+    0..n-1.  A pair's value does not depend on the other pairs of the call,
+    and equals :func:`fidelity` of the pair bit for bit.  The pairs are taken
+    in position order, in stacks of at most STACK_ELEMENTS matrix elements.
+    Each state is decomposed once, by a stacked ``eigh`` of its Gamma = i m,
+    when the first stack that holds it comes up, and its pair values from
+    that eigensystem decide each pair's branch and which state is more mixed.
+    A stack's regular pairs are evaluated together, with the half state of
+    each one's more mixed state from the same eigensystem.  Every other pair
+    goes to the scalar dispatch of :func:`fidelity`, on a state that carries
+    that eigensystem and keeps its canonical form for its later pairs.  A
+    state's data is dropped after the last stack that holds it, so a sweep
+    over consecutive pairs holds about one stack's worth of decompositions,
+    and the stack itself is never copied whole.
     """
     return _pair_kernel(m, pairs, metric=False)[0]
 
 
 def _pair_kernel(m, pairs, metric: bool):
-    """(values, direct) for every pair of the stack ``m``: the fidelity, or,
-    where ``direct`` is set, a Bures distance that does not go through F.
-    Only with ``metric`` is any pair direct: a single-mode pair, which takes
-    :func:`_single_mode_distance`, and a regular-branch pair whose metric
-    distance D_m of :func:`_metric_distances` lies below SMALL_DISTANCE
-    sqrt(2 (1 - g_max)), g_max the largest pair value of its two states.
-    D_m is computed only where its lower bound ||m_2 - m_1||_F / 4 lies
-    below twice that switch; no other pair can be near."""
+    """(values, direct) for every pair of the stack ``m``, in one pass over
+    stacks of pairs: the fidelity, or, where ``direct`` is set, a Bures
+    distance that does not go through F.  Only with ``metric`` is any pair
+    direct: a single-mode pair, which takes :func:`_single_mode_distance`,
+    and a regular-branch pair whose metric distance D_m of
+    :func:`_metric_distances` lies below SMALL_DISTANCE sqrt(2 (1 - g_max)),
+    g_max the largest pair value of its two states.  D_m is computed only
+    where its lower bound ||m_2 - m_1||_F / 4 lies below twice that switch;
+    no other pair can be near."""
     m = _state_stack(m)
     ell = m.shape[1] // 2
     pairs = _index_pairs(pairs, len(m))
@@ -675,53 +688,48 @@ def _pair_kernel(m, pairs, metric: bool):
         values[:] = [single(m[i, 0, 1], m[j, 0, 1]) for i, j in pairs.tolist()]
         direct[:] = metric
         return values, direct
-    pair_values = _snapped_pair_values(np.linalg.svd(m, compute_uv=False))
-    units, largest = _unit_pairs(pair_values), pair_values[:, 0]
-    regular = (units[pairs] == 0).all(axis=1)
-    # in a regular pair the more mixed state, with the smaller top value, goes first
-    swap = largest[pairs[:, 0]] > largest[pairs[:, 1]]
-    ordered = np.where(swap[:, None], pairs[:, ::-1], pairs)
 
     per_stack = max(1, STACK_ELEMENTS // (2 * ell) ** 2)
-    positions = np.flatnonzero(regular)
-    firsts, seconds = ordered[positions].T
-    last_stack = {k: s // per_stack for s, k in enumerate(firsts.tolist())}
-    eigen = {}
-    for start in range(0, len(positions), per_stack):
-        at, first, second = (a[start : start + per_stack] for a in (positions, firsts, seconds))
-        pending = [k for k in dict.fromkeys(first.tolist()) if k not in eigen]
+    last_stack = {k: p // (2 * per_stack) for p, k in enumerate(pairs.ravel().tolist())}
+    largest = np.zeros(len(m))  # each state's top pair value, once decomposed
+    eigen, states = {}, {}
+    for start in range(0, len(pairs), per_stack):
+        stack = pairs[start : start + per_stack]
+        pending = [k for k in dict.fromkeys(stack.ravel().tolist()) if k not in eigen]
         if pending:
-            eigen.update(zip(pending, zip(*_eigensystems(m[pending]))))
-        lam, u = map(np.stack, zip(*(eigen[k] for k in first.tolist())))
-        m1, m2 = m[first], m[second]
-        if metric:
-            switch = SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[second]))
-            # U is unitary and every denominator of D_m is at most 2, so D_m >=
-            # ||m_2 - m_1||_F / 4: a pair above twice the switch cannot be near
-            maybe = np.linalg.norm(m2 - m1, axis=(1, 2)) / 4.0 < 2.0 * switch
-            distances = _metric_distances(lam[maybe], u[maybe], m1[maybe], m2[maybe])
-            near = np.zeros_like(maybe)
-            near[maybe] = distances < switch[maybe]
-            values[at[near]] = distances[near[maybe]]
-            direct[at[near]] = True
-            at, lam, u, m1, m2 = at[~near], lam[~near], u[~near], m1[~near], m2[~near]
-        if len(at):
-            values[at] = _regular_fidelities(_half_matrices(lam, u), m1, m2)
+            lam, u = _eigensystems(m[pending])
+            largest[pending] = _pair_values_of(lam)[:, 0]
+            eigen.update(zip(pending, zip(lam, u)))
+        # a state has no unit pairs exactly when its top pair value is below 1 - UNIT_MODE_TOL
+        regular = (largest[stack] < 1.0 - UNIT_MODE_TOL).all(axis=1)
+        if regular.any():
+            # in a regular pair the more mixed state, with the smaller top value, goes first
+            swap = largest[stack[:, 0]] > largest[stack[:, 1]]
+            first, second = np.where(swap[:, None], stack[:, ::-1], stack)[regular].T
+            at = start + np.flatnonzero(regular)
+            lam, u = map(np.stack, zip(*(eigen[k] for k in first.tolist())))
+            m1, m2 = m[first], m[second]
+            if metric:
+                switch = SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[second]))
+                # U is unitary and every denominator of D_m is at most 2, so D_m >=
+                # ||m_2 - m_1||_F / 4: a pair above twice the switch cannot be near
+                maybe = np.linalg.norm(m2 - m1, axis=(1, 2)) / 4.0 < 2.0 * switch
+                distances = _metric_distances(lam[maybe], u[maybe], m1[maybe], m2[maybe])
+                near = np.zeros_like(maybe)
+                near[maybe] = distances < switch[maybe]
+                values[at[near]] = distances[near[maybe]]
+                direct[at[near]] = True
+                at, lam, u, m1, m2 = at[~near], lam[~near], u[~near], m1[~near], m2[~near]
+            if len(at):
+                values[at] = _regular_fidelities(_half_matrices(lam, u), m1, m2)
+        for p in np.flatnonzero(~regular).tolist():
+            for k in stack[p].tolist():
+                if k not in states:
+                    states[k] = CorrelationMatrix(m[k], validate=False)
+                    states[k]._eigen = eigen[k]
+            values[start + p] = _dispatch(*(states[k] for k in stack[p].tolist()))
         eigen = {k: e for k, e in eigen.items() if last_stack[k] > start // per_stack}
-
-    scalar = np.flatnonzero(~regular).tolist()
-    last_pair = {k: p for p in scalar for k in pairs[p].tolist()}
-    live = {}
-    for p in scalar:
-        i, j = pairs[p].tolist()
-        for k in (i, j):
-            if k not in live:
-                live[k] = CorrelationMatrix(m[k], validate=False)
-                live[k]._pair_values = pair_values[k]
-        values[p] = _dispatch(live[i], live[j])
-        for k in (i, j):
-            if last_pair[k] == p:
-                live.pop(k, None)
+        states = {k: state for k, state in states.items() if k in eigen}
     return values, direct
 
 

@@ -123,6 +123,27 @@ def test_unwritable_output_path_exits_2_before_the_sweep(argv, capsys, tmp_path)
 
 
 @pytest.mark.parametrize(
+    "outputs",
+    [
+        ["--out", "res.json"],  # the sidecar of res.json is res.json
+        ["--out", "s.csv", "--sector-out", "s.csv"],
+        ["--out", "s.csv", "--sector-out", "s.json"],
+        ["--out", "s.csv", "--sector-out", "./sub/../s.json"],
+    ],
+)
+def test_colliding_sweep_outputs_exit_2_and_write_nothing(outputs, capsys, tmp_path):
+    # each file would replace another one of the same run; the xxz sweep
+    # computes for 7 to 10 s before it would write anything
+    (tmp_path / "sub").mkdir()
+    argv = ["sweep", "--model", "xxz", "--L", "12", "--sector", "1,6", "--ell-max", "7"]
+    start = time.perf_counter()
+    assert main([*argv, *(arg if arg.startswith("--") else str(tmp_path / arg) for arg in outputs)]) == 2
+    assert time.perf_counter() - start < 2.0
+    assert "two outputs name one file" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["sub"] and not os.listdir(tmp_path / "sub")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["mode-diff", "--L", "4", "--h", "1", "--out"],

@@ -649,7 +649,10 @@ def test_pair_kernel_matches_scalar_fidelity_bitwise():
     pure = planted_state(np.ones(3), rotation=rand_special_rotation(6, rng))
     partial = planted_state([1.0, 0.6, 0.2], rng=rng)
     edge = planted_state([1.0 - 1e-10, 0.5, 0.1], rng=rng)
-    states = [pure, partial, edge] + [random_mixed_state(3, rng) for _ in range(6)]
+    # equal pair values in different bases: their top values tie to rounding,
+    # and both paths must break each tie the same way
+    tied = [planted_state(values, rng=rng) for values in 2 * [[0.8, 0.5, 0.2]] + 2 * [[1.0, 0.7, 0.4]]]
+    states = [pure, partial, edge] + tied + [random_mixed_state(3, rng) for _ in range(6)]
     # every ordered pair: regular, reduce and pure pairs interleaved
     pairs = [(i, j) for i in range(len(states)) for j in range(len(states))]
     got = pair_fidelities(stack(states), pairs)
@@ -666,8 +669,8 @@ def test_pair_kernel_matches_scalar_fidelity_bitwise():
 
 
 def test_stacked_pair_values_match_per_state_bitwise(monkeypatch):
-    # the pair kernel reads every state's pair values from one SVD of the
-    # stack and hands them to the states of its scalar pass
+    # the pair kernel reads every state's pair values from its stacked eigh
+    # and hands that eigensystem to the states of the scalar dispatch
     seen = []
     original = correlation._dispatch
 
@@ -679,10 +682,10 @@ def test_stacked_pair_values_match_per_state_bitwise(monkeypatch):
         table = apply_ordering(enumerate_spectrum(h, 10), "charges:default")
         for ell in (3, 4):
             m = subsystem_correlations(table, ell)
-            stacked = correlation._snapped_pair_values(np.linalg.svd(m, compute_uv=False))
+            stacked = correlation._pair_values_of(correlation._eigensystems(m)[0])
             for values, row in zip(stacked, m):
                 assert np.array_equal(values, CorrelationMatrix(row, validate=False).pair_values)
-    # ell > L/2: reduce pairs, whose states the scalar pass makes
+    # ell > L/2: reduce pairs, whose states the kernel makes for the dispatch
     monkeypatch.setattr(correlation, "_dispatch", recording_dispatch)
     m = np.stack([state.m for state in sample_ensemble(RandomEnsembleSpec(L=8, count=6, seed=3))])
     for ell in (5, 6):
@@ -736,8 +739,9 @@ def test_stack_with_a_non_finite_state_raises_value_error():
 
 @pytest.mark.parametrize("ell", [1, 2])
 def test_pair_kernel_rejects_indices_outside_the_stack(ell):
-    # a negative index must not address a state from the end of the stack;
-    # the trace path checks the same way, and no pairs give no values
+    # a negative index must not address a state from the end of the stack,
+    # nor a float or bool index be truncated to a state; the trace path
+    # checks the same way, and no pairs give no values
     m = stack([random_mixed_state(ell, np.random.default_rng(ell)) for _ in range(3)])
     for distances in (
         lambda pairs: pair_fidelities(m, pairs),
@@ -747,7 +751,11 @@ def test_pair_kernel_rejects_indices_outside_the_stack(ell):
         for pairs in ([(0, -1)], [(-3, 1)], [(0, 1), (2, 3)]):
             with pytest.raises(ValueError, match=r"pair indices must lie in 0\.\.2"):
                 distances(pairs)
+        for pairs in ([(0.9, 1.7)], [(True, 2)], [(0, 1), (1.0, 2.0)], np.array([[0, 1]], dtype=float)):
+            with pytest.raises(ValueError, match="pair indices must be integers"):
+                distances(pairs)
         assert distances([]).shape == (0,)
+        assert distances(np.array([[2, 0]], dtype=np.uint8)).shape == (1,)
 
 
 def test_pair_kernel_shape_mismatch():
@@ -786,33 +794,42 @@ def test_regular_sweep_builds_no_state_objects(monkeypatch):
 
 
 def test_sweep_decomposes_each_state_once(monkeypatch):
+    # at every ell each sweep state takes exactly one eigh of its Gamma, which
+    # gives its pair values, half state and canonical form, and no SVD
     spec = RandomEnsembleSpec(L=8, count=6, seed=3)
-    forms, rows = Counter(), Counter()
+    forms, rows, svd_inputs = Counter(), Counter(), Counter()
     original_form, original_eigensystems = correlation.canonical_form, correlation._eigensystems
+    original_svd = np.linalg.svd
 
     def counting_form(state):
         forms[state.m.tobytes()] += 1
         return original_form(state)
 
     def counting_eigensystems(ms):
-        rows.update(m.tobytes() for m in ms)
+        rows.update(m.tobytes() for m in np.reshape(ms, (-1, *np.shape(ms)[-2:])))
         return original_eigensystems(ms)
+
+    def counting_svd(a, *args, **kwargs):
+        svd_inputs.update(x.tobytes() for x in np.reshape(a, (-1, *np.shape(a)[-2:])))
+        return original_svd(a, *args, **kwargs)
 
     monkeypatch.setattr(correlation, "canonical_form", counting_form)
     monkeypatch.setattr(correlation, "_eigensystems", counting_eigensystems)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     states = sample_ensemble(spec)
-    # ell <= L/2: all pairs regular, so every eigensystem is of a sweep state
-    # and no canonical form is computed
+    # ell <= L/2: all pairs regular, so no canonical form is computed
     random_sweep(spec, "bures", [2, 3, 4])
-    assert 0 < sum(rows.values()) <= 3 * spec.count
+    assert sum(rows.values()) == 3 * spec.count
     assert not forms
     # ell > L/2: reduce pairs take the canonical form of their reference
     # state, and their bulk states are decomposed once per pair
-    random_sweep(spec, "bures", [5, 6])
-    assert forms
-    for ell in (2, 3, 4, 5, 6):
-        assert all(rows[s.restrict(ell).m.tobytes()] <= 1 for s in states)
-        assert all(forms[s.restrict(ell).m.tobytes()] <= 1 for s in states)
+    random_sweep(spec, "bures", [5, 6, 7])
+    assert forms and svd_inputs
+    for ell in range(2, 8):
+        inputs = [s.restrict(ell).m.tobytes() for s in states]
+        assert [rows[b] for b in inputs] == [1] * spec.count
+        assert all(forms[b] <= 1 for b in inputs)
+        assert not any(svd_inputs[b] for b in inputs)
 
 
 # ------------------------------------------------------------------- distances
