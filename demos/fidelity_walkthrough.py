@@ -62,8 +62,10 @@ print(f"  closed form  = {fidelity_single_mode(0.3, 0.7):.12f}")
 print("\nmixed states without unit pairs: the composition route")
 a = planted(rng.uniform(0.0, 0.9, size=4), rotation(8))
 b = planted(rng.uniform(0.0, 0.9, size=4), rotation(8))
-ca = canonical_form(a)
-print(f"  pair values of the first state: {np.round(ca.pair_values, 4)}")
+o = canonical_form(a)
+print(f"  pair values of the first state: {np.round(a.pair_values, 4)}")
+residue = np.abs(o @ a.m @ o.T - planted(a.pair_values).m).max()
+print(f"  its canonical rotation O leaves O m O^T off the block form by {residue:.1e}")
 against_oracle("generic 4-mode pair", a, b)
 
 print("\npure states: fidelity collapses to the square root of a product trace")

@@ -11,7 +11,10 @@ then mode 2, and so on.  Gamma is Hermitian with spectrum {+g_j, -g_j}; the
 pair values g_j lie in [0, 1].  A state is pure exactly when every pair value
 equals 1.  One ``eigh`` of Gamma is a state's only decomposition: its ell
 smallest eigenvalues give the pair values, and its eigenvectors the half
-state and the canonical rotation.
+state and the canonical rotation.  :class:`CorrelationMatrix` caches the
+eigensystem and the rotation, and checks its matrix as the pair kernel
+checks its stacks (:func:`_state_stack`): finite and antisymmetric to
+ANTISYMMETRY_TOL.
 
 Every quantity here stays in real arithmetic where the algebra allows it:
 products Gamma_1 Gamma_2 = -m_1 m_2 are real, so overlap traces, the pure
@@ -50,9 +53,9 @@ other pair to the same dispatch, on states that carry that eigensystem.  So
 both paths read a pair's branch and order from the same numbers.  A regular
 pair needs no rotation: the half state of its more mixed state comes from
 the eigensystem of Gamma = i m, so degenerate pair values need no care.
-Only the reduce branch rotates a state into its canonical basis
-(:func:`canonical_form`, one QR on top of the same eigensystem), cached on
-the state like the eigensystem.
+Only the reduce branch rotates a state into its canonical basis: its
+``rotation``, one QR on top of the same eigensystem from
+:func:`canonical_form`, is cached on the state like the eigensystem.
 
 Bures distances take one more path.  sqrt(2 (1 - F)) cancels for close
 pairs, where one ulp of F is a distance of 1.5e-8, so
@@ -71,13 +74,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "CorrelationMatrix",
-    "CanonicalForm",
     "canonical_form",
     "gaussian_product_trace",
     "gaussian_compose",
@@ -91,7 +93,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Tolerances.  ANTISYMMETRY_TOL guards construction; EIGENVALUE_SLACK is how
+# Tolerances.  ANTISYMMETRY_TOL guards every input; EIGENVALUE_SLACK is how
 # far above 1 a pair value may land before the input is rejected rather than
 # snapped; UNIT_MODE_TOL decides when a mode counts as exactly occupied or
 # empty for branch dispatch.  It sits where the errors of the regular branch
@@ -139,36 +141,30 @@ class CorrelationMatrix:
     m : array_like
         Real antisymmetric matrix of shape (2*ell, 2*ell) with Gamma = i*m.
     validate : bool
-        Check shape, finite entries and antisymmetry on construction
-        (cheap); the pair value range check runs lazily on first use.
+        Check shape, finite entries and antisymmetry on construction, as
+        the pair kernel checks its stacks (cheap), and antisymmetrize; the
+        pair value range check runs lazily on first use.
     """
 
     def __init__(self, m, *, validate: bool = True):
         m = np.asarray(m, dtype=float)
         if validate:
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"correlation matrix must be square, got {m.shape}")
-            n = m.shape[0]
-            if n < 2 or n % 2:
-                raise ValueError(f"matrix dimension must be even and >= 2, got {n}")
-            if not np.isfinite(m).all():
-                raise ValueError("correlation matrix has non-finite entries")
-            dev = np.abs(m + m.T).max()
-            if dev > ANTISYMMETRY_TOL:
-                raise ValueError(f"matrix is not antisymmetric (deviation {dev:.3e})")
+            m = _state_stack(m[None])[0]
             m = (m - m.T) / 2.0
         self.m = m
         self.ell = m.shape[0] // 2
-        self._eigen = None
-        self._form = None  # canonical form, computed when the reduce branch first needs it
 
-    @property
+    @cached_property
     def eigensystem(self):
         """Eigenvalues (ascending) and eigenvectors of Gamma = i m, from the
         state's one ``eigh``."""
-        if self._eigen is None:
-            self._eigen = _eigensystems(self.m)
-        return self._eigen
+        return _eigensystems(self.m)
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """Orthogonal O of the canonical form O m O^T, from
+        :func:`canonical_form`; the reduce branch rotates into this basis."""
+        return canonical_form(self)
 
     @property
     def pair_values(self) -> np.ndarray:
@@ -194,18 +190,6 @@ class CorrelationMatrix:
         return f"CorrelationMatrix(ell={self.ell})"
 
 
-@dataclass
-class CanonicalForm:
-    """Block canonical form of a correlation matrix.
-
-    ``rotation @ m @ rotation.T`` equals the direct sum of blocks
-    [[0, g_j], [-g_j, 0]] with ``pair_values`` g_j sorted descending.
-    """
-
-    pair_values: np.ndarray
-    rotation: np.ndarray
-
-
 def _eigensystems(ms: np.ndarray):
     """Eigenvalues (ascending) and eigenvectors of Gamma = i m for one state
     or a stack, the same bits per state either way: the pair values are the
@@ -225,28 +209,39 @@ def _pair_values_of(lam: np.ndarray) -> np.ndarray:
 
 def _state_stack(m) -> np.ndarray:
     """``m`` as a float stack (n, 2 ell, 2 ell) of correlation matrices, not
-    copied when it is one already; raises ValueError on any other shape and
-    on non-finite entries."""
+    copied when it is one already; raises ValueError on any other shape, on
+    non-finite entries and on a deviation from antisymmetry above
+    ANTISYMMETRY_TOL.  The entries are checked in chunks of STACK_ELEMENTS
+    matrix elements, so no temporary grows with the stack."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] % 2 or not m.shape[1]:
         raise ValueError(f"need a stack of 2 ell x 2 ell correlation matrices, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("correlation matrices have non-finite entries")
+    per_chunk = max(1, STACK_ELEMENTS // m.shape[1] ** 2)
+    for start in range(0, len(m), per_chunk):
+        chunk = m[start : start + per_chunk]
+        # before the antisymmetry test: NaN passes it and inf makes it warn
+        if not np.isfinite(chunk).all():
+            raise ValueError("correlation matrices have non-finite entries")
+        dev = np.abs(chunk + np.swapaxes(chunk, 1, 2)).max()
+        if dev > ANTISYMMETRY_TOL:
+            raise ValueError(f"correlation matrix is not antisymmetric (deviation {dev:.3e})")
     return m
 
 
 def _index_pairs(pairs, n: int) -> np.ndarray:
     """``pairs`` as a (k, 2) int64 array, k = 0 included; raises ValueError
-    unless every index is an integer (not a bool) that addresses one of the
-    n states, 0..n-1."""
-    # as objects, so that a bool among ints is seen before it is cast to 1
+    unless it has that shape or is an empty list, and every index is an
+    integer (not a bool) that addresses one of the n states, 0..n-1."""
+    # as objects, so that a bool among ints is seen before it is cast to 1,
+    # and an index beyond int64 is compared before it is cast
     objects = np.asarray(pairs, dtype=object)
+    if objects.shape != (0,) and (objects.ndim != 2 or objects.shape[1] != 2):
+        raise ValueError(f"pairs must have shape (k, 2), got {objects.shape}")
     if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, objects.flat))):
         raise ValueError("pair indices must be integers")
-    pairs = objects.astype(np.int64).reshape(-1, 2)
-    if pairs.size and not (0 <= pairs.min() and pairs.max() < n):
+    if objects.size and not (0 <= objects.min() and objects.max() < n):
         raise ValueError(f"pair indices must lie in 0..{n - 1}")
-    return pairs
+    return objects.astype(np.int64).reshape(-1, 2)
 
 
 def _block_matrix(values: np.ndarray) -> np.ndarray:
@@ -259,25 +254,25 @@ def _block_matrix(values: np.ndarray) -> np.ndarray:
     return b
 
 
-def canonical_form(state: CorrelationMatrix) -> CanonicalForm:
-    """Rotate a real antisymmetric matrix to its 2x2 block canonical form.
+def canonical_form(state: CorrelationMatrix) -> np.ndarray:
+    """Rotation of a state's m to its 2x2 block canonical form.
 
-    Returns an orthogonal rotation O and pair values g_j >= 0 (descending),
-    with O m O^T = blkdiag([[0, g_j], [-g_j, 0]]), from the state's one
-    ``eigh`` of Gamma = i m, cached on it.  Rows 2j-1, 2j of O are sqrt(2)
-    (Re u, Im u) for the eigenvector u of -g_j, one of the ell smallest
-    eigenvalues.  For g_j > 0, u is orthogonal to its conjugate, an
-    eigenvector of +g_j, so these rows are orthonormal, and degenerate pair
-    values need no care.  For g_j = 0 they need not be: one QR of the rows,
-    with the signs of R's diagonal made non-negative, keeps the other rows to
-    rounding and completes those of the zero pair values to an orthonormal
-    basis of the null space of m.
-    The pair values are ``state.pair_values``, which raises ValueError for
-    one beyond EIGENVALUE_SLACK above 1.
+    Returns the orthogonal O with O m O^T = blkdiag([[0, g_j], [-g_j, 0]])
+    over the pair values g_j = ``state.pair_values`` (descending), from the
+    state's one ``eigh`` of Gamma = i m; ``state.rotation`` caches it.  Rows
+    2j-1, 2j of O are sqrt(2) (Re u, Im u) for the eigenvector u of -g_j,
+    one of the ell smallest eigenvalues.  For g_j > 0, u is orthogonal to
+    its conjugate, an eigenvector of +g_j, so these rows are orthonormal,
+    and degenerate pair values need no care.  For g_j = 0 they need not be:
+    one QR of the rows, with the signs of R's diagonal made non-negative,
+    keeps the other rows to rounding and completes those of the zero pair
+    values to an orthonormal basis of the null space of m.  Raises
+    ValueError, as ``state.pair_values`` does, for a pair value beyond
+    EIGENVALUE_SLACK above 1.
     """
+    state.pair_values  # raises beyond EIGENVALUE_SLACK
     q, r = np.linalg.qr(np.sqrt(2.0) * np.ascontiguousarray(state.eigensystem[1][:, : state.ell]).view(float))
-    rotation = (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
-    return CanonicalForm(pair_values=state.pair_values, rotation=rotation)
+    return (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
 
 
 def _warn_residues(residue: np.ndarray, matrices: np.ndarray, what: str):
@@ -569,13 +564,13 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     return np.minimum(np.exp(log_f), 1.0)
 
 
-def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, form: CanonicalForm):
+def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix):
     """Split off the unit pairs of the reference state ``state_r`` exactly.
 
-    ``form`` is the canonical form of ``state_r``.  Both states are rotated
-    into its basis, where the leading ``state_r.unit_pair_count()`` pairs,
-    those with value >= 1 - UNIT_MODE_TOL, form the unit block and are
-    snapped to exactly 1 in ``state_r``.
+    Both states are rotated into the canonical basis ``state_r.rotation``,
+    where the leading ``state_r.unit_pair_count()`` pairs, those with value
+    >= 1 - UNIT_MODE_TOL, form the unit block and are snapped to exactly 1
+    in ``state_r``.
 
     Returns ``(prefactor, bulk_r, bulk_s)``: the fidelity factor contributed
     by the unit block and the two correlation matrices of the remaining
@@ -588,8 +583,9 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix, fo
     if x == 0 or x == state_r.ell:
         raise ValueError("reduction needs 0 < unit pairs < total pairs")
     nx = 2 * x
-    r_rot = _block_matrix(np.concatenate([np.ones(x), form.pair_values[x:]]))
-    s_rot = form.rotation @ state_s.m @ form.rotation.T
+    rotation = state_r.rotation
+    r_rot = _block_matrix(np.concatenate([np.ones(x), state_r.pair_values[x:]]))
+    s_rot = rotation @ state_s.m @ rotation.T
     r_x = r_rot[:nx, :nx]
     s_x = s_rot[:nx, :nx]
     sign, logabs = np.linalg.slogdet((np.eye(nx) - r_x @ s_x) / 2.0)
@@ -623,9 +619,7 @@ def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     if not (state_1.is_pure() or state_2.is_pure()):
         if state_2.unit_pair_count() > state_1.unit_pair_count():
             state_1, state_2 = state_2, state_1
-        if state_1._form is None:
-            state_1._form = canonical_form(state_1)
-        prefactor, bulk_r, bulk_s = reduce_unit_modes(state_1, state_2, state_1._form)
+        prefactor, bulk_r, bulk_s = reduce_unit_modes(state_1, state_2)
         if prefactor == 0.0:
             return 0.0
         return float(np.clip(prefactor * _dispatch(bulk_r, bulk_s), 0.0, 1.0))
@@ -660,7 +654,7 @@ def pair_fidelities(m, pairs) -> np.ndarray:
     A stack's regular pairs are evaluated together, with the half state of
     each one's more mixed state from the same eigensystem.  Every other pair
     goes to the scalar dispatch of :func:`fidelity`, on a state that carries
-    that eigensystem and keeps its canonical form for its later pairs.  A
+    that eigensystem and keeps its rotation for its later pairs.  A
     state's data is dropped after the last stack that holds it, so a sweep
     over consecutive pairs holds about one stack's worth of decompositions,
     and the stack itself is never copied whole.
@@ -726,7 +720,7 @@ def _pair_kernel(m, pairs, metric: bool):
             for k in stack[p].tolist():
                 if k not in states:
                     states[k] = CorrelationMatrix(m[k], validate=False)
-                    states[k]._eigen = eigen[k]
+                    states[k].eigensystem = eigen[k]
             values[start + p] = _dispatch(*(states[k] for k in stack[p].tolist()))
         eigen = {k: e for k, e in eigen.items() if last_stack[k] > start // per_stack}
         states = {k: state for k, state in states.items() if k in eigen}

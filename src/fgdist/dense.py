@@ -15,8 +15,10 @@ Everything in this module scales exponentially with system size and is
 guarded.  Trace sweeps build their states with :func:`density_stack` and
 compare them with :func:`trace_distance`; :func:`density_from_gamma` and
 :func:`fidelity_dense` are the oracles the benchmark's checks, the demos and
-the tests hold the polynomial-cost code to.  It is not a way to run large
-systems.
+the tests hold the polynomial-cost code to.  :func:`density_from_gamma`
+builds rho from a state's pair values and the rotation of
+:func:`fgdist.correlation.canonical_form`; :func:`density_stack` needs
+neither.  It is not a way to run large systems.
 """
 
 from __future__ import annotations
@@ -97,15 +99,15 @@ def density_from_gamma(state: CorrelationMatrix) -> np.ndarray:
     """Dense density matrix with the given Majorana correlations.
 
     Built as the commuting product prod_j (1 - g_j i d'_{2j-1} d'_{2j}) / 2
-    over the canonical modes d' = O d of :func:`canonical_form`, which stays
-    finite for pure modes (g_j = 1), unlike the exponential form.  Row r of
-    d'_a holds one entry per site j, at the column where d_{2j-1} and d_{2j}
-    have theirs: O_{a,2j-1} (+-1) + i O_{a,2j} (+-1), exact, so each d'_a is
-    filled in place rather than summed from 2 ell dense operators.
+    over the state's pair values g_j and canonical modes d' = O d, with O
+    from :func:`canonical_form`.  The product stays finite for pure modes
+    (g_j = 1), unlike the exponential form.  Row r of d'_a holds one entry
+    per site j, at the column where d_{2j-1} and d_{2j} have theirs:
+    O_{a,2j-1} (+-1) + i O_{a,2j} (+-1), exact, so each d'_a is filled in
+    place rather than summed from 2 ell dense operators.
     """
     _check_guard(state.ell)
-    form = canonical_form(state)
-    values, rot = form.pair_values, form.rotation
+    values, rot = state.pair_values, canonical_form(state)
     dim = 2**state.ell
     columns, signs = _majorana_rows(state.ell)
     flat = np.arange(dim) * dim + columns[0::2]  # d_{2j-1} and d_{2j} flip the same bit

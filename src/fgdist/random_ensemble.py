@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationMatrix
+from .correlation import CorrelationMatrix, _block_matrix
 
 __all__ = [
     "RandomEnsembleSpec",
@@ -58,12 +58,8 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_pure_gamma(L: int, rng: np.random.Generator) -> CorrelationMatrix:
     """Random pure state on L sites: m = U (sum of [[0,-1],[1,0]]) U^T."""
-    reference = np.zeros((2 * L, 2 * L))
-    for j in range(L):
-        reference[2 * j, 2 * j + 1] = -1.0
-        reference[2 * j + 1, 2 * j] = 1.0
     u = haar_orthogonal(2 * L, rng)
-    m = u @ reference @ u.T
+    m = u @ _block_matrix(-np.ones(L)) @ u.T
     return CorrelationMatrix((m - m.T) / 2.0, validate=False)
 
 

@@ -22,6 +22,7 @@ from conftest import (
 )
 from fgdist import correlation
 from fgdist.correlation import (
+    ANTISYMMETRY_TOL,
     STACK_ELEMENTS,
     UNIT_MODE_TOL,
     CorrelationMatrix,
@@ -109,11 +110,10 @@ def test_canonical_form_roundtrip():
     states += [CorrelationMatrix(m, validate=False) for m in subsystem_correlations(table, 4)]
     for state in states:
         ell = state.ell
-        form = canonical_form(state)
-        o = form.rotation
+        o = canonical_form(state)
         assert np.abs(o @ o.T - np.eye(2 * ell)).max() < 1e-12
-        assert np.abs(o @ state.m @ o.T - _block_matrix(form.pair_values)).max() < 1e-10
-        g = form.pair_values
+        assert np.abs(o @ state.m @ o.T - _block_matrix(state.pair_values)).max() < 1e-10
+        g = state.pair_values
         assert np.all(np.diff(g) <= 1e-15)  # descending
         assert g.min() >= 0.0 and g.max() <= 1.0
 
@@ -122,8 +122,9 @@ def test_canonical_form_zero_pairs():
     # exact zeros: the rows of the null space of m come from the QR completion
     rng = np.random.default_rng(12)
     state = planted_state([0.7, 0.0, 0.0], rng=rng)
-    form = canonical_form(state)
-    assert np.allclose(np.sort(form.pair_values), [0.0, 0.0, 0.7], atol=1e-12)
+    o = canonical_form(state)
+    assert np.allclose(np.sort(state.pair_values), [0.0, 0.0, 0.7], atol=1e-12)
+    assert np.allclose(np.sort(np.diag(o @ state.m @ o.T, 1)[::2]), [0.0, 0.0, 0.7], atol=1e-12)
 
 
 def test_canonical_form_pair_value_inside_slack():
@@ -133,7 +134,8 @@ def test_canonical_form_pair_value_inside_slack():
     other = random_mixed_state(3, rng)
     for offset in (5e-11, 2e-10, 5e-10, 9e-10):
         state = planted_state([1.0 + offset, 0.5, 0.3], rng=rng)
-        assert canonical_form(state).pair_values[0] == 1.0
+        canonical_form(state)  # inside the slack: no raise
+        assert state.pair_values[0] == 1.0
         assert abs(fidelity(state, other) - dense_fidelity_of(state, other)) < 1e-12
     beyond = planted_state([1.0 + 2e-9, 0.5, 0.3], rng=rng)
     with pytest.raises(ValueError, match="beyond slack"):
@@ -145,7 +147,8 @@ def test_canonical_form_pair_value_inside_slack():
 def test_pair_values_match_canonical_form():
     rng = np.random.default_rng(13)
     state = random_mixed_state(4, rng)
-    assert np.abs(state.pair_values - canonical_form(state).pair_values).max() < 1e-12
+    o = canonical_form(state)
+    assert np.abs(state.pair_values - np.diag(o @ state.m @ o.T, 1)[::2]).max() < 1e-12
 
 
 # -------------------------------------------------------------- product trace
@@ -467,7 +470,7 @@ def test_reduction_prefactor_block_case():
     g_s = np.array([0.8, 0.6, 0.1])
     s1 = planted_state(g_r)
     s2 = planted_state(g_s)
-    prefactor, bulk_r, bulk_s = reduce_unit_modes(s1, s2, canonical_form(s1))
+    prefactor, bulk_r, bulk_s = reduce_unit_modes(s1, s2)
     assert abs(prefactor - np.sqrt((1 + 0.8) / 2)) < 1e-13
     assert np.abs(np.sort(bulk_r.pair_values) - [0.2, 0.5]).max() < 1e-12
     assert np.abs(np.sort(bulk_s.pair_values) - [0.1, 0.6]).max() < 1e-12
@@ -479,7 +482,7 @@ def test_reduction_orthogonal_units_give_zero():
     s1 = planted_state([1.0, 0.5])
     s2 = planted_state([-1.0, 0.5])
     assert fidelity(s1, s2) == 0.0
-    prefactor, bulk_r, bulk_s = reduce_unit_modes(s1, s2, canonical_form(s1))
+    prefactor, bulk_r, bulk_s = reduce_unit_modes(s1, s2)
     assert prefactor == 0.0 and bulk_r is None and bulk_s is None
 
 
@@ -510,7 +513,7 @@ def test_reduce_unit_modes_guards():
     rng = np.random.default_rng(84)
     mixed = random_mixed_state(2, rng)
     with pytest.raises(ValueError):
-        reduce_unit_modes(mixed, mixed, canonical_form(mixed))
+        reduce_unit_modes(mixed, mixed)
 
 
 def test_reduce_unit_modes_rejects_form_without_units():
@@ -520,7 +523,7 @@ def test_reduce_unit_modes_rejects_form_without_units():
     pure_ish = planted_state([1.0, 0.4], rng=rng)
     mixed = random_mixed_state(2, rng)
     with pytest.raises(ValueError, match="0 < unit pairs < total pairs"):
-        reduce_unit_modes(mixed, pure_ish, canonical_form(mixed))
+        reduce_unit_modes(mixed, pure_ish)
 
 
 def test_reduce_unit_modes_rejects_form_with_all_units():
@@ -529,7 +532,7 @@ def test_reduce_unit_modes_rejects_form_with_all_units():
     pure = planted_state(np.ones(2), rotation=rand_rotation(4, rng))
     mixed = random_mixed_state(2, rng)
     with pytest.raises(ValueError, match="0 < unit pairs < total pairs"):
-        reduce_unit_modes(pure, mixed, canonical_form(pure))
+        reduce_unit_modes(pure, mixed)
 
 
 # -------------------------------------------------------------------- dispatch
@@ -737,6 +740,30 @@ def test_stack_with_a_non_finite_state_raises_value_error():
         assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
+def test_stack_that_is_not_antisymmetric_raises_value_error():
+    # the kernel reads only the eigensystem of i m, which is Hermitian only
+    # for antisymmetric m: a symmetric part would be dropped without a word
+    rng = np.random.default_rng(116)
+    m = stack([random_mixed_state(2, rng) for _ in range(3)])
+    symmetric = rng.standard_normal(m.shape)
+    symmetric += np.swapaxes(symmetric, 1, 2)
+    builds = (
+        lambda m: bures_distances(m, [(0, 1), (1, 2)]),
+        lambda m: pair_fidelities(m, [(0, 1), (1, 2)]),
+        lambda m: _pair_distances(m, [(0, 1), (1, 2)], "trace"),
+        lambda m: density_stack(m),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            build(m + 0.1 * symmetric)
+    # a deviation up to ANTISYMMETRY_TOL passes, as CorrelationMatrix lets it
+    within = m + 0.45 * ANTISYMMETRY_TOL / np.abs(symmetric).max() * symmetric
+    assert np.abs(within + np.swapaxes(within, 1, 2)).max() <= ANTISYMMETRY_TOL
+    for build in builds:
+        build(within)
+    CorrelationMatrix(within[0])
+
+
 @pytest.mark.parametrize("ell", [1, 2])
 def test_pair_kernel_rejects_indices_outside_the_stack(ell):
     # a negative index must not address a state from the end of the stack,
@@ -748,8 +775,12 @@ def test_pair_kernel_rejects_indices_outside_the_stack(ell):
         lambda pairs: bures_distances(m, pairs),
         lambda pairs: _pair_distances(m, pairs, "trace"),
     ):
-        for pairs in ([(0, -1)], [(-3, 1)], [(0, 1), (2, 3)]):
+        for pairs in ([(0, -1)], [(-3, 1)], [(0, 1), (2, 3)], [(2**70, 0)], [(0, -(2**70))]):
             with pytest.raises(ValueError, match=r"pair indices must lie in 0\.\.2"):
+                distances(pairs)
+        # anything but k pairs of two indices: no pair is read off a flat list
+        for pairs in ([(0, 1, 2, 0)], [0, 1], [0], [[(0, 1)]], [(0, 1), (2,)], [[]], np.zeros((0, 3), dtype=int)):
+            with pytest.raises(ValueError, match="shape"):
                 distances(pairs)
         for pairs in ([(0.9, 1.7)], [(True, 2)], [(0, 1), (1.0, 2.0)], np.array([[0, 1]], dtype=float)):
             with pytest.raises(ValueError, match="pair indices must be integers"):
@@ -830,6 +861,26 @@ def test_sweep_decomposes_each_state_once(monkeypatch):
         assert [rows[b] for b in inputs] == [1] * spec.count
         assert all(forms[b] <= 1 for b in inputs)
         assert not any(svd_inputs[b] for b in inputs)
+
+
+def test_scalar_fidelity_rotates_each_reference_state_once(monkeypatch):
+    # a state with 0 < unit pairs < ell is the reference of the reduce branch
+    # against strictly mixed states, and keeps its rotation between calls
+    calls = Counter()
+    original = correlation.canonical_form
+
+    def counting_form(state):
+        calls[state.m.tobytes()] += 1
+        return original(state)
+
+    monkeypatch.setattr(correlation, "canonical_form", counting_form)
+    rng = np.random.default_rng(117)
+    a = planted_state([1.0, 0.6, 0.3], rng=rng)
+    others = [random_mixed_state(3, rng) for _ in range(4)]
+    assert 0 < a.unit_pair_count() < a.ell
+    got = [fidelity(a, b) for b in others]
+    assert calls == {a.m.tobytes(): 1}
+    assert got == [fidelity(CorrelationMatrix(a.m, validate=False), b) for b in others]
 
 
 # ------------------------------------------------------------------- distances

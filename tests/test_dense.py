@@ -174,8 +174,7 @@ def test_pure_state_density_is_projector():
 
 def _density_by_operator_sums(state):
     """The rotated Majoranas summed from dense copies of the 2 ell operators."""
-    form = canonical_form(state)
-    values, rotation = form.pair_values, form.rotation
+    values, rotation = state.pair_values, canonical_form(state)
     ops = majorana_operators(state.ell)
     dim = 2**state.ell
     rho = np.eye(dim, dtype=complex) * 2.0**-state.ell
