@@ -48,13 +48,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 # bures_distance and density_from_gamma are not called here, but
 # perfbench/tracing.py wraps the names in this namespace
-from .correlation import _index_pairs, bures_distance, bures_distances  # noqa: F401
+from .correlation import _index_pairs, _state_stack, bures_distance, bures_distances  # noqa: F401
 from .dense import _check_guard, density_from_gamma, density_stack, trace_distance  # noqa: F401
 from .ising import SECTORS, SpectrumTable, enumerate_spectrum, sort_spectrum, subsystem_correlations
 from .random_ensemble import RandomEnsembleSpec, sample_ensemble
@@ -145,20 +145,9 @@ class SweepResult:
         return buf.getvalue()
 
     def sidecar(self) -> dict:
-        meta = {
-            "model": self.model,
-            "L": self.L,
-            "param": self.param,
-            "sector": self.sector,
-            "ordering": self.ordering,
-            "metric": self.metric,
-            "rows": len(self.rows),
-        }
-        if self.h_z is not None:
-            meta["h_z"] = self.h_z
-        if self.fit is not None:
-            meta["fit"] = self.fit
-        return meta
+        """Every field that is set, with the row count in place of the rows."""
+        meta = {f.name: value for f in fields(self) if (value := getattr(self, f.name)) is not None}
+        return meta | {"rows": len(self.rows)}
 
     def sidecar_text(self) -> str:
         return json.dumps(self.sidecar(), sort_keys=True, indent=2) + "\n"
@@ -229,11 +218,12 @@ def _pair_distances(m: np.ndarray, pairs: list, metric: str) -> np.ndarray:
     """Distances between the states m[i] and m[j] of a stack (n, 2 ell,
     2 ell) for each index pair (i, j), 'bures' or 'trace'.
 
-    For 'trace' the states are split into blocks of TRACE_STACK_ELEMENTS
-    dense entries (at least one state).  The pairs are grouped by the blocks
-    of their two states; each group is evaluated with its two blocks built,
-    at most one block of pairs per stacked ``trace_distance``, and the values
-    go to their pairs' positions.  A sweep over consecutive pairs builds each
+    For 'trace' the whole stack is checked first, as for 'bures', and the
+    states are split into blocks of TRACE_STACK_ELEMENTS dense entries (at
+    least one state).  The pairs are grouped by the blocks of their two
+    states; each group is evaluated with its two blocks built, at most one
+    block of pairs per stacked ``trace_distance``, and the values go to
+    their pairs' positions.  A sweep over consecutive pairs builds each
     block once; an all-pairs sweep rebuilds the later blocks once per earlier
     block, and holds at most two blocks and one block of differences at a
     time either way.
@@ -242,6 +232,7 @@ def _pair_distances(m: np.ndarray, pairs: list, metric: str) -> np.ndarray:
         return bures_distances(m, pairs)
     if metric != "trace":
         raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
+    m = _state_stack(m)
     size = max(1, TRACE_STACK_ELEMENTS // 4 ** (m.shape[-1] // 2))
     pairs = _index_pairs(pairs, len(m))
     blocks, rows = np.divmod(pairs, size)

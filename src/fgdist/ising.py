@@ -41,6 +41,7 @@ import numpy as np
 
 from .correlation import CorrelationMatrix
 from .errors import GuardExceeded
+from .pfaffian import popcount
 
 __all__ = [
     "SECTORS",
@@ -223,12 +224,7 @@ class SpectrumTable:
         return ((self.masks[sel, None] >> np.arange(nm)) & 1).astype(np.int64)
 
     def mode_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self), dtype=np.int64)
-        for code in (0, 1):
-            sel = self.sector_codes == code
-            if sel.any():
-                counts[sel] = self.occupation_matrix(code).sum(axis=1)
-        return counts
+        return popcount(self.masks).astype(np.int64)
 
     def label(self, index: int) -> EigenstateLabel:
         code = int(self.sector_codes[index])

@@ -4,31 +4,32 @@ H = -(1/4) sum_j (X_j X_{j+1} + Y_j Y_{j+1} + Delta Z_j Z_{j+1})
     - (h_z/2) sum_j Z_j,   periodic, j = 1..L.
 
 The chain conserves total magnetization (n_down down spins) and momentum.
-A sector basis is built from translation orbits: each orbit keeps its
-lexicographically smallest configuration as representative, and an orbit
-of period R contributes to momentum K iff K * R = 0 mod L.  The Bloch
-vector of a representative a is
+A sector is stored as its Bloch columns, one per translation orbit: an
+orbit of period R contributes to momentum K iff K * R = 0 mod L, and the
+column of an orbit with smallest configuration a is
 
     |a(K)> = R^{-1/2} sum_{t=0}^{R-1} w^t |T^t a>,    w = e^{+i 2 pi K / L},
 
 where T moves the content of site j to site j+1 (site 1 is the most
 significant bit).  With this phase the one-site translation acts as
 T |a(K)> = e^{-i 2 pi K / L} |a(K)>, the same eigenvalue convention the
-free-fermion momentum labels carry.
+free-fermion momentum labels carry.  The columns are numbered by
+ascending a, and the sector holds their nonzero entries as three arrays
+sorted by configuration: the configuration, its column and its amplitude.
 
 The Hamiltonian is built straight from the bits of the configurations, one
 bond at a time (a flip-flop entry per pair of unequal neighbours plus a
 diagonal); :func:`xxz_dense_hamiltonian` assembles the full-space sparse
 matrix from it, equal entry for entry and bit for bit to the sum of sparse
 Pauli products written above.  A sector block B^dag H B is summed in numpy
-over the orbit arrays of the Bloch columns (configuration, orbit, amplitude)
-and over the rows of H that belong to the sector, term by term in the order
-and with the rounding of scipy's sparse product (B^dag H) B, so the block is
-bitwise what that product gives; eigenvectors are lifted back to the full
-space from the same arrays, so reduced density matrices come from ordinary
-partial traces.  Only :func:`xxz_dense_hamiltonian` loads scipy.  The field
-h_z commutes with everything and only shifts a fixed-magnetization block
-uniformly; it is accepted and verified but defaults to zero.
+over those three arrays and over the rows of H that belong to the sector,
+term by term in the order and with the rounding of scipy's sparse product
+(B^dag H) B, so the block is bitwise what that product gives; eigenvectors
+are lifted back to the full space from the same arrays, so reduced density
+matrices come from ordinary partial traces.  Only
+:func:`xxz_dense_hamiltonian` loads scipy.  The field h_z commutes with
+everything and only shifts a fixed-magnetization block uniformly; it is
+accepted and verified but defaults to zero.
 """
 
 from __future__ import annotations
@@ -59,66 +60,57 @@ def translate_bits(config: int, L: int) -> int:
 
 @dataclass
 class XXZSector:
-    """Momentum-magnetization sector basis: orbit representatives + periods."""
+    """Momentum-magnetization sector as its normalized Bloch columns: the
+    nonzero entries B[configs[i], orbit[i]] = amplitudes[i], configurations
+    ascending."""
 
     L: int
     K: int
     n_down: int
-    representatives: np.ndarray
-    periods: np.ndarray
+    configs: np.ndarray
+    orbit: np.ndarray
+    amplitudes: np.ndarray
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return int(self.orbit.max(initial=-1)) + 1
 
 
 def xxz_sector_basis(L: int, K: int, n_down: int) -> XXZSector:
-    """Orbit representatives and periods of the (K, n_down) sector.
+    """The Bloch columns of the (K, n_down) sector, one per translation orbit
+    of period R with K * R = 0 mod L, numbered by ascending representative.
 
-    Walks all 2^L configurations, so it checks the dense guard first: every
-    consumer of a sector builds 2^L-row Bloch vectors anyway.
+    Each configuration with n_down down spins starts a walk along its orbit,
+    which stops at the first smaller configuration; a walk that comes back
+    to its start has found a representative and records its orbit with the
+    amplitudes w^t R^{-1/2}.  Walks all 2^L configurations, so it checks the
+    dense guard first: every consumer of a sector builds 2^L-row Bloch
+    vectors anyway.
     """
     _check_guard(L)
     if not 0 <= n_down <= L:
         raise ValueError(f"n_down must lie in 0..{L}, got {n_down}")
     if not 0 <= K < L:
         raise ValueError(f"momentum must lie in 0..{L - 1}, got {K}")
-    reps, periods = [], []
+    omega = np.exp(2j * np.pi * K / L)
+    configs, orbit, amplitudes = [], [], []
     for config in range(2**L):
         if bin(config).count("1") != n_down:
             continue
-        # walk the orbit; keep only if config is its minimum
-        t, period = translate_bits(config, L), 1
-        smallest = True
-        while t != config:
-            if t < config:
-                smallest = False
-                break
+        walk, t = [config], translate_bits(config, L)
+        while t > config:
+            walk.append(t)
             t = translate_bits(t, L)
-            period += 1
-        if smallest and (K * period) % L == 0:
-            reps.append(config)
-            periods.append(period)
-    return XXZSector(L, K, n_down, np.array(reps, dtype=np.int64), np.array(periods, dtype=np.int64))
-
-
-def _orbit_arrays(sector: XXZSector):
-    """The nonzero entries of the normalized Bloch columns, in ascending
-    configuration order: configurations, their column (orbit) indices and the
-    complex amplitudes w^t R^{-1/2}."""
-    L, K = sector.L, sector.K
-    rows, cols, vals = [], [], []
-    omega = np.exp(2j * np.pi * K / L)
-    for col, (rep, period) in enumerate(zip(sector.representatives, sector.periods)):
-        t = int(rep)
-        for step in range(int(period)):
-            rows.append(t)
-            cols.append(col)
-            vals.append(omega**step / np.sqrt(period))
-            t = translate_bits(t, L)
-    rows = np.array(rows, dtype=np.int64)
-    order = np.argsort(rows)
-    return rows[order], np.array(cols, dtype=np.int64)[order], np.array(vals, dtype=complex)[order]
+        period = len(walk)
+        if t == config and K * period % L == 0:
+            column = orbit[-1] + 1 if orbit else 0
+            configs += walk
+            orbit += [column] * period
+            amplitudes += [omega**step / np.sqrt(period) for step in range(period)]
+    configs = np.array(configs, dtype=np.int64)
+    order = np.argsort(configs)
+    return XXZSector(L, K, n_down, configs[order], np.array(orbit, dtype=np.int64)[order],
+                     np.array(amplitudes, dtype=complex)[order])
 
 
 def _bond_entries(L: int, delta: float, h_z: float, configs: np.ndarray | None = None):
@@ -197,7 +189,7 @@ def xxz_block_hamiltonian(sector: XXZSector, delta: float, h_z: float = 0.0) -> 
     if sector.dim == 0:
         return np.zeros((0, 0))
     L, dim = sector.L, sector.dim
-    configs, orbit, amp = _orbit_arrays(sector)
+    configs, orbit, amp = sector.configs, sector.orbit, sector.amplitudes
     rows, cols, values = _bond_entries(L, float(delta), float(h_z), configs)
     position = np.full(2**L, -1)
     position[configs] = np.arange(len(configs))
@@ -230,10 +222,9 @@ def _eigensystem(L: int, K: int, n_down: int, delta: float, h_z: float):
     energies, modes = np.linalg.eigh(block)
     # lift to 2^L x dim columns: 0 + B[c] modes[orbit of c], as the sparse
     # product B @ modes sums it
-    configs, orbit, amp = _orbit_arrays(sector)
-    lifted = modes[orbit]
+    amp, lifted = sector.amplitudes, modes[sector.orbit]
     full = np.zeros((2**L, sector.dim), dtype=complex)
-    full[configs] = 0.0 + _times(amp.real[:, None], amp.imag[:, None], lifted.real, lifted.imag)
+    full[sector.configs] = 0.0 + _times(amp.real[:, None], amp.imag[:, None], lifted.real, lifted.imag)
     # deterministic phase: largest amplitude of each column real positive
     lead = np.argmax(np.abs(full), axis=0)
     phase = full[lead, np.arange(full.shape[1])]
@@ -285,7 +276,6 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
             if metric == "trace":
                 total += trace_distance(rdms[i], rdms[j])
             else:
-                fid = min(1.0, fidelity_dense(rdms[i], rdms[j]))
-                total += np.sqrt(2.0 * (1.0 - fid))
+                total += np.sqrt(2.0 * (1.0 - fidelity_dense(rdms[i], rdms[j])))
             pairs += 1
     return total / pairs, pairs

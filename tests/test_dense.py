@@ -265,7 +265,8 @@ def test_guard_rejects_large_systems():
         pytest.param(lambda state: annihilation_operators(13), id="annihilation_operators"),
         pytest.param(lambda state: xxz_dense_hamiltonian(13, 1.0), id="xxz_dense_hamiltonian"),
         # a hand-built one-orbit sector: the basis walk would stop first
-        pytest.param(lambda state: xxz_block_hamiltonian(XXZSector(13, 0, 1, np.array([1]), np.array([13])), 1.0),
+        pytest.param(lambda state: xxz_block_hamiltonian(
+                         XXZSector(13, 0, 1, 1 << np.arange(13), np.zeros(13, dtype=np.int64), np.full(13, 13**-0.5 + 0j)), 1.0),
                      id="xxz_block_hamiltonian"),
         pytest.param(lambda state: xxz_sector_basis(13, 0, 6), id="xxz_sector_basis"),
     ],

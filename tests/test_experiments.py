@@ -224,6 +224,17 @@ def test_trace_values_do_not_depend_on_the_blocks(monkeypatch, budget):
     assert got.tolist() == [_trace_of(states[i], states[j]) for i, j in pairs]
 
 
+@pytest.mark.parametrize("metric", ["bures", "trace"])
+def test_every_distance_path_checks_the_whole_stack(metric):
+    # 2050 states at ell = 2 are two trace blocks, and the pair (0, 1) builds
+    # only the first; the last state, outside it, is not antisymmetric
+    m = np.stack([state.m for state in sample_ensemble(RandomEnsembleSpec(4, 2050, 0))])[:, :4, :4].copy()
+    m[-1] += 0.1 * np.eye(4)
+    assert experiments.TRACE_STACK_ELEMENTS // 4**2 < len(m) - 1
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        experiments._pair_distances(m, [(0, 1)], metric)
+
+
 def test_ising_sweep_sector_restriction():
     res = ising_sweep(6, 1.0, "trace", [2], sector_filter=(1, 0))
     assert res.sector == "P=+1,K=0"
@@ -275,6 +286,25 @@ def test_xxz_sidecar_carries_h_z():
     sidecars = [json.loads(xxz_sweep(8, 1, 2, 1.0, "bures", [2], h_z=h_z).sidecar_text()) for h_z in (0.0, 0.3)]
     assert [meta["h_z"] for meta in sidecars] == [0.0, 0.3]
     assert "h_z" not in json.loads(ising_sweep(6, 1.0, "bures", [1]).sidecar_text())
+
+
+def test_sidecar_bytes_are_pinned():
+    # every field that is set, rows as their count, keys sorted; h_z only
+    # for XXZ sweeps and fit only under fit=True
+    assert xxz_sweep(8, 1, 2, 1.0, "bures", [2], h_z=0.3).sidecar_text() == (
+        '{\n  "L": 8,\n  "h_z": 0.3,\n  "metric": "bures",\n  "model": "xxz",\n  "ordering": "all-pairs",\n'
+        '  "param": 1.0,\n  "rows": 1,\n  "sector": "K=1,n_down=2"\n}\n'
+    )
+    assert random_sweep(RandomEnsembleSpec(L=6, count=4, seed=3), "bures", [1, 2]).sidecar_text() == (
+        '{\n  "L": 6,\n  "metric": "bures",\n  "model": "random",\n  "ordering": "all-pairs",\n'
+        '  "param": 3,\n  "rows": 2,\n  "sector": "count=4"\n}\n'
+    )
+    assert ising_sweep(8, 1.0, "bures", range(1, 5), fit=True).sidecar_text() == (
+        '{\n  "L": 8,\n  "fit": {\n    "ell_max": 3,\n    "ell_min": 2,\n'
+        '    "intercept": -0.22575729760208513,\n    "slope": 1.677802720181749\n  },\n'
+        '  "metric": "bures",\n  "model": "ising",\n  "ordering": "charges:0-1-2-3-4-5-6-7",\n'
+        '  "param": 1.0,\n  "rows": 4,\n  "sector": "full"\n}\n'
+    )
 
 
 def test_random_sweep_scaled_average_stays_bounded():

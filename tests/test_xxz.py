@@ -163,7 +163,9 @@ def _sparse_eigensystem(sector, ham):
     L, K = sector.L, sector.K
     rows, cols, vals = [], [], []
     omega = np.exp(2j * np.pi * K / L)
-    for col, (rep, period) in enumerate(zip(sector.representatives, sector.periods)):
+    # configurations ascend, so each orbit first appears at its smallest one
+    representatives = sector.configs[np.unique(sector.orbit, return_index=True)[1]]
+    for col, (rep, period) in enumerate(zip(representatives, np.bincount(sector.orbit))):
         t = int(rep)
         for step in range(int(period)):
             rows.append(t)
@@ -223,9 +225,23 @@ def test_eigenstates_bitwise_equal_under_pauli_sum_hamiltonian():
     assert vectors.tobytes() == oracle_vectors.tobytes()
 
 
+@pytest.mark.parametrize("L", range(2, 11))
+def test_sector_arrays_are_orthonormal_bloch_columns(L):
+    for n_down in range(L + 1):
+        for K in range(L):
+            sector = xxz_sector_basis(L, K, n_down)
+            assert np.all(np.diff(sector.configs) > 0)
+            periods = np.bincount(sector.orbit)
+            assert len(periods) == sector.dim
+            assert np.all(L % periods == 0) and np.all(K * periods % L == 0)
+            bloch = np.zeros((2**L, sector.dim), dtype=complex)
+            bloch[sector.configs, sector.orbit] = sector.amplitudes
+            assert np.abs(bloch.conj().T @ bloch - np.eye(sector.dim)).max(initial=0.0) <= 1e-14
+
+
 def test_dense_hamiltonian_needs_two_sites():
     with pytest.raises(ValueError, match="at least two sites"):
         xxz_dense_hamiltonian(1, 1.0)
-    one_site = XXZSector(1, 0, 0, np.array([0]), np.array([1]))
+    one_site = XXZSector(1, 0, 0, np.array([0]), np.array([0]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError, match="at least two sites"):
         xxz_block_hamiltonian(one_site, 1.0)
