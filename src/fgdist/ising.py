@@ -30,11 +30,18 @@ Q_0 is the energy.  Sorting the spectrum lexicographically by
 (Q_0, ..., Q_m) with a tie tolerance groups degenerate states; the
 degeneracy ratio is the fraction of adjacent sorted pairs that still agree
 on all keys.
+
+All per-mode data -- momenta, theta_k, eps_k, the Bogoliubov angles and
+the k -> -k map -- comes from one read-only O(L) mode table per
+(L, h, sector), computed once and cached; :func:`dispersion` returns a copy
+of its energies, :func:`charge_weights` builds only the rows it is asked
+for from its theta_k and eps_k, and the enumeration, the labels and the
+subsystem correlations read it directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -75,11 +82,35 @@ def sector_momenta(L: int, sector: str) -> np.ndarray:
     raise ValueError(f"unknown sector {sector!r}")
 
 
-def _validate_chain(L: int, h: float):
+@lru_cache(maxsize=64)
+def _mode_data(L: int, h: float, sector: str) -> tuple:
+    """The sector's mode table, read-only: doubled momenta 2k, theta_k =
+    2 pi k / L, energies eps_k (the signed h - 1 at the R-sector k = 0),
+    Bogoliubov cos/sin halves u_k and v_k, and the index map k -> -k.
+    Checks the chain."""
     if L < 2:
         raise ValueError(f"chain length must be at least 2, got {L}")
     if h < 0:
         raise ValueError(f"field must be non-negative, got {h}")
+    ks2 = sector_momenta(L, sector)
+    theta = np.pi * ks2 / L
+    eps = np.sqrt(h * h - 2.0 * h * np.cos(theta) + 1.0)
+    if sector == "R":
+        eps[0] = h - 1.0
+    # index of -k (mod L) within the sector array
+    minus = np.searchsorted(ks2, (2 * L - ks2) % (2 * L))
+    unpaired = minus == np.arange(len(ks2))
+    # eps * e^{i angle} = h - e^{-i theta} pins the pairing-term sign
+    angle = np.where(unpaired, 0.0, np.angle(h - np.exp(-1j * theta)))
+    table = (ks2, theta, eps, np.cos(angle / 2.0), np.sin(angle / 2.0), minus)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def _occupations(masks, modes: int) -> np.ndarray:
+    """0/1 occupation of modes 0..modes-1 (bit b of a mask), one row per mask."""
+    return ((np.asarray(masks)[..., None] >> np.arange(modes)) & 1).astype(np.int64)
 
 
 def dispersion(h: float, L: int, sector: str) -> np.ndarray:
@@ -89,34 +120,12 @@ def dispersion(h: float, L: int, sector: str) -> np.ndarray:
     unpaired k = 0 level of the R sector carries the signed value h - 1
     (see the module docstring).
     """
-    _validate_chain(L, h)
-    ks2 = sector_momenta(L, sector)
-    theta = np.pi * ks2 / L
-    eps = np.sqrt(h * h - 2.0 * h * np.cos(theta) + 1.0)
-    if sector == "R":
-        eps[0] = h - 1.0
-    return eps
-
-
-@lru_cache(maxsize=64)
-def _mode_data(L: int, h: float, sector: str):
-    """Per-mode arrays: doubled momenta, energies, Bogoliubov cos/sin halves,
-    and the index map k -> -k."""
-    ks2 = sector_momenta(L, sector)
-    eps = dispersion(h, L, sector)
-    theta = np.pi * ks2 / L
-    # index of -k (mod L) within the sector array
-    minus = np.searchsorted(ks2, (2 * L - ks2) % (2 * L))
-    unpaired = minus == np.arange(len(ks2))
-    # eps * e^{i angle} = h - e^{-i theta} pins the pairing-term sign
-    angle = np.where(unpaired, 0.0, np.angle(h - np.exp(-1j * theta)))
-    u = np.cos(angle / 2.0)
-    v = np.sin(angle / 2.0)
-    return ks2, eps, u, v, minus
+    return _mode_data(L, h, sector)[2].copy()
 
 
 def charge_weights(h: float, L: int, sector: str, count: int | None = None) -> np.ndarray:
-    """Weight matrix W with Q_m = sum_k W[m, k] (n_k - 1/2), m = 0..count-1.
+    """Weight matrix W with Q_m = sum_k W[m, k] (n_k - 1/2), m = 0..count-1,
+    count in 0..L (default L).
 
     Even m carry Q^+_{m/2} with weight cos(n theta_k) eps_k, odd m carry
     Q^-_{(m-1)/2} with weight sin((n+1) theta_k), theta_k = 2 pi k / L.
@@ -124,19 +133,15 @@ def charge_weights(h: float, L: int, sector: str, count: int | None = None) -> n
     single-valued in k mod L (and an even function of k could never split
     the k <-> -k mirror degeneracies the odd charges exist to lift).
     """
-    _validate_chain(L, h)
+    _, theta, eps, *_ = _mode_data(L, h, sector)
     if count is None:
         count = L
-    ks2 = sector_momenta(L, sector)
-    eps = dispersion(h, L, sector)
-    theta = np.pi * ks2 / L
-    w = np.zeros((count, len(ks2)))
-    for m in range(count):
-        if m % 2 == 0:
-            w[m] = np.cos((m // 2) * theta) * eps
-        else:
-            w[m] = np.sin(((m + 1) // 2) * theta)
-    return w
+    if not 0 <= count <= L:
+        raise ValueError(f"charge count must lie in 0..{L}, got {count}")
+    # row m multiplies theta by m/2 (Q^+, even m) or (m+1)/2 (Q^-, odd m)
+    m = np.arange(count)[:, None]
+    arg = ((m + 1) // 2) * theta
+    return np.where(m % 2 == 0, np.cos(arg) * eps, np.sin(arg))
 
 
 @dataclass
@@ -149,8 +154,11 @@ class EigenstateLabel:
     occupied: tuple
 
     def __post_init__(self):
-        ks2 = sector_momenta(self.L, self.sector)
-        occupied = tuple(sorted(int(q) for q in self.occupied))
+        ks2 = _mode_data(self.L, self.h, self.sector)[0]
+        occupied = tuple(self.occupied)  # read once: it may be an iterator
+        if not all(isinstance(q, (int, np.integer)) and not isinstance(q, bool) for q in occupied):
+            raise ValueError(f"occupied momenta must be integers, got {occupied!r}")
+        occupied = tuple(sorted(int(q) for q in occupied))
         missing = set(occupied) - set(ks2.tolist())
         if missing:
             raise ValueError(f"momenta {sorted(missing)} not in the {self.sector} sector")
@@ -161,7 +169,7 @@ class EigenstateLabel:
             raise ValueError(
                 f"{self.sector} states need {'even' if want_even else 'odd'} occupation"
             )
-        object.__setattr__(self, "occupied", occupied)
+        self.occupied = occupied
 
     @property
     def parity(self) -> int:
@@ -172,14 +180,14 @@ class EigenstateLabel:
         return (sum(self.occupied) % (2 * self.L)) // 2
 
     def occupation_vector(self) -> np.ndarray:
-        ks2 = sector_momenta(self.L, self.sector)
+        ks2 = _mode_data(self.L, self.h, self.sector)[0]
         occ = np.zeros(len(ks2), dtype=np.int64)
         occ[np.searchsorted(ks2, np.array(self.occupied, dtype=np.int64))] = 1
         return occ
 
     @property
     def energy(self) -> float:
-        eps = dispersion(self.h, self.L, self.sector)
+        eps = _mode_data(self.L, self.h, self.sector)[2]
         return float(eps @ (self.occupation_vector() - 0.5))
 
     def charges(self, count: int | None = None) -> np.ndarray:
@@ -187,6 +195,7 @@ class EigenstateLabel:
         return w @ (self.occupation_vector() - 0.5)
 
 
+@dataclass(eq=False)
 class SpectrumTable:
     """Labeled free-fermion spectrum held as flat arrays.
 
@@ -195,15 +204,14 @@ class SpectrumTable:
     ``ordering`` is a provenance string for exported files.
     """
 
-    def __init__(self, L, h, sector_codes, masks, momentum, charges, sort_keys=None, ordering="enumeration"):
-        self.L = L
-        self.h = h
-        self.sector_codes = sector_codes  # 0 = NS, 1 = R
-        self.masks = masks
-        self.momentum = momentum
-        self.charges = charges
-        self.sort_keys = sort_keys
-        self.ordering = ordering
+    L: int
+    h: float
+    sector_codes: np.ndarray  # 0 = NS, 1 = R
+    masks: np.ndarray
+    momentum: np.ndarray
+    charges: np.ndarray
+    sort_keys: tuple | None = None
+    ordering: str = "enumeration"
 
     def __len__(self):
         return len(self.masks)
@@ -218,30 +226,24 @@ class SpectrumTable:
 
     def occupation_matrix(self, sector_code: int) -> np.ndarray:
         """(rows of that sector) x (sector modes) 0/1 matrix, in table order."""
-        sel = self.sector_codes == sector_code
-        sector = SECTORS[sector_code]
-        nm = len(sector_momenta(self.L, sector))
-        return ((self.masks[sel, None] >> np.arange(nm)) & 1).astype(np.int64)
+        return _occupations(self.masks[self.sector_codes == sector_code], self.L)
 
     def mode_counts(self) -> np.ndarray:
         return popcount(self.masks).astype(np.int64)
 
     def label(self, index: int) -> EigenstateLabel:
-        code = int(self.sector_codes[index])
-        sector = SECTORS[code]
-        ks2 = sector_momenta(self.L, sector)
-        mask = int(self.masks[index])
-        occupied = tuple(int(ks2[b]) for b in range(len(ks2)) if mask >> b & 1)
-        return EigenstateLabel(L=self.L, h=self.h, sector=sector, occupied=occupied)
+        sector = SECTORS[int(self.sector_codes[index])]
+        ks2 = _mode_data(self.L, self.h, sector)[0]
+        occupied = ks2[_occupations(self.masks[index], self.L) == 1]
+        return EigenstateLabel(L=self.L, h=self.h, sector=sector, occupied=tuple(occupied.tolist()))
 
     def reordered(self, order: np.ndarray, sort_keys=None, ordering=None) -> "SpectrumTable":
-        return SpectrumTable(
-            self.L,
-            self.h,
-            self.sector_codes[order],
-            self.masks[order],
-            self.momentum[order],
-            self.charges[order],
+        return replace(
+            self,
+            sector_codes=self.sector_codes[order],
+            masks=self.masks[order],
+            momentum=self.momentum[order],
+            charges=self.charges[order],
             sort_keys=sort_keys,
             ordering=ordering if ordering is not None else self.ordering,
         )
@@ -253,31 +255,19 @@ def enumerate_spectrum(h: float, L: int, sector_filter=None) -> SpectrumTable:
     ``sector_filter`` is an optional (parity, momentum) pair; either entry
     may be None to leave that quantum number unrestricted.
     """
-    _validate_chain(L, h)
+    momenta = [_mode_data(L, h, sector)[0] for sector in SECTORS]  # checks the chain
     if L > ENUMERATION_GUARD:
         raise GuardExceeded(f"full enumeration at L={L} exceeds the guard of {ENUMERATION_GUARD}")
     blocks = []
-    for code, sector in enumerate(SECTORS):
-        ks2 = sector_momenta(L, sector)
-        nm = len(ks2)
-        masks = np.arange(2**nm, dtype=np.int64)
-        occ = ((masks[:, None] >> np.arange(nm)) & 1).astype(np.int64)
-        pop = occ.sum(axis=1)
-        keep = (pop % 2 == 0) if sector == "NS" else (pop % 2 == 1)
-        masks, occ = masks[keep], occ[keep]
+    for code, (sector, ks2) in enumerate(zip(SECTORS, momenta)):
+        masks = np.arange(2**L, dtype=np.int64)
+        masks = masks[popcount(masks) % 2 == code]  # NS (code 0) even occupation, R odd
+        occ = _occupations(masks, L)
         momentum = (occ @ ks2) % (2 * L) // 2
-        w = charge_weights(h, L, sector)
-        charges = (occ - 0.5) @ w.T
+        charges = (occ - 0.5) @ charge_weights(h, L, sector).T
         codes = np.full(len(masks), code, dtype=np.uint8)
         blocks.append((codes, masks, momentum.astype(np.int64), charges))
-    table = SpectrumTable(
-        L,
-        h,
-        np.concatenate([b[0] for b in blocks]),
-        np.concatenate([b[1] for b in blocks]),
-        np.concatenate([b[2] for b in blocks]),
-        np.concatenate([b[3] for b in blocks]),
-    )
+    table = SpectrumTable(L, h, *(np.concatenate(columns) for columns in zip(*blocks)))
     if sector_filter is not None:
         want_p, want_k = sector_filter
         keep = np.ones(len(table), dtype=bool)
@@ -326,6 +316,8 @@ def degeneracy_ratio(table: SpectrumTable, m: int) -> float:
     """Fraction of adjacent sorted pairs that agree on Q_0..Q_m within the tie
     tolerance.  The table must have been sorted with key order starting
     (0, 1, ..., m)."""
+    if not 0 <= m < table.L:
+        raise ValueError(f"charge index m must lie in 0..{table.L - 1}, got {m}")
     if len(table) < 2:
         raise ValueError("need at least two states")
     if table.sort_keys is None or tuple(table.sort_keys[: m + 1]) != tuple(range(m + 1)):
@@ -347,8 +339,7 @@ def mode_number_difference(table: SpectrumTable) -> float:
 def _subsystem_m_batch(L: int, h: float, sector: str, occ: np.ndarray, ell: int) -> np.ndarray:
     """Stack of real antisymmetric m matrices of the leading ell sites for
     the given occupation rows (states x modes)."""
-    ks2, eps, u, v, minus = _mode_data(L, h, sector)
-    theta = np.pi * ks2 / L
+    _, theta, _, u, v, minus = _mode_data(L, h, sector)
     n_minus = occ[:, minus]
     big_n = occ * (u * u) + (1 - n_minus) * (v * v)          # <a_k^dag a_k>
     f_im = (u * v) * (occ + n_minus - 1)                     # <a_k a_{-k}> / i

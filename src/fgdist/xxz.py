@@ -26,7 +26,11 @@ over those three arrays and over the rows of H that belong to the sector,
 term by term in the order and with the rounding of scipy's sparse product
 (B^dag H) B, so the block is bitwise what that product gives; eigenvectors
 are lifted back to the full space from the same arrays, so reduced density
-matrices come from ordinary partial traces.  Only
+matrices come from ordinary partial traces.  Sectors are cached on
+(L, K, n_down) and eigensystems on the sector object, which hashes by
+identity: every caller asking for one sector (a sweep, its sector export)
+shares one orbit walk and one diagonalization per (Delta, h_z), and a
+hand-built sector is diagonalized from its own arrays.  Only
 :func:`xxz_dense_hamiltonian` loads scipy.  The field h_z commutes with
 everything and only shifts a fixed-magnetization block uniformly; it is
 accepted and verified but defaults to zero.
@@ -58,11 +62,12 @@ def translate_bits(config: int, L: int) -> int:
     return (config >> 1) | ((config & 1) << (L - 1))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class XXZSector:
     """Momentum-magnetization sector as its normalized Bloch columns: the
     nonzero entries B[configs[i], orbit[i]] = amplitudes[i], configurations
-    ascending."""
+    ascending.  Sectors hash and compare by identity, the key of the
+    eigensystem cache."""
 
     L: int
     K: int
@@ -76,6 +81,7 @@ class XXZSector:
         return int(self.orbit.max(initial=-1)) + 1
 
 
+@lru_cache(maxsize=32)
 def xxz_sector_basis(L: int, K: int, n_down: int) -> XXZSector:
     """The Bloch columns of the (K, n_down) sector, one per translation orbit
     of period R with K * R = 0 mod L, numbered by ascending representative.
@@ -85,7 +91,8 @@ def xxz_sector_basis(L: int, K: int, n_down: int) -> XXZSector:
     to its start has found a representative and records its orbit with the
     amplitudes w^t R^{-1/2}.  Walks all 2^L configurations, so it checks the
     dense guard first: every consumer of a sector builds 2^L-row Bloch
-    vectors anyway.
+    vectors anyway.  Cached, with read-only arrays, so every caller asking
+    for the same sector shares one object and with it one eigensystem.
     """
     _check_guard(L)
     if not 0 <= n_down <= L:
@@ -109,8 +116,10 @@ def xxz_sector_basis(L: int, K: int, n_down: int) -> XXZSector:
             amplitudes += [omega**step / np.sqrt(period) for step in range(period)]
     configs = np.array(configs, dtype=np.int64)
     order = np.argsort(configs)
-    return XXZSector(L, K, n_down, configs[order], np.array(orbit, dtype=np.int64)[order],
-                     np.array(amplitudes, dtype=complex)[order])
+    arrays = (configs[order], np.array(orbit, dtype=np.int64)[order], np.array(amplitudes, dtype=complex)[order])
+    for array in arrays:
+        array.flags.writeable = False
+    return XXZSector(L, K, n_down, *arrays)
 
 
 def _bond_entries(L: int, delta: float, h_z: float, configs: np.ndarray | None = None):
@@ -216,30 +225,29 @@ def xxz_block_hamiltonian(sector: XXZSector, delta: float, h_z: float = 0.0) -> 
 
 
 @lru_cache(maxsize=32)
-def _eigensystem(L: int, K: int, n_down: int, delta: float, h_z: float):
-    sector = xxz_sector_basis(L, K, n_down)
+def xxz_eigenstates(sector: XXZSector, delta: float, h_z: float = 0.0):
+    """Sector eigenvalues (ascending) and phase-fixed full-space eigenvectors.
+
+    Returns read-only (energies, vectors) where vectors holds one 2^L column
+    per state.  Cached on the sector object itself (sectors hash by
+    identity), so repeated calls on one sector diagonalize it once and a
+    hand-built sector is diagonalized from its own arrays.  Inside a
+    degenerate cluster the eigenbasis is arbitrary, and pair distances
+    there are reported as they come out.
+    """
     block = xxz_block_hamiltonian(sector, delta, h_z)
     energies, modes = np.linalg.eigh(block)
     # lift to 2^L x dim columns: 0 + B[c] modes[orbit of c], as the sparse
     # product B @ modes sums it
     amp, lifted = sector.amplitudes, modes[sector.orbit]
-    full = np.zeros((2**L, sector.dim), dtype=complex)
+    full = np.zeros((2**sector.L, sector.dim), dtype=complex)
     full[sector.configs] = 0.0 + _times(amp.real[:, None], amp.imag[:, None], lifted.real, lifted.imag)
     # deterministic phase: largest amplitude of each column real positive
     lead = np.argmax(np.abs(full), axis=0)
     phase = full[lead, np.arange(full.shape[1])]
     full = full * (np.abs(phase) / phase)
+    energies.flags.writeable = full.flags.writeable = False
     return energies, full
-
-
-def xxz_eigenstates(sector: XXZSector, delta: float, h_z: float = 0.0):
-    """Sector eigenvalues (ascending) and phase-fixed full-space eigenvectors.
-
-    Returns (energies, vectors) where vectors holds one 2^L column per
-    state.  Inside a degenerate cluster the eigenbasis is arbitrary, and
-    pair distances there are reported as they come out.
-    """
-    return _eigensystem(sector.L, sector.K, sector.n_down, float(delta), float(h_z))
 
 
 def xxz_eigen_rdm(sector: XXZSector, delta: float, state_index: int, ell: int, h_z: float = 0.0) -> np.ndarray:

@@ -74,8 +74,7 @@ def quasiparticle_operators(h: float, L: int, sector: str) -> tuple:
     then c_k = u_k a_k - i v_k a_{-k}^dag.  Unpaired momenta have v = 0.
     """
     a_site = annihilation_operators(L)
-    ks2, eps, u, v, minus = ising._mode_data(L, float(h), sector)
-    theta = np.pi * ks2 / L
+    ks2, theta, eps, u, v, minus = ising._mode_data(L, float(h), sector)
     a_mode = []
     for t in theta:
         op = sp.csr_matrix((2**L, 2**L), dtype=complex)

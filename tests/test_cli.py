@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import package_env
-from fgdist import experiments
+from fgdist import experiments, xxz
 from fgdist.cli import build_parser, main
 from fgdist.experiments import CSV_HEADER
 
@@ -90,6 +90,17 @@ def test_xxz_guard_exits_3_before_the_basis_walk(capsys):
     assert main(["sweep", "--model", "xxz", "--L", "40", "--sector", "0,20", "--ell-max", "2"]) == 3
     assert time.perf_counter() - start < 5.0
     assert "guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "degeneracy", "charges", "mode-diff"])
+def test_enumeration_guard_exits_3_before_any_mode_table(command, capsys):
+    # an L x L charge-weight table at this L would need 80 GB
+    start = time.perf_counter()
+    assert main([command, "--L", "100000", "--h", "1.0"]) == 3
+    assert time.perf_counter() - start < 5.0
+    assert "guard" in capsys.readouterr().err
+    assert main([command, "--L", "100000", "--h", "-1.0"]) == 2
+    assert "field" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -209,6 +220,19 @@ def test_charges_bytes(capsys):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "46743b9b97089f75e970707bfeb3d768388d3f18f6dfd967e776d8e50470ede8"
+
+
+def test_sector_out_reuses_the_sweeps_sector_and_eigensystem(monkeypatch, tmp_path):
+    calls = []
+    block = xxz.xxz_block_hamiltonian
+    monkeypatch.setattr(xxz, "xxz_block_hamiltonian", lambda *args: calls.append(args) or block(*args))
+    xxz.xxz_sector_basis.cache_clear()
+    # a delta no other test uses, so no earlier call has filled the eigensystem cache
+    argv = ["sweep", "--model", "xxz", "--L", "8", "--sector", "1,3", "--delta", "0.6875", "--ell-max", "3",
+            "--out", str(tmp_path / "s.csv"), "--sector-out", str(tmp_path / "e.csv")]
+    assert main(argv) == 0
+    assert xxz.xxz_sector_basis.cache_info().misses == 1
+    assert len(calls) == 1
 
 
 def test_sector_out_bytes(tmp_path):

@@ -9,9 +9,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from fgdist import ising
 from fgdist.correlation import CorrelationMatrix
 from fgdist.errors import GuardExceeded
 from fgdist.ising import (
+    SECTORS,
     EigenstateLabel,
     SpectrumTable,
     charge_weights,
@@ -110,6 +112,43 @@ def test_label_validation():
         EigenstateLabel(L=6, h=1.0, sector="NS", occupied=(1, 1))
 
 
+@pytest.mark.parametrize("occupied", [(1.5, 3.9), (1.0, 3.0), (True, 3), ("1", "3")])
+def test_label_rejects_non_integer_momenta(occupied):
+    with pytest.raises(ValueError, match="integers"):
+        EigenstateLabel(L=6, h=1.0, sector="NS", occupied=occupied)
+    assert EigenstateLabel(L=6, h=1.0, sector="NS", occupied=(np.int64(3), 1)).occupied == (1, 3)
+
+
+def test_label_reads_an_iterator_of_momenta_once():
+    label = EigenstateLabel(L=6, h=1.0, sector="NS", occupied=(q for q in (3, 1)))
+    assert label.occupied == (1, 3)
+    with pytest.raises(ValueError, match="integers"):
+        EigenstateLabel(L=6, h=1.0, sector="NS", occupied=iter((1.5, 3.9)))
+
+
+def test_labels_and_their_correlations_stay_linear_in_the_chain():
+    # an L x L table at this L is 32 MB per array
+    import tracemalloc
+
+    L = 2000
+    tracemalloc.start()
+    try:
+        label = EigenstateLabel(L=L, h=0.6171875, sector="R", occupied=(0, 2, 2 * L - 2))
+        energy = label.energy
+        eigenstate_correlation(label, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(energy)
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("L, h, match", [(1, 1.0, "chain length"), (0, 1.0, "chain length"), (6, -0.5, "field")])
+def test_label_checks_its_chain_on_construction(L, h, match):
+    with pytest.raises(ValueError, match=match):
+        EigenstateLabel(L=L, h=h, sector="NS", occupied=())
+
+
 def test_label_round_trip():
     rng = np.random.default_rng(3)
     table = enumerate_spectrum(0.7, 6)
@@ -130,6 +169,46 @@ def test_charges_first_entry_is_energy():
 def test_charge_weights_shape():
     w = charge_weights(1.0, 6, "NS", 4)
     assert w.shape == (4, 6)
+    assert charge_weights(1.0, 6, "R", 0).shape == (0, 6)
+    assert charge_weights(1.0, 6, "R").shape == (6, 6)
+
+
+def test_charge_weights_bitwise_equal_to_the_per_charge_loop():
+    for L in range(2, 17):
+        for h in (0.3, 0.95, 1.0, 1.7):
+            for sector in SECTORS:
+                eps = dispersion(h, L, sector)
+                theta = np.pi * sector_momenta(L, sector) / L
+                want = np.zeros((L, L))
+                for m in range(L):
+                    if m % 2 == 0:
+                        want[m] = np.cos((m // 2) * theta) * eps
+                    else:
+                        want[m] = np.sin(((m + 1) // 2) * theta)
+                assert charge_weights(h, L, sector).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [-1, 7, 12])
+def test_charge_weights_count_outside_the_chain(count):
+    with pytest.raises(ValueError, match="0..6"):
+        charge_weights(1.0, 6, "NS", count)
+
+
+def test_mode_table_is_read_only_and_copies_do_not_write_back():
+    L, h = 6, 0.8
+    table = enumerate_spectrum(h, L)
+    m = subsystem_correlations(table, 3)
+    for sector in SECTORS:
+        assert not any(array.flags.writeable for array in ising._mode_data(L, h, sector))
+        eps, w = dispersion(h, L, sector), charge_weights(h, L, sector)
+        dispersion(h, L, sector)[:] = 7.0
+        charge_weights(h, L, sector)[:] = 7.0
+        charge_weights(h, L, sector, 2)[:] = 7.0
+        assert dispersion(h, L, sector).tobytes() == eps.tobytes()
+        assert charge_weights(h, L, sector).tobytes() == w.tobytes()
+    again = enumerate_spectrum(h, L)
+    assert again.charges.tobytes() == table.charges.tobytes()
+    assert subsystem_correlations(again, 3).tobytes() == m.tobytes()
 
 
 # --------------------------------------------------------------------- sorting
@@ -232,6 +311,13 @@ def test_degeneracy_ratio_rejects_unsorted_and_short_tables():
         degeneracy_ratio(single, 0)
     with pytest.raises(ValueError, match="at least two states"):
         mode_number_difference(single)
+
+
+@pytest.mark.parametrize("m", [-3, -1, 6, 7])
+def test_degeneracy_ratio_rejects_charge_index_outside_the_chain(m):
+    table = sort_spectrum(enumerate_spectrum(1.0, 6))
+    with pytest.raises(ValueError, match=r"0\.\.5"):
+        degeneracy_ratio(table, m)
 
 
 def test_degeneracy_profiles_at_critical_field():

@@ -1,10 +1,13 @@
 """Interacting chain: momentum-sector blocks against full diagonalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import comb
 
+from fgdist import experiments, xxz
 from fgdist.xxz import (
     XXZSector,
     translate_bits,
@@ -14,7 +17,6 @@ from fgdist.xxz import (
     xxz_eigenstates,
     xxz_pairwise_average,
     xxz_sector_basis,
-    _eigensystem,
 )
 from oracles import site_operator
 
@@ -105,10 +107,49 @@ def test_eigen_rdm_is_a_state():
 def test_eigensystem_deterministic_across_cache_resets():
     sector = xxz_sector_basis(8, 1, 2)
     e0, f0 = xxz_eigenstates(sector, 0.4)
-    _eigensystem.cache_clear()
+    xxz_eigenstates.cache_clear()
     e1, f1 = xxz_eigenstates(sector, 0.4)
     assert np.array_equal(e0, e1)
     assert np.array_equal(f0, f1)
+
+
+def test_eigenstates_diagonalize_the_sector_they_are_given():
+    # the L = 8, K = 1, n_down = 2 sector with its last orbit dropped: two
+    # columns, so two eigenstates of its own 2 x 2 block
+    sector = xxz_sector_basis(8, 1, 2)
+    keep = sector.orbit < sector.dim - 1
+    sub = XXZSector(8, 1, 2, sector.configs[keep], sector.orbit[keep], sector.amplitudes[keep])
+    assert (sector.dim, sub.dim) == (3, 2)
+    delta = float(np.sqrt(2.0))
+    want_energies, want_modes = np.linalg.eigh(xxz_block_hamiltonian(sub, delta))
+    energies, vectors = xxz_eigenstates(sub, delta)
+    assert vectors.shape == (2**8, 2)
+    _assert_bits_equal(energies, want_energies)
+    # each column is B @ modes up to the phase fix
+    bloch = np.zeros((2**8, sub.dim), dtype=complex)
+    bloch[sub.configs, sub.orbit] = sub.amplitudes
+    assert np.abs(np.abs(vectors.conj().T @ bloch @ want_modes) - np.eye(2)).max() < 1e-12
+    assert len(xxz_eigenstates(sector, delta)[0]) == 3
+    assert not energies.flags.writeable and not vectors.flags.writeable
+
+
+def test_sweep_builds_and_diagonalizes_its_sector_once(monkeypatch):
+    calls = {"basis": 0, "block": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    basis = counted("basis", xxz.xxz_sector_basis)
+    monkeypatch.setattr(experiments, "xxz_sector_basis", basis)
+    monkeypatch.setattr(xxz, "xxz_sector_basis", basis)
+    monkeypatch.setattr(xxz, "xxz_block_hamiltonian", counted("block", xxz.xxz_block_hamiltonian))
+    # a (delta, h_z) no other test uses, so no earlier call has filled a cache
+    result = experiments.xxz_sweep(8, 1, 3, 0.8125, "bures", [1, 2, 3, 4], h_z=0.0625)
+    assert len(result.rows) == 4
+    assert calls == {"basis": 1, "block": 1}
 
 
 def test_pairwise_average_frozen_small_case():
@@ -200,10 +241,10 @@ def test_block_and_lift_bitwise_equal_to_sparse_product(L):
         for sector in _sectors(L):
             block, energies, full = _sparse_eigensystem(sector, ham)
             _assert_bits_equal(xxz_block_hamiltonian(sector, delta, h_z), block)
-            got_energies, got_full = _eigensystem(L, sector.K, sector.n_down, delta, h_z)
+            got_energies, got_full = xxz_eigenstates(sector, delta, h_z)
             _assert_bits_equal(got_energies, energies)
             _assert_bits_equal(got_full, full)
-        _eigensystem.cache_clear()
+        xxz_eigenstates.cache_clear()
 
 
 def test_benchmark_sector_bitwise_equal_to_sparse_product():
@@ -223,6 +264,14 @@ def test_eigenstates_bitwise_equal_under_pauli_sum_hamiltonian():
     assert sector.dim > 10
     assert energies.tobytes() == oracle_energies.tobytes()
     assert vectors.tobytes() == oracle_vectors.tobytes()
+
+
+def test_sector_is_shared_and_read_only():
+    sector = xxz_sector_basis(8, 1, 2)
+    assert xxz_sector_basis(8, 1, 2) is sector
+    assert not any(array.flags.writeable for array in (sector.configs, sector.orbit, sector.amplitudes))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sector.K = 2
 
 
 @pytest.mark.parametrize("L", range(2, 11))
