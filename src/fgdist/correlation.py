@@ -55,7 +55,9 @@ pair needs no rotation: the half state of its more mixed state comes from
 the eigensystem of Gamma = i m, so degenerate pair values need no care.
 Only the reduce branch rotates a state into its canonical basis: its
 ``rotation``, one QR on top of the same eigensystem from
-:func:`canonical_form`, is cached on the state like the eigensystem.
+:func:`canonical_form`, is cached on the state like the eigensystem, and
+so is its ``reduction``: the snapped block matrix and the bulk state, with
+its eigensystem, that every reduce pair of that reference state reads.
 
 Bures distances take one more path.  sqrt(2 (1 - F)) cancels for close
 pairs, where one ulp of F is a distance of 1.5e-8, so
@@ -165,6 +167,17 @@ class CorrelationMatrix:
         """Orthogonal O of the canonical form O m O^T, from
         :func:`canonical_form`; the reduce branch rotates into this basis."""
         return canonical_form(self)
+
+    @cached_property
+    def reduction(self):
+        """What the reduce branch reads of this state as its reference, for
+        every pair it joins: its unit pair count x, its canonical block
+        matrix with the x unit pairs snapped to exactly 1 (read-only), and
+        the state of its other pairs, which caches its own eigensystem."""
+        x = self.unit_pair_count()
+        r_rot = _block_matrix(np.concatenate([np.ones(x), self.pair_values[x:]]))
+        r_rot.flags.writeable = False
+        return x, r_rot, CorrelationMatrix(r_rot[2 * x :, 2 * x :], validate=False)
 
     @property
     def pair_values(self) -> np.ndarray:
@@ -575,16 +588,17 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix):
     Returns ``(prefactor, bulk_r, bulk_s)``: the fidelity factor contributed
     by the unit block and the two correlation matrices of the remaining
     modes, with ``bulk_s`` carrying the Schur-complement correction from the
-    off-diagonal blocks.  When the unit blocks are orthogonal (the overlap
-    determinant is not positive, or 1 - s_x r_x is singular to the guard
-    of :func:`_solve_refined`) ``(0.0, None, None)`` is returned.
+    off-diagonal blocks.  ``bulk_r`` and the snapped block matrix come from
+    ``state_r.reduction``, built once per reference state.  When the unit
+    blocks are orthogonal (the overlap determinant is not positive, or
+    1 - s_x r_x is singular to the guard of :func:`_solve_refined`)
+    ``(0.0, None, None)`` is returned.
     """
-    x = state_r.unit_pair_count()
+    x, r_rot, bulk_r = state_r.reduction
     if x == 0 or x == state_r.ell:
         raise ValueError("reduction needs 0 < unit pairs < total pairs")
     nx = 2 * x
     rotation = state_r.rotation
-    r_rot = _block_matrix(np.concatenate([np.ones(x), state_r.pair_values[x:]]))
     s_rot = rotation @ state_s.m @ rotation.T
     r_x = r_rot[:nx, :nx]
     s_x = s_rot[:nx, :nx]
@@ -599,11 +613,7 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix):
     correction = s_rot[nx:, :nx] @ r_x @ solved
     s_bulk = s_rot[nx:, nx:] + correction
     s_bulk = (s_bulk - s_bulk.T) / 2.0
-    return (
-        prefactor,
-        CorrelationMatrix(r_rot[nx:, nx:], validate=False),
-        CorrelationMatrix(s_bulk, validate=False),
-    )
+    return prefactor, bulk_r, CorrelationMatrix(s_bulk, validate=False)
 
 
 def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:

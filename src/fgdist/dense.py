@@ -12,8 +12,10 @@ on the block.  sigma^z = diag(1, -1) and the mode of site j is occupied
 when the spin points down.
 
 Everything in this module scales exponentially with system size and is
-guarded.  Trace sweeps build their states with :func:`density_stack` and
-compare them with :func:`trace_distance`; :func:`density_from_gamma` and
+guarded.  Trace sweeps build their states with :func:`density_stack`, as
+the two blocks of even and odd fermion parity that a Gaussian state's
+density matrix splits into, and compare them block by block with
+:func:`trace_distance`; :func:`density_from_gamma` and
 :func:`fidelity_dense` are the oracles the benchmark's checks, the demos and
 the tests hold the polynomial-cost code to.  :func:`density_from_gamma`
 builds rho from a state's pair values and the rotation of
@@ -125,7 +127,8 @@ def density_from_gamma(state: CorrelationMatrix) -> np.ndarray:
 
 def density_stack(m) -> np.ndarray:
     """Dense density matrices of a stack of Gaussian states, shape (n, 2 ell,
-    2 ell) of correlation matrices m, from their Wick expansion
+    2 ell) of correlation matrices m, as their two fermion-parity blocks,
+    from their Wick expansion
 
         rho = 2^-ell sum_S (-i)^(|S|/2) Pf(m_S) d_S
 
@@ -133,24 +136,29 @@ def density_stack(m) -> np.ndarray:
     unit phase times X^x Z^z, whose entry at (c ^ x, c) is (-1)^popcount(z & c);
     so for each flip mask x the entries rho[c ^ x, c] are one Walsh-Hadamard
     transform over the Z masks z of the phased Pfaffians.  Odd flip masks
-    change the fermion parity, and their entries are exact zeros.
+    change the fermion parity, and their entries are exact zeros: rho is the
+    direct sum of its block on the basis states of even parity (block 0) and
+    on those of odd parity (block 1).  Each pair of indices 2k, 2k + 1 holds
+    one state of either parity, so basis state c is row and column c >> 1 of
+    its block, and only the blocks are built.
 
     O(ell 4^ell) operations per state and no canonical form, against the
     O(ell 8^ell) product of :func:`density_from_gamma`, which stays as the
-    independent oracle for this route.  Each state's matrix comes out bit for
-    bit the same whatever stack it is built in.  Returns (n, 2^ell, 2^ell).
+    independent oracle for this route.  Each state's blocks come out bit for
+    bit the same whatever stack they are built in.  Returns (n, 2,
+    2^(ell-1), 2^(ell-1)); a block-diagonal operator's trace norm is the sum
+    of its blocks', so ``trace_distance(a, b).sum(axis=-1)`` of two such
+    stacks is the trace distance of each pair.
     """
     m = _state_stack(m)
     ell = m.shape[1] // 2
     _check_guard(ell)
-    masks, slots, signs, cells = _wick_plan(ell) if ell <= PLAN_CACHE_MODES else _wick_plan.__wrapped__(ell)
+    masks, slots, signs, sources = _wick_plan(ell) if ell <= PLAN_CACHE_MODES else _wick_plan.__wrapped__(ell)
     count, dim = len(m), 2**ell
     phased = np.zeros((count, dim // 2, dim), dtype=complex)
     phased.view(float).reshape(count, -1)[:, slots] = principal_pfaffians(m)[:, masks] * signs
     spectrum = _walsh_hadamard(phased)
-    rho = np.zeros((count, dim, dim), dtype=complex)
-    rho.reshape(count, -1)[:, cells] = spectrum.reshape(count, -1)
-    return rho
+    return spectrum.reshape(count, -1)[:, sources].reshape(count, 2, dim // 2, dim // 2)
 
 
 @lru_cache(maxsize=PLAN_CACHE_MODES)
@@ -163,11 +171,13 @@ def _wick_plan(ell: int):
     X^x' Z^z.  ``slots`` is the float index of the term of S in the
     (2^(ell-1), 2^ell) complex array of (even flip mask, Z mask): its real
     part for a real phase, its imaginary part otherwise.  ``signs`` is the
-    sign of that part times 2^-ell.  ``cells`` is the flat index
-    (c ^ x) 2^ell + c in rho of every (even x, c) entry of the transform.
+    sign of that part times 2^-ell.  ``sources`` holds, for each entry of
+    the (2, 2^(ell-1), 2^(ell-1)) parity blocks in order, the flat index of
+    the transform entry (x, c) that fills it: a permutation, so every
+    entry of the transform is read once.
     """
     n, dim = 2 * ell, 2**ell
-    # int32 throughout: 4^ell <= 2^24 under the guard
+    # int32 masks and slots: 4^ell <= 2^24 under the guard
     masks = np.flatnonzero(popcount(np.arange(2**n, dtype=np.int32)) % 2 == 0).astype(np.int32)
     flips = np.zeros(masks.shape, dtype=np.int32)
     zs = np.zeros(masks.shape, dtype=np.int32)
@@ -178,13 +188,17 @@ def _wick_plan(ell: int):
         flips ^= has * x
         zs ^= has * z
     powers = (powers - popcount(masks) // 2) % 4
-    parities = popcount(np.arange(dim, dtype=np.int32)) % 2
-    rows = np.cumsum(1 - parities, dtype=np.int32) - 1  # row of each even flip mask
-    slots = 2 * (rows[flips] * dim + zs) + powers % 2
+    # of the masks 2k and 2k + 1 exactly one flips an even number of bits, and
+    # that flip mask x is row x >> 1
+    slots = 2 * ((flips >> 1) * dim + zs) + powers % 2
     signs = np.where(powers < 2, 2.0**-ell, -(2.0**-ell))
-    columns = np.arange(dim, dtype=np.int32)
-    cells = ((np.flatnonzero(parities == 0)[:, None] ^ columns) * dim + columns).ravel()
-    return masks, slots, signs, cells
+    # states[p, k]: the one of 2k and 2k + 1 with parity p, at row and column
+    # k of block p.  Block entry (p, i, j) is rho[r, c] for r = states[p, i]
+    # and c = states[p, j], the transform's entry (x, c) with x = r ^ c
+    k = np.arange(dim // 2, dtype=np.int64)
+    states = 2 * k + (np.arange(2)[:, None] ^ popcount(k) % 2)
+    sources = ((states[:, :, None] ^ states[:, None, :]) >> 1) * dim + states[:, None, :]
+    return masks, slots, signs, sources.ravel()
 
 
 def _walsh_hadamard(v: np.ndarray) -> np.ndarray:

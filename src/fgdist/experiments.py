@@ -34,11 +34,14 @@ of the states' correlation matrices: the Ising stack of
 columns of the random ensemble's stack.  Bures pairs of one ell go to
 :func:`fgdist.correlation.bures_distances`, which evaluates the regular
 branch on stacks of pairs and returns the same values as a per-pair loop.
-Trace pairs compare dense reduced density matrices, built by
-:func:`fgdist.dense.density_stack` in blocks of at most
-TRACE_STACK_ELEMENTS dense entries (at least one state) and compared a
-block of pairs at a time, so consecutive and all-pairs sweeps alike hold
-two blocks of states and one of differences: a few MiB up to ell = 7.
+Trace pairs compare dense reduced density matrices as their two
+fermion-parity blocks, built by :func:`fgdist.dense.density_stack` in
+blocks of TRACE_STACK_ELEMENTS // 4^ell states (at least one) and compared
+a block of pairs at a time, so consecutive and all-pairs sweeps alike hold
+two blocks of states and one of differences: a few MiB up to ell = 7.  A
+pair's distance is the sum of its two parity blocks' distances, exact
+because the trace norm of a block-diagonal operator is the sum over its
+blocks.
 Trace sweeps check their largest ell against the dense guard before they
 enumerate or sample anything.
 """
@@ -75,8 +78,10 @@ __all__ = [
 ]
 
 CSV_HEADER = "model,L,param,sector,ordering,metric,ell,x,average,pairs"
-# dense entries in one block of states of a trace sweep: 2^15 complex entries
-# are 512 KiB, so a block holds 32 states at ell = 5 and one from ell = 8 on
+# full-matrix entries per block of states of a trace sweep: 32 states at
+# ell = 5 and one from ell = 8 on.  The states are built as their two parity
+# blocks, half the entries, so a block of them takes 256 KiB of complex
+# entries
 TRACE_STACK_ELEMENTS = 2**15
 # rows formatted and written per block by _write_csv
 CSV_BLOCK_ROWS = 1024
@@ -219,14 +224,15 @@ def _pair_distances(m: np.ndarray, pairs: list, metric: str) -> np.ndarray:
     2 ell) for each index pair (i, j), 'bures' or 'trace'.
 
     For 'trace' the whole stack is checked first, as for 'bures', and the
-    states are split into blocks of TRACE_STACK_ELEMENTS dense entries (at
-    least one state).  The pairs are grouped by the blocks of their two
-    states; each group is evaluated with its two blocks built, at most one
-    block of pairs per stacked ``trace_distance``, and the values go to
-    their pairs' positions.  A sweep over consecutive pairs builds each
-    block once; an all-pairs sweep rebuilds the later blocks once per earlier
-    block, and holds at most two blocks and one block of differences at a
-    time either way.
+    states are split into blocks of TRACE_STACK_ELEMENTS // 4^ell states (at
+    least one), each state built as its two parity blocks.  The pairs are
+    grouped by the blocks of their two states; each group is evaluated with
+    its two blocks built, at most one block of pairs per stacked
+    ``trace_distance`` of the parity blocks, whose two distances per pair
+    are summed, and the values go to their pairs' positions.  A sweep over
+    consecutive pairs builds each block once; an all-pairs sweep rebuilds
+    the later blocks once per earlier block, and holds at most two blocks
+    and one block of differences at a time either way.
     """
     if metric == "bures":
         return bures_distances(m, pairs)
@@ -249,7 +255,7 @@ def _pair_distances(m: np.ndarray, pairs: list, metric: str) -> np.ndarray:
                 built[b] = density_stack(m[b * size : (b + 1) * size])
         for start in range(0, len(group), size):
             chunk = group[start : start + size]
-            values[chunk] = trace_distance(built[bi][rows[chunk, 0]], built[bj][rows[chunk, 1]])
+            values[chunk] = trace_distance(built[bi][rows[chunk, 0]], built[bj][rows[chunk, 1]]).sum(axis=-1)
     return values
 
 

@@ -289,7 +289,8 @@ def sort_spectrum(table: SpectrumTable, key_order=None) -> SpectrumTable:
 
     ``key_order`` is a sequence of distinct charge indices (default
     0, 1, ..., L-1).  Values closer than 1e-9 * max(1, L) count as ties and
-    keep their relative order for the next key.
+    keep their relative order for the next key.  The sort stops at the
+    first key after which every tie group is one row.
     """
     if key_order is None:
         key_order = tuple(range(table.L))
@@ -307,6 +308,8 @@ def sort_spectrum(table: SpectrumTable, key_order=None) -> SpectrumTable:
         changed = np.zeros(len(table), dtype=bool)
         changed[1:] = (group[1:] != group[:-1]) | (vals[1:] - vals[:-1] > tol)
         group = np.cumsum(changed)
+        if changed[1:].all():  # every tie group is one row: later keys move none
+            break
     # hyphen-joined so the provenance survives as a single CSV cell
     ordering = "charges:" + "-".join(str(k) for k in key_order)
     return table.reordered(order, sort_keys=key_order, ordering=ordering)

@@ -2,7 +2,8 @@
 
 Exact Hilbert-space constructions with the conventions of
 :mod:`fgdist.dense`: single-site Pauli operators, the chain translation and
-the parity diagonal, which :mod:`ising_dense` builds on; the exponential form
+the parity diagonal, which :mod:`ising_dense` builds on, and the dense
+matrix of a state's two parity blocks; the exponential form
 of a Gaussian operator and its inverse, Majorana correlations read back from
 a dense operator; and the product-spectrum fidelity, a second dense route.
 Everything here scales exponentially with system size.
@@ -57,6 +58,20 @@ def parity_diagonal(length: int) -> np.ndarray:
     idx = np.arange(2**length, dtype=np.int64)
     pop = np.array([bin(i).count("1") for i in idx])
     return np.where(pop % 2 == 0, 1.0, -1.0)
+
+
+def embed_parity_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Dense (..., 2^ell, 2^ell) matrices from the (..., 2, 2^(ell-1),
+    2^(ell-1)) parity blocks of :func:`fgdist.dense.density_stack`: block 0
+    on the basis states of even parity and block 1 on those of odd parity,
+    each in ascending index order, and zeros between them."""
+    length = int(np.log2(blocks.shape[-1])) + 1
+    parity = parity_diagonal(length)
+    out = np.zeros(blocks.shape[:-3] + (2**length, 2**length), dtype=blocks.dtype)
+    for p, sign in enumerate((1.0, -1.0)):
+        idx = np.flatnonzero(parity == sign)
+        out[..., idx[:, None], idx] = blocks[..., p, :, :]
+    return out
 
 
 def density_from_gamma_exponential(gamma) -> np.ndarray:

@@ -50,7 +50,7 @@ from fgdist.dense import (
 from fgdist.experiments import _pair_distances, apply_ordering, ising_sweep, random_sweep
 from fgdist.ising import enumerate_spectrum, subsystem_correlations
 from fgdist.random_ensemble import RandomEnsembleSpec, sample_ensemble
-from oracles import gamma_from_density
+from oracles import embed_parity_blocks, gamma_from_density
 
 
 def dense_fidelity_of(state_1, state_2):
@@ -711,7 +711,7 @@ def test_degenerate_regular_state_matches_the_dense_oracle():
     got = pair_fidelities(stack(states), pairs)
     assert np.array_equal(got, scalar_fidelities(states, pairs))
     for (i, j), f in zip(pairs, got):
-        rho = density_stack(np.stack([states[i].m, states[j].m]))
+        rho = embed_parity_blocks(density_stack(np.stack([states[i].m, states[j].m])))
         assert abs(f - fidelity_dense(rho[0], rho[1])) < 1e-12
 
 

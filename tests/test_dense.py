@@ -12,6 +12,7 @@ from conftest import planted_state, rand_rotation, random_mixed_state
 from fgdist.correlation import CorrelationMatrix, canonical_form, fidelity_single_mode
 from fgdist.dense import (
     DENSE_GUARD,
+    _wick_plan,
     density_from_gamma,
     density_stack,
     fidelity_dense,
@@ -28,6 +29,7 @@ from ising_dense import annihilation_operators, ising_hamiltonian
 from oracles import (
     PAULI,
     density_from_gamma_exponential,
+    embed_parity_blocks,
     fidelity_dense_product,
     gamma_from_density,
     parity_diagonal,
@@ -213,10 +215,36 @@ _PAIR_VALUES = st.lists(st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(gammas=_PAIR_VALUES, seed=st.integers(0, 2**32 - 1))
 def test_density_stack_matches_the_product_form(gammas, seed):
+    # the product form fills no entry between the parity blocks, so the
+    # blocks leave out nothing of rho
     state = planted_state(gammas, rng=np.random.default_rng(seed))
-    rho = density_stack(state.m[None])
-    assert rho.shape == (1, 2**state.ell, 2**state.ell)
-    assert np.abs(rho[0] - density_from_gamma(state)).max() <= 1e-14
+    blocks = density_stack(state.m[None])
+    half = 2 ** (state.ell - 1)
+    assert blocks.shape == (1, 2, half, half)
+    want = density_from_gamma(state)
+    parity = parity_diagonal(state.ell)
+    assert (want[parity[:, None] != parity] == 0).all()
+    assert np.abs(embed_parity_blocks(blocks[0]) - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_wick_plan_reads_every_transform_entry_once(ell):
+    sources = _wick_plan(ell)[3]
+    assert np.array_equal(np.sort(sources), np.arange(2 ** (2 * ell - 1)))
+
+
+def test_block_trace_distances_match_the_full_matrices():
+    # a block-diagonal operator's trace norm is the sum of its blocks'
+    rng = np.random.default_rng(14)
+    for ell in range(1, 8):
+        states = [random_mixed_state(ell, rng) for _ in range(3)]
+        states += [planted_state(np.ones(ell), rng=rng), planted_state([1.0] + [0.4] * (ell - 1), rng=rng)]
+        blocks = density_stack(np.stack([s.m for s in states]))
+        full = embed_parity_blocks(blocks)
+        i, j = np.triu_indices(len(states), 1)
+        got = trace_distance(blocks[i], blocks[j]).sum(axis=-1)
+        assert np.abs(got - trace_distance(full[i], full[j])).max() <= 1e-14
+        assert (trace_distance(blocks, blocks).sum(axis=-1) == 0.0).all()
 
 
 def test_density_stack_is_the_same_in_any_stack():
@@ -237,7 +265,7 @@ def test_density_from_gamma_on_a_fourfold_pair_value():
     # through eigh instead
     m = subsystem_correlations(apply_ordering(enumerate_spectrum(0.95, 12), "charges:default"), 2)[2078]
     got = density_from_gamma(CorrelationMatrix(m, validate=False))
-    assert np.abs(got - density_stack(m[None])[0]).max() < 1e-12
+    assert np.abs(got - embed_parity_blocks(density_stack(m[None])[0])).max() < 1e-12
 
 
 def test_density_stack_rejects_other_shapes():

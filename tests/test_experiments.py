@@ -532,9 +532,10 @@ def _branch(a, b):
 
 def _trace_of(a, b):
     """Trace distance of one pair, each state built by the sweep's builder as
-    a stack of one; tests/test_dense.py ties that builder to the product-form
-    oracle ``density_from_gamma``."""
-    return trace_distance(density_stack(a.m[None])[0], density_stack(b.m[None])[0])
+    a stack of one, as the sum of its two parity blocks' distances;
+    tests/test_dense.py ties that builder to the product-form oracle
+    ``density_from_gamma`` and the block sum to the full matrices'."""
+    return float(trace_distance(density_stack(a.m[None])[0], density_stack(b.m[None])[0]).sum())
 
 
 def test_sweep_averages_match_per_pair_loop():
