@@ -10,12 +10,15 @@ Subcommands
 All tabular output is CSV with floats at 17 significant digits; repeated
 identical invocations emit byte-identical files.  Sweep runs with --out
 also write a JSON sidecar next to the CSV (carrying the fit under --fit);
---sector-out, with --model xxz only, exports the sector's energies.  The
-output files, which must be different files, and their directories are
-checked before anything is computed, and every file is written under a
-temporary name and renamed into place, so a failed run leaves no partial
-file.  Exit codes: 0 success, 2 invalid arguments or parameters or an
-output path that cannot be written, 3 request exceeds a dense-size guard.
+--sector-out, with --model xxz, exports the sector's energies.  A sweep
+option that the chosen model does not read (--h, --sector and --ordering
+are ising's; --delta, --h-z, --sector and --sector-out xxz's; --count and
+--seed random's) is an invalid argument.  The output files, which must be
+different files, and their directories are checked before anything is
+computed, and every file is written under a temporary name and renamed
+into place, so a failed run leaves no partial file.  Exit codes: 0
+success, 2 invalid arguments or parameters or an output path that cannot
+be written, 3 request exceeds a dense-size guard.
 """
 
 from __future__ import annotations
@@ -127,13 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("sweep", help="averaged subsystem distances")
     cmd.add_argument("--model", choices=("ising", "xxz", "random"), default="ising")
     cmd.add_argument("--L", type=int, required=True)
-    cmd.add_argument("--h", type=float, default=1.0, help="ising field")
-    cmd.add_argument("--delta", type=float, default=float(np.sqrt(2.0)), help="xxz anisotropy")
-    cmd.add_argument("--h-z", type=float, default=0.0, help="xxz longitudinal field")
+    cmd.add_argument("--h", type=float, default=None, help="ising field (default 1.0)")
+    cmd.add_argument("--delta", type=float, default=None, help="xxz anisotropy (default sqrt 2)")
+    cmd.add_argument("--h-z", type=float, default=None, help="xxz longitudinal field (default 0)")
     cmd.add_argument("--sector", default=None, help="ising: 'P,K' or 'full'; xxz: 'K,n_down'")
-    cmd.add_argument("--ordering", default="charges:default", help="charges:i,j,... or random:SEED")
-    cmd.add_argument("--count", type=int, default=32, help="random-ensemble size")
-    cmd.add_argument("--seed", type=int, default=0, help="random-ensemble seed")
+    cmd.add_argument("--ordering", default=None, help="ising: charges:i,j,... or random:SEED (default charges:default)")
+    cmd.add_argument("--count", type=int, default=None, help="random-ensemble size (default 32)")
+    cmd.add_argument("--seed", type=int, default=None, help="random-ensemble seed (default 0)")
     cmd.add_argument("--metric", choices=("bures", "trace"), default="bures")
     cmd.add_argument("--ell-min", type=int, default=None)
     cmd.add_argument("--ell-max", type=int, default=None)
@@ -174,9 +177,23 @@ def _run_spectrum(args) -> int:
     return 0
 
 
+# the model-specific options of sweep, per model that reads them, each with
+# the value it takes when not given
+_SWEEP_OPTIONS = {
+    "ising": {"h": 1.0, "sector": None, "ordering": "charges:default"},
+    "xxz": {"delta": float(np.sqrt(2.0)), "h_z": 0.0, "sector": None, "sector_out": None},
+    "random": {"count": 32, "seed": 0},
+}
+
+
 def _run_sweep(args) -> int:
-    if args.sector_out is not None and args.model != "xxz":
-        raise ValueError(f"--sector-out needs --model xxz, got --model {args.model}")
+    options = _SWEEP_OPTIONS[args.model]
+    for name in sorted(set().union(*_SWEEP_OPTIONS.values()) - options.keys()):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to --model {args.model}")
+    for name, default in options.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.model == "ising":
         sector = _parse_ising_sector(args.sector) if args.sector else None
         result = experiments.ising_sweep(

@@ -23,16 +23,14 @@ diagonal); :func:`xxz_dense_hamiltonian` assembles the full-space sparse
 matrix from it, equal entry for entry and bit for bit to the sum of sparse
 Pauli products written above.  A sector block B^dag H B is summed in numpy
 over those three arrays and over the rows of H that belong to the sector,
-term by term in the order and with the rounding of scipy's sparse product
-(B^dag H) B, so the block is bitwise what that product gives; eigenvectors
-are lifted back to the full space from the same arrays, so reduced density
-matrices come from ordinary partial traces.  Sectors are cached on
-(L, K, n_down) and eigensystems on the sector object, which hashes by
-identity: every caller asking for one sector (a sweep, its sector export)
-shares one orbit walk and one diagonalization per (Delta, h_z), and a
-hand-built sector is diagonalized from its own arrays.  Only
-:func:`xxz_dense_hamiltonian` loads scipy.  The field h_z commutes with
-everything and only shifts a fixed-magnetization block uniformly; it is
+and eigenvectors are lifted back to the full space from the same arrays,
+so reduced density matrices come from ordinary partial traces.  Sectors
+are cached on (L, K, n_down) and eigensystems on the sector object, which
+hashes by identity: every caller asking for one sector (a sweep, its
+sector export) shares one orbit walk and one diagonalization per
+(Delta, h_z), and a hand-built sector is diagonalized from its own arrays.
+Only :func:`xxz_dense_hamiltonian` loads scipy.  The field h_z commutes
+with everything and only shifts a fixed-magnetization block uniformly; it is
 accepted and verified but defaults to zero.
 """
 
@@ -175,50 +173,25 @@ def xxz_dense_hamiltonian(L: int, delta: float, h_z: float = 0.0):
     return ham
 
 
-def _times(ar, ai, br, bi) -> np.ndarray:
-    """(ar + i ai)(br + i bi) written out from real parts, as scipy's sparse
-    kernels round it; numpy's complex multiply may round differently."""
-    out = np.empty(np.broadcast_shapes(np.shape(ar), np.shape(br)), dtype=complex)
-    out.real = ar * br - ai * bi
-    out.imag = ar * bi + ai * br
-    return out
-
-
 def xxz_block_hamiltonian(sector: XXZSector, delta: float, h_z: float = 0.0) -> np.ndarray:
     """Hermitian dim x dim Hamiltonian block of the sector.
 
-    B^dag H B in two sums, each a sequential ``np.add.at`` from zero that
-    follows the sparse product (B^dag H) B term for term, so the block is
-    bitwise what that product gives:
-    T[a, c'] = sum over c ascending of H[c, c'] conj(B[c, a]), and
-    block[a, b] = sum over c' of orbit b ascending of B[c', b] T[a, c'],
-    skipping exact-zero T entries.  Only the columns c' inside the sector
-    are kept in T: B has no other rows.
+    block[a, b] = sum over H[c, c'] with c, c' in the sector of
+    conj(B[c, a]) H[c, c'] B[c', b]: one ``np.add.at`` over the entries of H
+    in the sector's rows whose columns lie in the sector too (B has no
+    other rows).  Repeated entries, as the two bonds of L = 2 give, sum on
+    their own.
     """
-    if sector.dim == 0:
-        return np.zeros((0, 0))
-    L, dim = sector.L, sector.dim
     configs, orbit, amp = sector.configs, sector.orbit, sector.amplitudes
-    rows, cols, values = _bond_entries(L, float(delta), float(h_z), configs)
-    position = np.full(2**L, -1)
+    rows, cols, values = _bond_entries(sector.L, float(delta), float(h_z), configs)
+    position = np.full(2**sector.L, -1)
     position[configs] = np.arange(len(configs))
-    # the stored entries of H in these rows: repeats summed, zeros dropped,
-    # ordered by row and then column
-    keys, inverse = np.unique(rows * 2**L + cols, return_inverse=True)
-    entries = np.zeros(len(keys))
-    np.add.at(entries, inverse.reshape(-1), values)
-    rows, cols = np.divmod(keys, 2**L)
-    keep = (entries != 0.0) & (position[cols] >= 0)
-    rows, cols, entries = rows[keep], cols[keep], entries[keep]
-    row_amp = amp[position[rows]]
-    t = np.zeros((dim, len(configs)), dtype=complex)
-    # H's stored values are complex with a zero imaginary part
-    np.add.at(t.reshape(-1), orbit[position[rows]] * len(configs) + position[cols],
-              _times(entries, np.zeros(len(entries)), row_amp.real, -row_amp.imag))
-    a, p = np.nonzero(t)  # row-major: for each a, c' ascending
-    block = np.zeros((dim, dim), dtype=complex)
-    np.add.at(block.reshape(-1), a * dim + orbit[p], _times(amp.real[p], amp.imag[p], t.real[a, p], t.imag[a, p]))
-    gap = np.abs(block - block.conj().T).max()
+    r, c = position[rows], position[cols]
+    keep = c >= 0
+    r, c = r[keep], c[keep]
+    block = np.zeros((sector.dim, sector.dim), dtype=complex)
+    np.add.at(block, (orbit[r], orbit[c]), amp[r].conj() * values[keep] * amp[c])
+    gap = np.abs(block - block.conj().T).max(initial=0.0)
     if gap > 1e-12:
         raise RuntimeError(f"sector block is not Hermitian (residual {gap:.2e})")
     return (block + block.conj().T) / 2.0
@@ -226,26 +199,19 @@ def xxz_block_hamiltonian(sector: XXZSector, delta: float, h_z: float = 0.0) -> 
 
 @lru_cache(maxsize=32)
 def xxz_eigenstates(sector: XXZSector, delta: float, h_z: float = 0.0):
-    """Sector eigenvalues (ascending) and phase-fixed full-space eigenvectors.
+    """Sector eigenvalues (ascending) and full-space eigenvectors B @ modes.
 
     Returns read-only (energies, vectors) where vectors holds one 2^L column
-    per state.  Cached on the sector object itself (sectors hash by
+    per state, its phase as ``eigh`` leaves it: every distance is
+    phase-invariant.  Cached on the sector object itself (sectors hash by
     identity), so repeated calls on one sector diagonalize it once and a
     hand-built sector is diagonalized from its own arrays.  Inside a
     degenerate cluster the eigenbasis is arbitrary, and pair distances
     there are reported as they come out.
     """
-    block = xxz_block_hamiltonian(sector, delta, h_z)
-    energies, modes = np.linalg.eigh(block)
-    # lift to 2^L x dim columns: 0 + B[c] modes[orbit of c], as the sparse
-    # product B @ modes sums it
-    amp, lifted = sector.amplitudes, modes[sector.orbit]
+    energies, modes = np.linalg.eigh(xxz_block_hamiltonian(sector, delta, h_z))
     full = np.zeros((2**sector.L, sector.dim), dtype=complex)
-    full[sector.configs] = 0.0 + _times(amp.real[:, None], amp.imag[:, None], lifted.real, lifted.imag)
-    # deterministic phase: largest amplitude of each column real positive
-    lead = np.argmax(np.abs(full), axis=0)
-    phase = full[lead, np.arange(full.shape[1])]
-    full = full * (np.abs(phase) / phase)
+    full[sector.configs] = sector.amplitudes[:, None] * modes[sector.orbit]
     energies.flags.writeable = full.flags.writeable = False
     return energies, full
 

@@ -70,6 +70,28 @@ def test_validation_errors_exit_2(capsys, tmp_path):
     assert "fgdist:" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--model", "random", "--sector", "1,2"], "--sector"),
+        (["--model", "random", "--h", "0.3"], "--h"),
+        (["--model", "random", "--ordering", "random:3"], "--ordering"),
+        (["--model", "xxz", "--sector", "1,2", "--ordering", "random:3"], "--ordering"),
+        (["--model", "xxz", "--sector", "1,2", "--h", "0.3"], "--h"),
+        (["--model", "xxz", "--sector", "1,2", "--count", "9"], "--count"),
+        (["--model", "ising", "--delta", "0.3"], "--delta"),
+        (["--model", "ising", "--h-z", "2"], "--h-z"),
+        (["--model", "ising", "--seed", "5"], "--seed"),
+        (["--h", "1.0", "--count", "9"], "--count"),
+    ],
+)
+def test_sweep_option_of_another_model_exits_2(argv, option, capsys, tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--L", "6", "--ell-max", "2", *argv, "--out", str(out)]) == 2
+    assert f"fgdist: {option} does not apply to --model " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_through_a_degenerate_regular_state_exits_0(tmp_path):
     # state 2078 of this table has a fourfold pair value, where a real Schur
     # form of m is not found
@@ -241,9 +263,9 @@ def test_sector_out_bytes(tmp_path):
     assert main(argv + ["--sector-out", str(out)]) == 0
     assert out.read_text() == (
         "L,K,n_down,delta,index,energy\n"
-        "8,1,2,1.4142135623730951,0,-1.969757476752023\n"
-        "8,1,2,1.4142135623730951,1,-0.55287674254793651\n"
-        "8,1,2,1.4142135623730951,2,1.1084206569268649\n"
+        "8,1,2,1.4142135623730951,0,-1.9697574767520227\n"
+        "8,1,2,1.4142135623730951,1,-0.5528767425479364\n"
+        "8,1,2,1.4142135623730951,2,1.108420656926864\n"
     )
 
 
@@ -257,7 +279,7 @@ def test_sector_out_bytes(tmp_path):
          "4706e6eecb1beaaa6d8f65419f617c139b7ac497a943e3cc1cd5947069f74837"),
         (["sweep", "--model", "xxz", "--L", "10", "--sector", "1,4", "--h-z", "0.37", "--ell-max", "2",
           "--sector-out", "{tmp}/energies.csv"], "energies.csv",
-         "4c6bb6570c4f999564a14169fc8280010c25d7d5f850de73de7ad6afdea8fad1"),
+         "73748db29a4e1be7cd442103b6acd93dfc9049454d5c117eab7a420fccf465f8"),
     ],
 )
 def test_export_golden_bytes(argv, path, digest, tmp_path):

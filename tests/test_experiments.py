@@ -183,12 +183,13 @@ def _traced_peak(run):
 
 
 def test_trace_sweep_holds_a_few_blocks_of_dense_states():
-    # the 256 states of ell = 6 are 16 MiB of dense matrices; the sweep holds
+    # the 256 states of ell = 6 are 8 MiB of parity blocks; the sweep holds
     # two blocks of TRACE_STACK_ELEMENTS entries, one block of differences
-    # and their temporaries
+    # and their temporaries, about 1.7 MiB against 2.8 MiB when it built
+    # full matrices
     ising_sweep(8, 1.0, "trace", [6])  # fills the size-keyed plan caches
     res, peak = _traced_peak(lambda: ising_sweep(8, 1.0, "trace", [6]))
-    assert peak < 2**8 * 4**6 * 16 / 2
+    assert peak < 2.25 * 2**20
     assert res.rows == ising_sweep(8, 1.0, "trace", [6]).rows
 
 
@@ -254,30 +255,30 @@ def test_xxz_sweep_bytes_are_pinned():
     # the first grid point of the benchmark's xxz-sector sweep
     assert xxz_sweep(8, 1, 2, float(np.sqrt(2.0)), "bures", range(1, 9)).csv_text() == (
         "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
-        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,1,0.125,4.9670537312825518e-09,3\n"
-        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,2,0.25,0.39394404043551495,3\n"
-        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,3,0.375,0.71241114382608828,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,1,0.125,7.0244747518156727e-09,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,2,0.25,0.39394404043551595,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,3,0.375,0.71241114382608861,3\n"
         "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,4,0.5,0.9564073329282321,3\n"
         "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,5,0.625,1.1344893443672417,3\n"
-        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,6,0.75,1.2950551351236312,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,6,0.75,1.2950551351236308,3\n"
         "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,7,0.875,1.4142135623730949,3\n"
-        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,8,1,1.4142135623730951,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,8,1,1.4142135623730949,3\n"
     )
     assert xxz_sweep(12, 1, 4, 1.205, "bures", [2, 3, 4, 5]).csv_text() == (
         "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
-        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,2,0.16666666666666666,0.23909096716113071,780\n"
-        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,3,0.25,0.47805304002555521,780\n"
-        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,4,0.33333333333333331,0.72580663825141223,780\n"
-        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,5,0.41666666666666669,0.9346381907816812,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,2,0.16666666666666666,0.23909096716113415,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,3,0.25,0.47805304002555654,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,4,0.33333333333333331,0.72580663825141378,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,5,0.41666666666666669,0.93463819078168164,780\n"
     )
 
 
-@pytest.mark.xfail(strict=True, reason="sqrt(2 (1 - F)) cancels on dense reduced states one ulp from F = 1")
+@pytest.mark.xfail(strict=True, reason="sqrt(2 (1 - F)) cancels on dense reduced states ulps from F = 1")
 def test_xxz_single_site_bures_average_is_zero():
     # every single-site reduced state of a translation-invariant eigenstate
     # with fixed magnetization is diag(1 - n_down / L, n_down / L), so the
-    # exact average is 0; the dense fidelity lands one ulp below 1 and the
-    # average reads 4.9670537312825518e-09 (pinned above)
+    # exact average is 0; the dense fidelity of one pair lands two ulps below
+    # 1 and the average reads 7.0244747518156727e-09 (pinned above)
     _, average, _ = xxz_sweep(8, 1, 2, float(np.sqrt(2.0)), "bures", [1]).rows[0]
     assert average < 1e-12
 
