@@ -20,7 +20,11 @@ density matrix splits into, and compare them block by block with
 the tests hold the polynomial-cost code to.  :func:`density_from_gamma`
 builds rho from a state's pair values and the rotation of
 :func:`fgdist.correlation.canonical_form`; :func:`density_stack` needs
-neither.  It is not a way to run large systems.
+neither.  :func:`fidelity_dense` works on square-root factors B with
+rho = B B^+ (:func:`root_factor`), one per state and only as wide as the
+state's rank, so the XXZ sweeps factor each reduced state once and each
+pair costs one product and one singular-value sum.  It is not a way to run
+large systems.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ __all__ = [
     "majorana_operators",
     "density_from_gamma",
     "density_stack",
-    "RootEigensystem",
-    "root_eigensystem",
+    "RootFactor",
+    "root_factor",
     "fidelity_dense",
     "trace_distance",
     "partial_trace",
@@ -219,44 +223,48 @@ def _walsh_hadamard(v: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RootEigensystem:
-    """Eigenvectors ``v`` (columns) of a density matrix and the square roots
-    ``sqrt_w`` of its eigenvalues, those below the noise floor set to zero."""
+class RootFactor:
+    """A square-root factor of a density matrix, rho = B B^+ with
+    B = V sqrt(W) over the eigenpairs (W, V) above the noise floor, held as
+    its conjugate transpose ``b_h`` = B^+ (rank x d, C-contiguous)."""
 
-    sqrt_w: np.ndarray
-    v: np.ndarray
+    b_h: np.ndarray
 
 
-def root_eigensystem(rho: np.ndarray) -> RootEigensystem:
-    """Diagonalize a density matrix once for any number of
-    :func:`fidelity_dense` calls."""
+def root_factor(rho: np.ndarray) -> RootFactor:
+    """Factor a density matrix once for any number of :func:`fidelity_dense`
+    calls.
+
+    Rank-deficient states put +-u noise where exact zeros belong, and the
+    square root of that noise is ~1e-8 per mode, so only the eigenvalues
+    above 1e-13 times the largest enter the factor: a state of rank k gives
+    a d x k factor, a pure state one column."""
     w, v = np.linalg.eigh(rho)
-    # rank-deficient states put +-u noise where exact zeros belong; sqrt of
-    # that noise is ~1e-8 per mode, so zero everything below the noise floor
-    w = np.where(w > 1e-13 * max(w[-1], 0.0), w, 0.0)
-    return RootEigensystem(np.sqrt(w), v)
+    keep = w > 1e-13 * max(w[-1], 0.0)
+    return RootFactor(np.ascontiguousarray((v[:, keep] * np.sqrt(w[keep])).conj().T))
 
 
-def fidelity_dense(rho: np.ndarray | RootEigensystem, sigma: np.ndarray | RootEigensystem) -> float:
+def fidelity_dense(rho: np.ndarray | RootFactor, sigma: np.ndarray | RootFactor) -> float:
     """Uhlmann fidelity as the nuclear norm of sqrt(sigma) sqrt(rho).
 
-    Evaluated as the singular values of C = sqrt(w_s) (V_s^+ V_r) sqrt(w_r)
-    with (w, V) the eigensystems of the two states.  Singular values carry
-    absolute error ~u, so no accuracy is lost taking them directly as the
-    square roots of the sandwich eigenvalues; diagonalizing the sandwich
-    itself squares the small values first and loses half the digits for
-    nearly pure states.  Exact zero modes contribute exact zero rows here
-    rather than sqrt(noise) terms.
+    Evaluated as the sum of the singular values of B_s^+ B_r, with B the
+    square-root factors of :func:`root_factor`: sqrt(rho) = V_r sqrt(W_r)
+    V_r^+ = B_r V_r^+, and the unitaries V drop out of the nuclear norm.
+    Singular values carry absolute error ~u, so no accuracy is lost taking
+    them directly as the square roots of the sandwich eigenvalues;
+    diagonalizing the sandwich itself squares the small values first and
+    loses half the digits for nearly pure states.  Modes below the noise
+    floor are not in the factors, so they contribute nothing rather than
+    sqrt(noise) terms, and a state of rank k shrinks the product to k rows
+    or columns.  Clamped to 1.
 
-    Each argument is a density matrix or its :class:`RootEigensystem`; a
-    matrix goes through :func:`root_eigensystem` first, so a caller that
-    compares one state with many diagonalizes it once and passes the
-    eigensystem to every call, with the same result bit for bit.
+    Each argument is a density matrix or its :class:`RootFactor`; a matrix
+    goes through :func:`root_factor` first, so a caller that compares one
+    state with many factors it once and passes the factor to every call,
+    with the same result bit for bit.
     """
-    r, s = (x if isinstance(x, RootEigensystem) else root_eigensystem(x) for x in (rho, sigma))
-    cross = (s.v.conj().T @ r.v) * r.sqrt_w
-    cross *= s.sqrt_w[:, None]
-    sv = np.linalg.svd(cross, compute_uv=False)
+    r, s = (x if isinstance(x, RootFactor) else root_factor(x) for x in (rho, sigma))
+    sv = np.linalg.svd(s.b_h @ r.b_h.conj().T, compute_uv=False)
     return float(min(sv.sum(), 1.0))
 
 

@@ -36,6 +36,7 @@ accepted and verified but defaults to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -229,11 +230,12 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
 
     Returns (average, pair_count) over the C(dim, 2) unordered pairs,
     metric 'trace' or 'bures' evaluated on dense reduced density matrices.
-    For 'bures' each reduced state is diagonalized once per call
-    (:func:`fgdist.dense.root_eigensystem`), and every pair still makes one
-    :func:`fgdist.dense.fidelity_dense` call on the two eigensystems.
+    For 'bures' each reduced state is factored once per call
+    (:func:`fgdist.dense.root_factor`), and every pair makes one
+    :func:`fgdist.dense.fidelity_dense` call on the two factors: one product
+    and one singular-value sum.
     """
-    from .dense import fidelity_dense, root_eigensystem, trace_distance
+    from .dense import fidelity_dense, root_factor, trace_distance
 
     if sector.dim < 2:
         raise ValueError(f"need at least two states, sector has {sector.dim}")
@@ -242,7 +244,7 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
     energies, full = xxz_eigenstates(sector, delta, h_z)
     rdms = [partial_trace(np.ascontiguousarray(full[:, i]), sector.L, ell) for i in range(sector.dim)]
     if metric == "bures":
-        rdms = [root_eigensystem(rho) for rho in rdms]
+        rdms = [root_factor(rho) for rho in rdms]
     total = 0.0
     pairs = 0
     for i in range(sector.dim):
@@ -250,6 +252,6 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
             if metric == "trace":
                 total += trace_distance(rdms[i], rdms[j])
             else:
-                total += np.sqrt(2.0 * (1.0 - fidelity_dense(rdms[i], rdms[j])))
+                total += math.sqrt(2.0 * (1.0 - fidelity_dense(rdms[i], rdms[j])))
             pairs += 1
     return total / pairs, pairs

@@ -256,7 +256,7 @@ def test_xxz_sweep_bytes_are_pinned():
     assert xxz_sweep(8, 1, 2, float(np.sqrt(2.0)), "bures", range(1, 9)).csv_text() == (
         "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
         "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,1,0.125,7.0244747518156727e-09,3\n"
-        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,2,0.25,0.39394404043551595,3\n"
+        "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,2,0.25,0.39394404043551584,3\n"
         "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,3,0.375,0.71241114382608861,3\n"
         "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,4,0.5,0.9564073329282321,3\n"
         "xxz,8,1.4142135623730951,K=1,n_down=2,all-pairs,bures,5,0.625,1.1344893443672417,3\n"
@@ -266,9 +266,9 @@ def test_xxz_sweep_bytes_are_pinned():
     )
     assert xxz_sweep(12, 1, 4, 1.205, "bures", [2, 3, 4, 5]).csv_text() == (
         "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
-        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,2,0.16666666666666666,0.23909096716113415,780\n"
-        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,3,0.25,0.47805304002555654,780\n"
-        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,4,0.33333333333333331,0.72580663825141378,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,2,0.16666666666666666,0.23909096716113432,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,3,0.25,0.47805304002555665,780\n"
+        "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,4,0.33333333333333331,0.725806638251414,780\n"
         "xxz,12,1.2050000000000001,K=1,n_down=4,all-pairs,bures,5,0.41666666666666669,0.93463819078168164,780\n"
     )
 
