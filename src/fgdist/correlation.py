@@ -12,9 +12,9 @@ pair values g_j lie in [0, 1].  A state is pure exactly when every pair value
 equals 1.  One ``eigh`` of Gamma is a state's only decomposition: its ell
 smallest eigenvalues give the pair values, and its eigenvectors the half
 state and the canonical rotation.  :class:`CorrelationMatrix` caches the
-eigensystem and the rotation, and checks its matrix as the pair kernel
-checks its stacks (:func:`_state_stack`): finite and antisymmetric to
-ANTISYMMETRY_TOL.
+eigensystem and what it reads of it (pair values, unit count, half state
+and rotation), and checks its matrix as the pair kernel checks its stacks
+(:func:`_state_stack`): finite and antisymmetric to ANTISYMMETRY_TOL.
 
 Every quantity here stays in real arithmetic where the algebra allows it:
 products Gamma_1 Gamma_2 = -m_1 m_2 are real, so overlap traces, the pure
@@ -57,7 +57,11 @@ Only the reduce branch rotates a state into its canonical basis: its
 ``rotation``, one QR on top of the same eigensystem from
 :func:`canonical_form`, is cached on the state like the eigensystem, and
 so is its ``reduction``: the snapped block matrix and the bulk state, with
-its eigensystem, that every reduce pair of that reference state reads.
+its eigensystem and half state, that every reduce pair of that reference
+state reads.  The other bulk state, new for every pair, is decomposed only
+as far as the dispatch reads it: one ``eigvalsh`` gives its pair values,
+and its ``eigh`` runs only if it turns out the more mixed, or if its top
+pair value lies within DECISION_MARGIN of a value it is compared against.
 
 Bures distances take one more path.  sqrt(2 (1 - F)) cancels for close
 pairs, where one ulp of F is a distance of 1.5e-8, so
@@ -122,6 +126,15 @@ INVERTIBILITY_TOL = 1e-12
 # pair values in the band each, log none.
 ROUNDING_RESIDUE_TOL = 1e-4
 
+# The bulk state_s of a reduce pair takes its pair values from an eigvalsh,
+# not its eigh, when its top pair value lies further than this from 1 -
+# UNIT_MODE_TOL and from the bulk reference's top pair value: then the two
+# decide its branch and order alike.  Both are backward stable, so they
+# differ by a few ulp of ||Gamma|| <= 1: by at most 2.6e-15 over 3,330
+# reduce pairs of the Ising L = 10 and 12 tables at ell > L/2 and of random
+# L = 64 ensembles at ell = 40 and 56.
+DECISION_MARGIN = 1e-12
+
 # A refined solve takes its second step only on a system with n kappa_1 above
 # this; see _solve_refined.
 SECOND_STEP_NKAPPA = 2**20
@@ -137,6 +150,12 @@ STACK_ELEMENTS = 4096
 
 class CorrelationMatrix:
     """Majorana correlation matrix of a fermionic Gaussian state.
+
+    Everything derived from ``m`` is cached on first use: the eigensystem,
+    the pair values (read-only) and unit count read from its eigenvalues,
+    the half state and the canonical rotation from its eigenvectors, and
+    the reduction of a reduce-branch reference.  ``m`` must not change
+    after that.
 
     Parameters
     ----------
@@ -163,6 +182,24 @@ class CorrelationMatrix:
         return _eigensystems(self.m)
 
     @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues (ascending) of Gamma = i m, which give the pair
+        values: those of the eigensystem, unless set before from an
+        ``eigvalsh`` of Gamma, as :func:`reduce_unit_modes` does for its
+        bulk state."""
+        return self.eigensystem[0]
+
+    @cached_property
+    def half(self) -> np.ndarray:
+        """m of sqrt(rho)/tr sqrt(rho), from the eigensystem (read-only); the
+        regular formula composes it when this state is the more mixed of a
+        pair."""
+        lam, u = self.eigensystem
+        half = _half_matrices(lam[None], u[None])[0]
+        half.flags.writeable = False
+        return half
+
+    @cached_property
     def rotation(self) -> np.ndarray:
         """Orthogonal O of the canonical form O m O^T, from
         :func:`canonical_form`; the reduce branch rotates into this basis."""
@@ -179,16 +216,22 @@ class CorrelationMatrix:
         r_rot.flags.writeable = False
         return x, r_rot, CorrelationMatrix(r_rot[2 * x :, 2 * x :], validate=False)
 
-    @property
+    @cached_property
     def pair_values(self) -> np.ndarray:
         """Canonical pair values g_j, descending, clipped into [0, 1], from
-        the eigensystem; raises ValueError for one beyond EIGENVALUE_SLACK
-        above 1."""
-        return _pair_values_of(self.eigensystem[0])
+        ``eigenvalues`` (read-only); raises ValueError for one beyond
+        EIGENVALUE_SLACK above 1."""
+        values = _pair_values_of(self.eigenvalues)
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def _unit_pairs(self) -> int:
+        return int(np.sum(self.pair_values >= 1.0 - UNIT_MODE_TOL))
 
     def unit_pair_count(self) -> int:
         """How many pair values count as exactly 1 for branch dispatch."""
-        return int(np.sum(self.pair_values >= 1.0 - UNIT_MODE_TOL))
+        return self._unit_pairs
 
     def is_pure(self) -> bool:
         return self.unit_pair_count() == self.ell
@@ -424,7 +467,8 @@ def _compose_real(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     INVERTIBILITY_TOL), flags nothing below n = 470, so no SVD runs."""
     eye = np.eye(m1.shape[-1])
     a = _solve_core(eye - m2 @ m1, eye)  # real form of 1 + Gamma_2 Gamma_1
-    return (eye - a + m1 @ a @ m2) + 1j * (a @ m2 + m1 @ a)
+    m1a = m1 @ a
+    return (eye - a + m1a @ m2) + 1j * (a @ m2 + m1a)
 
 
 def _compose_complex(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -589,11 +633,19 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix):
     by the unit block and the two correlation matrices of the remaining
     modes, with ``bulk_s`` carrying the Schur-complement correction from the
     off-diagonal blocks.  ``bulk_r`` and the snapped block matrix come from
-    ``state_r.reduction``, built once per reference state.  When the unit
-    blocks are orthogonal (the overlap determinant is not positive, or
-    1 - s_x r_x is singular to the guard of :func:`_solve_refined`)
-    ``(0.0, None, None)`` is returned.
+    ``state_r.reduction``, built once per reference state.  ``bulk_s``
+    reads its pair values from one ``eigvalsh`` of its Gamma when its top
+    pair value lies more than DECISION_MARGIN below 1 - UNIT_MODE_TOL and
+    from that of ``bulk_r``, so that they decide branch and order as its
+    ``eigh`` would; its ``eigh`` then runs only if the regular formula
+    needs its half state.  Otherwise it reads them from its ``eigh``.  When
+    the unit blocks are orthogonal (the overlap determinant is not
+    positive, or 1 - s_x r_x is singular to the guard of
+    :func:`_solve_refined`) ``(0.0, None, None)`` is returned.  Raises
+    ValueError for states of unequal size.
     """
+    if state_r.ell != state_s.ell:
+        raise ValueError("states must have the same number of modes")
     x, r_rot, bulk_r = state_r.reduction
     if x == 0 or x == state_r.ell:
         raise ValueError("reduction needs 0 < unit pairs < total pairs")
@@ -613,7 +665,13 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix):
     correction = s_rot[nx:, :nx] @ r_x @ solved
     s_bulk = s_rot[nx:, nx:] + correction
     s_bulk = (s_bulk - s_bulk.T) / 2.0
-    return prefactor, bulk_r, CorrelationMatrix(s_bulk, validate=False)
+    bulk_s = CorrelationMatrix(s_bulk, validate=False)
+    if bulk_s.ell > 1:
+        lam = np.linalg.eigvalsh(1j * s_bulk)
+        top = _pair_values_of(lam)[0]
+        if top < 1.0 - UNIT_MODE_TOL - DECISION_MARGIN and abs(top - bulk_r.pair_values[0]) > DECISION_MARGIN:
+            bulk_s.eigenvalues = lam
+    return prefactor, bulk_r, bulk_s
 
 
 def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
@@ -624,8 +682,7 @@ def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
         # the regular formula as a stack of one, the more mixed state first
         if state_1.pair_values[0] > state_2.pair_values[0]:
             state_1, state_2 = state_2, state_1
-        lam, u = state_1.eigensystem
-        return float(_regular_fidelities(_half_matrices(lam[None], u[None]), state_1.m[None], state_2.m[None])[0])
+        return float(_regular_fidelities(state_1.half[None], state_1.m[None], state_2.m[None])[0])
     if not (state_1.is_pure() or state_2.is_pure()):
         if state_2.unit_pair_count() > state_1.unit_pair_count():
             state_1, state_2 = state_2, state_1
@@ -718,12 +775,13 @@ def _pair_kernel(m, pairs, metric: bool):
                 # U is unitary and every denominator of D_m is at most 2, so D_m >=
                 # ||m_2 - m_1||_F / 4: a pair above twice the switch cannot be near
                 maybe = np.linalg.norm(m2 - m1, axis=(1, 2)) / 4.0 < 2.0 * switch
-                distances = _metric_distances(lam[maybe], u[maybe], m1[maybe], m2[maybe])
-                near = np.zeros_like(maybe)
-                near[maybe] = distances < switch[maybe]
-                values[at[near]] = distances[near[maybe]]
-                direct[at[near]] = True
-                at, lam, u, m1, m2 = at[~near], lam[~near], u[~near], m1[~near], m2[~near]
+                if maybe.any():
+                    distances = _metric_distances(lam[maybe], u[maybe], m1[maybe], m2[maybe])
+                    near = np.zeros_like(maybe)
+                    near[maybe] = distances < switch[maybe]
+                    values[at[near]] = distances[near[maybe]]
+                    direct[at[near]] = True
+                    at, lam, u, m1, m2 = at[~near], lam[~near], u[~near], m1[~near], m2[~near]
             if len(at):
                 values[at] = _regular_fidelities(_half_matrices(lam, u), m1, m2)
         for p in np.flatnonzero(~regular).tolist():

@@ -535,6 +535,15 @@ def test_reduce_unit_modes_rejects_form_with_all_units():
         reduce_unit_modes(pure, mixed)
 
 
+def test_reduce_unit_modes_rejects_states_of_unequal_size():
+    # as fidelity and gaussian_compose do, before any matrix product
+    rng = np.random.default_rng(91)
+    small, large = planted_state([1.0, 0.6, 0.3, 0.2, 0.1], rng=rng), planted_state([1.0, 0.5] + [0.4] * 4, rng=rng)
+    for a, b in [(small, large), (large, small)]:
+        with pytest.raises(ValueError, match="same number of modes"):
+            reduce_unit_modes(a, b)
+
+
 # -------------------------------------------------------------------- dispatch
 
 
@@ -673,13 +682,19 @@ def test_pair_kernel_matches_scalar_fidelity_bitwise():
 
 def test_stacked_pair_values_match_per_state_bitwise(monkeypatch):
     # the pair kernel reads every state's pair values from its stacked eigh
-    # and hands that eigensystem to the states of the scalar dispatch
-    seen = []
-    original = correlation._dispatch
+    # and hands that eigensystem to the states of the scalar dispatch; the
+    # bulk state_s of a reduce pair takes its pair values from an eigvalsh
+    seen, bulk_s = [], []
+    original, original_reduce = correlation._dispatch, correlation.reduce_unit_modes
 
     def recording_dispatch(state_1, state_2):
         seen.extend((state_1, state_2))
         return original(state_1, state_2)
+
+    def recording_reduce(state_r, state_s):
+        reduced = original_reduce(state_r, state_s)
+        bulk_s.append(reduced[2])
+        return reduced
 
     for h in (0.9, 1.0, 1.06):
         table = apply_ordering(enumerate_spectrum(h, 10), "charges:default")
@@ -690,12 +705,17 @@ def test_stacked_pair_values_match_per_state_bitwise(monkeypatch):
                 assert np.array_equal(values, CorrelationMatrix(row, validate=False).pair_values)
     # ell > L/2: reduce pairs, whose states the kernel makes for the dispatch
     monkeypatch.setattr(correlation, "_dispatch", recording_dispatch)
+    monkeypatch.setattr(correlation, "reduce_unit_modes", recording_reduce)
     m = np.stack([state.m for state in sample_ensemble(RandomEnsembleSpec(L=8, count=6, seed=3))])
     for ell in (5, 6):
         pair_fidelities(m[:, : 2 * ell, : 2 * ell], [(i, j) for i in range(6) for j in range(i + 1, 6)])
-    assert len(seen) >= 2 * 15 * 2
+    assert len(seen) >= 2 * 15 * 2 and bulk_s
     for state in seen:
-        assert np.array_equal(state.pair_values, CorrelationMatrix(state.m.copy(), validate=False).pair_values)
+        if any(state is made for made in bulk_s):
+            want = correlation._pair_values_of(np.linalg.eigvalsh(1j * state.m.copy()))
+        else:
+            want = CorrelationMatrix(state.m.copy(), validate=False).pair_values
+        assert np.array_equal(state.pair_values, want)
 
 
 def test_degenerate_regular_state_matches_the_dense_oracle():
@@ -853,7 +873,7 @@ def test_sweep_decomposes_each_state_once(monkeypatch):
     assert sum(rows.values()) == 3 * spec.count
     assert not forms
     # ell > L/2: reduce pairs take the canonical form of their reference
-    # state, and their bulk states are decomposed once per pair
+    # state; their bulk states are counted by the tests below
     random_sweep(spec, "bures", [5, 6, 7])
     assert forms and svd_inputs
     for ell in range(2, 8):
@@ -861,6 +881,99 @@ def test_sweep_decomposes_each_state_once(monkeypatch):
         assert [rows[b] for b in inputs] == [1] * spec.count
         assert all(forms[b] <= 1 for b in inputs)
         assert not any(svd_inputs[b] for b in inputs)
+
+
+def test_bulk_state_decides_branch_and_order_as_its_eigh_would(monkeypatch):
+    # at ell > L/2 of the critical Ising chain, bulk states of reduce pairs
+    # tie with their reference's top pair value, or have unit pairs of
+    # their own; those take their eigh, the others their eigvalsh, and
+    # either way the dispatch decides as the eigh pair values would
+    reduced = []
+    original = correlation.reduce_unit_modes
+
+    def recording_reduce(state_r, state_s):
+        reduced.append(original(state_r, state_s))
+        return reduced[-1]
+
+    monkeypatch.setattr(correlation, "reduce_unit_modes", recording_reduce)
+    table = apply_ordering(enumerate_spectrum(1.0, 10), "charges:default")
+    pair_fidelities(subsystem_correlations(table, 6), [(i, i + 1) for i in range(len(table) - 1)])
+    taken = Counter()
+    for _, bulk_r, bulk_s in reduced:
+        if bulk_s is None:
+            continue
+        by_eigh = CorrelationMatrix(bulk_s.m.copy(), validate=False)
+        assert bulk_s.unit_pair_count() == by_eigh.unit_pair_count()
+        assert (bulk_r.pair_values[0] > bulk_s.pair_values[0]) == (bulk_r.pair_values[0] > by_eigh.pair_values[0])
+        if bulk_s.eigenvalues is bulk_s.eigensystem[0]:
+            taken["eigh"] += 1
+            want = by_eigh.pair_values
+        else:
+            taken["eigvalsh"] += 1
+            want = correlation._pair_values_of(np.linalg.eigvalsh(1j * bulk_s.m.copy()))
+        assert np.array_equal(bulk_s.pair_values, want)
+    assert taken["eigh"] and taken["eigvalsh"]
+
+
+def _count_eigh(monkeypatch) -> list:
+    """The matrices np.linalg.eigh decomposes from now on, one per entry."""
+    decomposed = []
+    original = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        decomposed.extend(x.tobytes() for x in np.reshape(a, (-1, *np.shape(a)[-2:])))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return decomposed
+
+
+def test_reduce_sweep_decomposes_no_bulk_state_per_pair(monkeypatch):
+    # the regular formula reads only the top pair value of the bulk state_s
+    # of a reduce pair while bulk_r is the more mixed, so an all-pairs reduce
+    # sweep takes one eigh per input state and one per reference bulk state,
+    # and one per pair only where bulk_s is the more mixed
+    spec = RandomEnsembleSpec(L=8, count=6, seed=3)
+    m = np.stack([state.m for state in sample_ensemble(spec)])
+    pairs = [(i, j) for i in range(spec.count) for j in range(i + 1, spec.count)]
+    bulk_references, bulk_s_mixed = {}, {}
+    for ell in (5, 6, 7):
+        states = [CorrelationMatrix(row, validate=False) for row in m[:, : 2 * ell, : 2 * ell]]
+        references, mixed = set(), 0
+        for i, j in pairs:
+            r, s = (j, i) if states[j].unit_pair_count() > states[i].unit_pair_count() else (i, j)
+            assert 0 < states[r].unit_pair_count() < ell
+            _, bulk_r, bulk_s = reduce_unit_modes(states[r], states[s])
+            if bulk_r.ell > 1:
+                assert not (bulk_r.unit_pair_count() or bulk_s.unit_pair_count())
+                references.add(r)
+                mixed += bool(bulk_r.pair_values[0] > bulk_s.pair_values[0])
+        bulk_references[ell], bulk_s_mixed[ell] = len(references), mixed
+    assert bulk_references == {5: 5, 6: 5, 7: 0} and bulk_s_mixed == {5: 3, 6: 0, 7: 0}
+    decomposed = _count_eigh(monkeypatch)
+    for ell in (5, 6, 7):
+        decomposed.clear()
+        pair_fidelities(m[:, : 2 * ell, : 2 * ell], pairs)
+        inputs = [np.ascontiguousarray(1j * row[: 2 * ell, : 2 * ell]).tobytes() for row in m]
+        assert [decomposed.count(b) for b in inputs] == [1] * spec.count
+        assert len(decomposed) == spec.count + bulk_references[ell] + bulk_s_mixed[ell]
+
+
+def test_more_mixed_bulk_state_takes_its_eigh_lazily(monkeypatch):
+    # here the Schur-corrected bulk state_s is the more mixed one, so the
+    # regular formula composes its half state and its eigh runs after all
+    rng = np.random.default_rng(2)
+    a = planted_state([1.0, 0.5, 0.4], rng=rng)
+    b = planted_state([1.0, 0.2, 0.1], rng=rng)
+    _, bulk_r, bulk_s = reduce_unit_modes(a, b)
+    assert bulk_s.pair_values[0] < bulk_r.pair_values[0]
+    decomposed = _count_eigh(monkeypatch)
+    got = pair_fidelities(stack([a, b]), [(0, 1)])
+    # the two inputs in one stack, then the bulk states of the pair
+    assert len(decomposed) == 4 and {len(x) for x in decomposed[2:]} == {16 * 16}
+    fresh = [CorrelationMatrix(s.m, validate=False) for s in (a, b)]
+    assert got[0] == fidelity(*fresh)
+    assert abs(got[0] - dense_fidelity_of(a, b)) < 1e-12
 
 
 def test_scalar_fidelity_rotates_each_reference_state_once(monkeypatch):

@@ -273,6 +273,23 @@ def test_xxz_sweep_bytes_are_pinned():
     )
 
 
+def test_random_reduce_sweep_bytes_are_pinned():
+    # ell > L / 2 of pure random states: every pair with unit pairs on both
+    # sides goes through the reduce branch; the L = 64 rows are those of the
+    # benchmark's random-wide sweep, regular at ell = 24 and reduce at 40
+    assert random_sweep(RandomEnsembleSpec(L=8, count=6, seed=3), "bures", [5, 6, 7]).csv_text() == (
+        "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
+        "random,8,3,count=6,all-pairs,bures,5,0.625,1.1440221338947858,15\n"
+        "random,8,3,count=6,all-pairs,bures,6,0.75,1.2724920408267748,15\n"
+        "random,8,3,count=6,all-pairs,bures,7,0.875,1.330465706206041,15\n"
+    )
+    assert random_sweep(RandomEnsembleSpec(L=64, count=12, seed=0), "bures", [24, 40]).csv_text() == (
+        "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
+        "random,64,0,count=12,all-pairs,bures,24,0.375,1.3685963878393999,66\n"
+        "random,64,0,count=12,all-pairs,bures,40,0.625,1.4141335977199967,66\n"
+    )
+
+
 @pytest.mark.xfail(strict=True, reason="sqrt(2 (1 - F)) cancels on dense reduced states ulps from F = 1")
 def test_xxz_single_site_bures_average_is_zero():
     # every single-site reduced state of a translation-invariant eigenstate
