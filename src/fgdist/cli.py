@@ -15,8 +15,14 @@ option that the chosen model does not read (--h, --sector and --ordering
 are ising's; --delta, --h-z, --sector and --sector-out xxz's; --count and
 --seed random's) is an invalid argument.  The output files, which must be
 different files, and their directories are checked before anything is
-computed, and every file is written under a temporary name and renamed
-into place, so a failed run leaves no partial file.  Exit codes: 0
+computed, and so is the rest of the request: a sweep's metric, ells and
+fit window (by the sweep drivers of :mod:`fgdist.experiments`) and the
+--max-m of degeneracy.  Every file is written under a temporary name and
+renamed into place, so a failed run leaves no partial file.  The options
+that spectrum, degeneracy, charges and mode-diff share (--L, --h, --out,
+and --sector and --ordering of the two table exports) are declared once,
+on parent parsers, and each subcommand carries its runner as its ``run``
+default.  Exit codes: 0
 success, 2 invalid arguments or parameters or an output path that cannot
 be written, 3 request exceeds a dense-size guard.
 """
@@ -118,14 +124,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subsystem distances between eigenstates of integrable chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the options every Ising table command takes, and those of the two that
+    # export a table in a chosen order
+    chain = argparse.ArgumentParser(add_help=False)
+    chain.add_argument("--L", type=int, required=True)
+    chain.add_argument("--h", type=float, required=True)
+    chain.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--sector", default="full", help="'P,K' with * wildcards, or 'full'")
+    table.add_argument("--ordering", default="charges:default", help="charges:i,j,... or random:SEED")
 
-    cmd = sub.add_parser("spectrum", help="export a free-fermion spectrum table")
-    cmd.add_argument("--L", type=int, required=True)
-    cmd.add_argument("--h", type=float, required=True)
-    cmd.add_argument("--sector", default="full", help="'P,K' with * wildcards, or 'full'")
-    cmd.add_argument("--ordering", default="charges:default")
+    cmd = sub.add_parser("spectrum", parents=[chain, table], help="export a free-fermion spectrum table")
     cmd.add_argument("--charges", type=int, default=None, help="number of Q columns (default L)")
-    cmd.add_argument("--out", default=None)
+    cmd.set_defaults(run=_run_spectrum)
 
     cmd = sub.add_parser("sweep", help="averaged subsystem distances")
     cmd.add_argument("--model", choices=("ising", "xxz", "random"), default="ising")
@@ -143,35 +154,31 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--fit", action="store_true", help="attach an OLS slope over the 0.2L..0.4L window")
     cmd.add_argument("--out", default=None, help="CSV path (default: stdout)")
     cmd.add_argument("--sector-out", default=None, help="xxz: also export sector energies as CSV")
+    cmd.set_defaults(run=_run_sweep)
 
-    cmd = sub.add_parser("degeneracy", help="degeneracy ratio vs sorting depth")
-    cmd.add_argument("--L", type=int, required=True)
-    cmd.add_argument("--h", type=float, required=True)
+    cmd = sub.add_parser("degeneracy", parents=[chain], help="degeneracy ratio vs sorting depth")
     cmd.add_argument("--max-m", type=int, default=None, help="largest m (default L-1)")
-    cmd.add_argument("--out", default=None)
+    cmd.set_defaults(run=_run_degeneracy)
 
-    cmd = sub.add_parser("charges", help="per-state charge profiles")
-    cmd.add_argument("--L", type=int, required=True)
-    cmd.add_argument("--h", type=float, required=True)
-    cmd.add_argument("--sector", default="full")
-    cmd.add_argument("--ordering", default="charges:default")
+    cmd = sub.add_parser("charges", parents=[chain, table], help="per-state charge profiles")
     cmd.add_argument("--indices", default="0,1,2", help="comma-separated charge indices")
-    cmd.add_argument("--out", default=None)
+    cmd.set_defaults(run=_run_charges)
 
-    cmd = sub.add_parser("mode-diff", help="mean adjacent excited-mode-count difference")
-    cmd.add_argument("--L", type=int, required=True)
-    cmd.add_argument("--h", type=float, required=True)
-    cmd.add_argument("--out", default=None)
-
+    cmd = sub.add_parser("mode-diff", parents=[chain], help="mean adjacent excited-mode-count difference")
+    cmd.set_defaults(run=_run_mode_diff)
     return parser
+
+
+def _ordered_table(args):
+    """The Ising table of --L, --h and --sector in the order of --ordering."""
+    table = enumerate_spectrum(args.h, args.L, _parse_ising_sector(args.sector))
+    return experiments.apply_ordering(table, args.ordering)
 
 
 def _run_spectrum(args) -> int:
     if args.charges is not None and not 1 <= args.charges <= args.L:
         raise ValueError(f"charges must lie in 1..{args.L}, got {args.charges}")
-    table = experiments.apply_ordering(
-        enumerate_spectrum(args.h, args.L, _parse_ising_sector(args.sector)), args.ordering
-    )
+    table = _ordered_table(args)
     with _output(args.out) as stream:
         experiments.write_spectrum_csv(table, stream, args.charges)
     return 0
@@ -226,10 +233,10 @@ def _run_sweep(args) -> int:
 
 
 def _run_degeneracy(args) -> int:
-    table = sort_spectrum(enumerate_spectrum(args.h, args.L))
     top = args.max_m if args.max_m is not None else args.L - 1
     if not 0 <= top < args.L:
         raise ValueError(f"max-m must lie in 0..{args.L - 1}, got {top}")
+    table = sort_spectrum(enumerate_spectrum(args.h, args.L))
     ratios = [degeneracy_ratio(table, m) for m in range(top + 1)]
     with _output(args.out) as stream:
         experiments._write_csv(stream, ["m", "r"], [range(top + 1), ratios])
@@ -240,9 +247,7 @@ def _run_charges(args) -> int:
     indices = [int(s) for s in args.indices.split(",")]
     if any(not 0 <= m < args.L for m in indices):
         raise ValueError(f"charge indices must lie in 0..{args.L - 1}, got {args.indices}")
-    table = experiments.apply_ordering(
-        enumerate_spectrum(args.h, args.L, _parse_ising_sector(args.sector)), args.ordering
-    )
+    table = _ordered_table(args)
     with _output(args.out) as stream:
         experiments.write_charge_profiles(table, indices, stream)
     return 0
@@ -256,21 +261,12 @@ def _run_mode_diff(args) -> int:
     return 0
 
 
-_RUNNERS = {
-    "spectrum": _run_spectrum,
-    "sweep": _run_sweep,
-    "degeneracy": _run_degeneracy,
-    "charges": _run_charges,
-    "mode-diff": _run_mode_diff,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         sidecar = _sidecar_path(args.out) if args.command == "sweep" and args.out is not None else None
         _check_outputs([args.out, sidecar, getattr(args, "sector_out", None)])
-        return _RUNNERS[args.command](args)
+        return args.run(args)
     except GuardExceeded as exc:
         print(f"fgdist: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,9 @@ smallest eigenvalues give the pair values, and its eigenvectors the half
 state and the canonical rotation.  :class:`CorrelationMatrix` caches the
 eigensystem and what it reads of it (pair values, unit count, half state
 and rotation), and checks its matrix as the pair kernel checks its stacks
-(:func:`_state_stack`): finite and antisymmetric to ANTISYMMETRY_TOL.
+(:func:`_state_stack`): finite and antisymmetric to ANTISYMMETRY_TOL.  Both
+then work on the input made exactly antisymmetric, so they read the same
+matrix.
 
 Every quantity here stays in real arithmetic where the algebra allows it:
 products Gamma_1 Gamma_2 = -m_1 m_2 are real, so overlap traces, the pure
@@ -163,15 +165,15 @@ class CorrelationMatrix:
         Real antisymmetric matrix of shape (2*ell, 2*ell) with Gamma = i*m.
     validate : bool
         Check shape, finite entries and antisymmetry on construction, as
-        the pair kernel checks its stacks (cheap), and antisymmetrize; the
-        pair value range check runs lazily on first use.
+        the pair kernel checks its stacks (cheap), and keep a copy of ``m``
+        made exactly antisymmetric, as the pair kernel reads it; the pair
+        value range check runs lazily on first use.
     """
 
     def __init__(self, m, *, validate: bool = True):
         m = np.asarray(m, dtype=float)
         if validate:
-            m = _state_stack(m[None])[0]
-            m = (m - m.T) / 2.0
+            m = _state_stack(m.copy(), ndim=2)
         self.m = m
         self.ell = m.shape[0] // 2
 
@@ -263,25 +265,35 @@ def _pair_values_of(lam: np.ndarray) -> np.ndarray:
     return np.clip(-lam[..., : lam.shape[-1] // 2], 0.0, 1.0)
 
 
-def _state_stack(m) -> np.ndarray:
-    """``m`` as a float stack (n, 2 ell, 2 ell) of correlation matrices, not
-    copied when it is one already; raises ValueError on any other shape, on
+def _state_stack(m, ndim: int = 3) -> np.ndarray:
+    """``m`` as a float stack (n, 2 ell, 2 ell) of correlation matrices, or
+    with ``ndim`` = 2 as one matrix, made exactly antisymmetric; raises
+    ValueError on any other shape, reporting the shape it was given, on
     non-finite entries and on a deviation from antisymmetry above
     ANTISYMMETRY_TOL.  The entries are checked in chunks of STACK_ELEMENTS
-    matrix elements, so no temporary grows with the stack."""
+    matrix elements, so no temporary grows with the stack.  A chunk that
+    deviates at all is replaced by (m - m^T) / 2 in a copy of the stack,
+    made at the first such chunk; an exactly antisymmetric stack, as every
+    sweep's is, is returned uncopied.  So the pair kernel and
+    :class:`CorrelationMatrix` read the same matrix from the same input."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 3 or m.shape[1] != m.shape[2] or m.shape[1] % 2 or not m.shape[1]:
-        raise ValueError(f"need a stack of 2 ell x 2 ell correlation matrices, got shape {m.shape}")
-    per_chunk = max(1, STACK_ELEMENTS // m.shape[1] ** 2)
-    for start in range(0, len(m), per_chunk):
-        chunk = m[start : start + per_chunk]
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] % 2 or not m.shape[-1]:
+        what = "stack of 2 ell x 2 ell correlation matrices" if ndim == 3 else "2 ell x 2 ell correlation matrix"
+        raise ValueError(f"need a {what}, got shape {m.shape}")
+    stack = out = m.reshape(-1, *m.shape[-2:])
+    per_chunk = max(1, STACK_ELEMENTS // m.shape[-1] ** 2)
+    for start in range(0, len(stack), per_chunk):
+        chunk = stack[start : start + per_chunk]
         # before the antisymmetry test: NaN passes it and inf makes it warn
         if not np.isfinite(chunk).all():
             raise ValueError("correlation matrices have non-finite entries")
         dev = np.abs(chunk + np.swapaxes(chunk, 1, 2)).max()
         if dev > ANTISYMMETRY_TOL:
             raise ValueError(f"correlation matrix is not antisymmetric (deviation {dev:.3e})")
-    return m
+        if dev:
+            out = stack.copy() if out is stack else out
+            out[start : start + per_chunk] = (chunk - np.swapaxes(chunk, 1, 2)) / 2.0
+    return out.reshape(m.shape)
 
 
 def _index_pairs(pairs, n: int) -> np.ndarray:
@@ -712,9 +724,12 @@ def pair_fidelities(m, pairs) -> np.ndarray:
     ``m`` is a stack (n, 2 ell, 2 ell) of correlation matrices, as
     :func:`fgdist.ising.subsystem_correlations` returns; any other shape
     raises ValueError, and so does a pair index that is not an integer in
-    0..n-1.  A pair's value does not depend on the other pairs of the call,
-    and equals :func:`fidelity` of the pair bit for bit.  The pairs are taken
-    in position order, in stacks of at most STACK_ELEMENTS matrix elements.
+    0..n-1.  The stack is made exactly antisymmetric first, as
+    :class:`CorrelationMatrix` makes its matrix, so a pair's value equals
+    :func:`fidelity` of the pair bit for bit, also on a stack that deviates
+    within ANTISYMMETRY_TOL.  It does not depend on the other pairs of the
+    call.  The pairs are taken in position order, in stacks of at most
+    STACK_ELEMENTS matrix elements.
     Each state is decomposed once, by a stacked ``eigh`` of its Gamma = i m,
     when the first stack that holds it comes up, and its pair values from
     that eigensystem decide each pair's branch and which state is more mixed.
@@ -724,7 +739,8 @@ def pair_fidelities(m, pairs) -> np.ndarray:
     that eigensystem and keeps its rotation for its later pairs.  A
     state's data is dropped after the last stack that holds it, so a sweep
     over consecutive pairs holds about one stack's worth of decompositions,
-    and the stack itself is never copied whole.
+    and an exactly antisymmetric stack, as every sweep's is, is never
+    copied whole.
     """
     return _pair_kernel(m, pairs, metric=False)[0]
 

@@ -42,8 +42,14 @@ two blocks of states and one of differences: a few MiB up to ell = 7.  A
 pair's distance is the sum of its two parity blocks' distances, exact
 because the trace norm of a block-diagonal operator is the sum over its
 blocks.
-Trace sweeps check their largest ell against the dense guard before they
-enumerate or sample anything.
+
+Every sweep checks its whole request once, in :func:`_checked_ells`,
+before it enumerates a table, walks a sector or samples an ensemble: the
+metric, each ell in 1..L, for 'trace' the largest ell against the dense
+guard, and with ``fit`` at least two ells in the fit window.  So a request
+that would fail does so before the work, not after it.  All three sweeps
+then fill their rows and attach the fit through one helper,
+:func:`_filled`.
 """
 
 from __future__ import annotations
@@ -170,22 +176,28 @@ def fit_window(L: int) -> tuple:
     return math.ceil(0.2 * L), math.floor(0.4 * L)
 
 
+def _in_window(ells, L: int) -> np.ndarray:
+    """Which of ``ells`` lie in the fit window, as a mask; raises ValueError
+    unless at least two do."""
+    lo, hi = fit_window(L)
+    ells = np.asarray(ells)
+    inside = (lo <= ells) & (ells <= hi)
+    if inside.sum() < 2:
+        raise ValueError(f"need at least two points with {lo} <= ell <= {hi}, have {inside.sum()}")
+    return inside
+
+
 def linear_slope_fit(ells, values, L: int, metric: str) -> tuple:
     """OLS slope/intercept of average vs x = ell/L over the fit window.
 
     Bures values are divided by sqrt(2) first; the fit needs at least two
     points inside ceil(0.2 L) <= ell <= floor(0.4 L).
     """
-    lo, hi = fit_window(L)
+    inside = _in_window(ells, L)
     scale = 1.0 / np.sqrt(2.0) if metric == "bures" else 1.0
-    xs, ys = [], []
-    for ell, value in zip(ells, values):
-        if lo <= ell <= hi:
-            xs.append(ell / L)
-            ys.append(value * scale)
-    if len(xs) < 2:
-        raise ValueError(f"need at least two points with {lo} <= ell <= {hi}, have {len(xs)}")
-    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
+    xs = np.asarray(ells)[inside] / L
+    ys = np.asarray(values, dtype=float)[inside] * scale
+    slope, intercept = np.polyfit(xs, ys, 1)
     return float(slope), float(intercept)
 
 
@@ -268,6 +280,32 @@ def average_consecutive_distance(table: SpectrumTable, ell: int, metric: str) ->
     return float(values.mean()), len(pairs)
 
 
+def _checked_ells(L: int, metric: str, ells, fit: bool) -> list:
+    """The ells of a sweep over a chain of L sites as a list, once the whole
+    request is checked: the metric is 'bures' or 'trace', every ell lies in
+    1..L, a trace sweep's largest ell is within the dense guard and, with
+    ``fit``, at least two ells lie in the fit window.  Each sweep calls it
+    before it enumerates, walks a sector or samples anything."""
+    if metric not in ("bures", "trace"):
+        raise ValueError(f"metric must be 'bures' or 'trace', got {metric!r}")
+    ells = list(ells)
+    for ell in ells:
+        if not 1 <= ell <= L:
+            raise ValueError(f"cannot keep {ell} of {L} modes")
+    if metric == "trace":
+        _check_guard(max(ells, default=0))
+    if fit:
+        _in_window(ells, L)
+    return ells
+
+
+def _filled(result: SweepResult, ells: list, average, fit: bool) -> SweepResult:
+    """``result`` with one row (ell, *average(ell)) per ell, average giving
+    (average, pair count), and with its fit if ``fit``."""
+    result.rows += [(ell, *average(ell)) for ell in ells]
+    return result.attach_fit() if fit else result
+
+
 def _sector_descriptor(sector_filter) -> str:
     if sector_filter is None:
         return "full"
@@ -290,9 +328,7 @@ def ising_sweep(
     fit: bool = False,
 ) -> SweepResult:
     """Consecutive-pair distance averages across an Ising spectrum table."""
-    ells = list(ells)
-    if metric == "trace":
-        _check_guard(max(ells, default=0))
+    ells = _checked_ells(L, metric, ells, fit)
     table = apply_ordering(enumerate_spectrum(h, L, sector_filter), ordering)
     result = SweepResult(
         model="ising",
@@ -302,10 +338,7 @@ def ising_sweep(
         ordering=table.ordering,
         metric=metric,
     )
-    for ell in ells:
-        average, pairs = average_consecutive_distance(table, ell, metric)
-        result.rows.append((ell, average, pairs))
-    return result.attach_fit() if fit else result
+    return _filled(result, ells, lambda ell: average_consecutive_distance(table, ell, metric), fit)
 
 
 def xxz_sweep(
@@ -319,6 +352,7 @@ def xxz_sweep(
     fit: bool = False,
 ) -> SweepResult:
     """All-pairs distance averages within one XXZ sector."""
+    ells = _checked_ells(L, metric, ells, fit)
     sector = xxz_sector_basis(L, K, n_down)
     result = SweepResult(
         model="xxz",
@@ -329,20 +363,12 @@ def xxz_sweep(
         metric=metric,
         h_z=float(h_z),
     )
-    for ell in ells:
-        average, pairs = xxz_pairwise_average(sector, delta, ell, metric, h_z)
-        result.rows.append((ell, average, pairs))
-    return result.attach_fit() if fit else result
+    return _filled(result, ells, lambda ell: xxz_pairwise_average(sector, delta, ell, metric, h_z), fit)
 
 
 def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False) -> SweepResult:
     """All-pairs distance averages over a random pure Gaussian ensemble."""
-    ells = list(ells)
-    for ell in ells:
-        if not 1 <= ell <= spec.L:
-            raise ValueError(f"cannot keep {ell} of {spec.L} modes")
-    if metric == "trace":
-        _check_guard(max(ells, default=0))
+    ells = _checked_ells(spec.L, metric, ells, fit)
     m = np.stack([state.m for state in sample_ensemble(spec)])
     pairs = [(i, j) for i in range(spec.count) for j in range(i + 1, spec.count)]
     result = SweepResult(
@@ -353,10 +379,11 @@ def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False)
         ordering="all-pairs",
         metric=metric,
     )
-    for ell in ells:
-        values = _pair_distances(m[:, : 2 * ell, : 2 * ell], pairs, metric)
-        result.rows.append((ell, float(values.mean()), len(pairs)))
-    return result.attach_fit() if fit else result
+
+    def average(ell):
+        return float(_pair_distances(m[:, : 2 * ell, : 2 * ell], pairs, metric).mean()), len(pairs)
+
+    return _filled(result, ells, average, fit)
 
 
 def write_spectrum_csv(table: SpectrumTable, stream, charge_count: int | None = None):

@@ -230,8 +230,10 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
 
     Returns (average, pair_count) over the C(dim, 2) unordered pairs,
     metric 'trace' or 'bures' evaluated on dense reduced density matrices.
-    For 'bures' each reduced state is factored once per call
-    (:func:`fgdist.dense.root_factor`), and every pair makes one
+    For 'bures' each reduced state is factored as soon as it is built
+    (:func:`fgdist.dense.root_factor`) and only the factors are kept, each
+    as wide as its state's rank, so the call holds one 2^ell x 2^ell state
+    at a time, not dim of them; every pair makes one
     :func:`fgdist.dense.fidelity_dense` call on the two factors: one product
     and one singular-value sum.
     """
@@ -242,16 +244,17 @@ def xxz_pairwise_average(sector: XXZSector, delta: float, ell: int, metric: str,
     if metric not in ("trace", "bures"):
         raise ValueError(f"metric must be 'trace' or 'bures', got {metric!r}")
     energies, full = xxz_eigenstates(sector, delta, h_z)
-    rdms = [partial_trace(np.ascontiguousarray(full[:, i]), sector.L, ell) for i in range(sector.dim)]
-    if metric == "bures":
-        rdms = [root_factor(rho) for rho in rdms]
+    states = []
+    for i in range(sector.dim):
+        rho = partial_trace(np.ascontiguousarray(full[:, i]), sector.L, ell)
+        states.append(root_factor(rho) if metric == "bures" else rho)
     total = 0.0
     pairs = 0
     for i in range(sector.dim):
         for j in range(i + 1, sector.dim):
             if metric == "trace":
-                total += trace_distance(rdms[i], rdms[j])
+                total += trace_distance(states[i], states[j])
             else:
-                total += math.sqrt(2.0 * (1.0 - fidelity_dense(rdms[i], rdms[j])))
+                total += math.sqrt(2.0 * (1.0 - fidelity_dense(states[i], states[j])))
             pairs += 1
     return total / pairs, pairs

@@ -1,5 +1,6 @@
 """Command-line interface: wiring, exit codes, determinism."""
 
+import argparse
 import errno
 import hashlib
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import package_env
-from fgdist import experiments, xxz
+from fgdist import cli, experiments, xxz
 from fgdist.cli import build_parser, main
 from fgdist.experiments import CSV_HEADER
 
@@ -27,6 +28,85 @@ def test_parser_lists_all_subcommands():
         with pytest.raises(SystemExit) as exc:
             main([name, "--L", "6"])
         assert exc.value.code == 2
+
+
+# every option of every subcommand: (dest, default, choices, required, type)
+# by option string, as each subcommand declared its own copy before the
+# shared ones moved onto parent parsers
+_SHARED = {("--L",): ("L", None, None, True, int), ("--h",): ("h", None, None, True, float),
+           ("--out",): ("out", None, None, False, None)}
+_TABLE = {("--sector",): ("sector", "full", None, False, None),
+          ("--ordering",): ("ordering", "charges:default", None, False, None)}
+_OPTIONS = {
+    "spectrum": {**_SHARED, **_TABLE, ("--charges",): ("charges", None, None, False, int)},
+    "sweep": {
+        ("--model",): ("model", "ising", ("ising", "xxz", "random"), False, None),
+        ("--L",): ("L", None, None, True, int),
+        ("--h",): ("h", None, None, False, float),
+        ("--delta",): ("delta", None, None, False, float),
+        ("--h-z",): ("h_z", None, None, False, float),
+        ("--sector",): ("sector", None, None, False, None),
+        ("--ordering",): ("ordering", None, None, False, None),
+        ("--count",): ("count", None, None, False, int),
+        ("--seed",): ("seed", None, None, False, int),
+        ("--metric",): ("metric", "bures", ("bures", "trace"), False, None),
+        ("--ell-min",): ("ell_min", None, None, False, int),
+        ("--ell-max",): ("ell_max", None, None, False, int),
+        ("--fit",): ("fit", False, None, False, None),
+        ("--out",): ("out", None, None, False, None),
+        ("--sector-out",): ("sector_out", None, None, False, None),
+    },
+    "degeneracy": {**_SHARED, ("--max-m",): ("max_m", None, None, False, int)},
+    "charges": {**_SHARED, **_TABLE, ("--indices",): ("indices", "0,1,2", None, False, None)},
+    "mode-diff": _SHARED,
+}
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_subcommand_keeps_its_options():
+    commands = _subcommands()
+    got = {
+        name: {tuple(a.option_strings): (a.dest, a.default, a.choices, a.required, a.type)
+               for a in cmd._actions if a.dest != "help"}
+        for name, cmd in commands.items()
+    }
+    assert got == _OPTIONS
+    # a shared option carries one help text wherever it is taken
+    helps = {name: {a.dest: a.help for a in commands[name]._actions} for name in ("spectrum", "charges")}
+    assert helps["charges"]["sector"] == helps["spectrum"]["sector"] == "'P,K' with * wildcards, or 'full'"
+    assert helps["charges"]["ordering"] == helps["spectrum"]["ordering"]
+
+
+def test_degeneracy_checks_max_m_before_enumerating(monkeypatch, capsys):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated before --max-m was checked")
+
+    monkeypatch.setattr(cli, "enumerate_spectrum", no_enumeration)
+    for top in ("99", "-1", "16"):
+        assert main(["degeneracy", "--L", "16", "--h", "1.0", "--max-m", top]) == 2
+        assert f"max-m must lie in 0..15, got {top}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, first_build",
+    [
+        (["--L", "14", "--fit", "--ell-max", "2"], "enumerate_spectrum"),
+        (["--model", "xxz", "--L", "12", "--sector", "1,4", "--fit", "--ell-max", "2"], "xxz_sector_basis"),
+        (["--model", "random", "--L", "128", "--fit", "--ell-max", "8"], "sample_ensemble"),
+    ],
+)
+def test_unsatisfiable_fit_exits_2_before_anything_is_built(argv, first_build, monkeypatch, capsys, tmp_path):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the fit window was checked")
+
+    monkeypatch.setattr(experiments, first_build, no_build)
+    assert main(["sweep", *argv, "--out", str(tmp_path / "s.csv")]) == 2
+    assert "need at least two points with" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_writes_csv_and_sidecar(tmp_path):

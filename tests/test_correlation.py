@@ -61,10 +61,15 @@ def dense_fidelity_of(state_1, state_2):
 
 
 def test_constructor_rejects_bad_input():
-    with pytest.raises(ValueError):
+    # a shape error reports the shape given, for a matrix as for a stack
+    with pytest.raises(ValueError, match=r"got shape \(3, 4\)$"):
         CorrelationMatrix(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got shape \(3, 3\)$"):
         CorrelationMatrix(np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"got shape \(2, 4, 4\)$"):
+        CorrelationMatrix(np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError, match=r"got shape \(4, 4\)$"):
+        pair_fidelities(np.zeros((4, 4)), [(0, 1)])
     bad = np.array([[0.0, 0.3], [0.3, 0.0]])  # symmetric, not antisymmetric
     with pytest.raises(ValueError):
         CorrelationMatrix(bad)
@@ -782,6 +787,26 @@ def test_stack_that_is_not_antisymmetric_raises_value_error():
     for build in builds:
         build(within)
     CorrelationMatrix(within[0])
+
+
+@pytest.mark.parametrize("ell", [3, 5, 6])
+def test_kernel_equals_the_scalar_path_bit_for_bit_on_nearly_antisymmetric_stacks(ell):
+    # both read the input made exactly antisymmetric: at ell = 3 these pure
+    # states' pairs are regular, at ell = 5 and 6 they take the reduce branch
+    rng = np.random.default_rng(8)
+    m = np.stack([state.m for state in sample_ensemble(RandomEnsembleSpec(L=8, count=6, seed=1))])
+    m = m[:, : 2 * ell, : 2 * ell]
+    symmetric = rng.standard_normal(m.shape)
+    symmetric += np.swapaxes(symmetric, 1, 2)
+    within = m + 0.45 * ANTISYMMETRY_TOL / np.abs(symmetric).max() * symmetric
+    given = within.copy()
+    pairs = [(i, j) for i in range(len(m)) for j in range(i + 1, len(m))]
+    states = [CorrelationMatrix(row) for row in within]
+    assert pair_fidelities(within, pairs).tolist() == [fidelity(states[i], states[j]) for i, j in pairs]
+    assert bures_distances(within, pairs).tolist() == [bures_distance(states[i], states[j]) for i, j in pairs]
+    assert np.array_equal(within, given)  # the caller's stack is not changed
+    exact = correlation._state_stack(m)
+    assert np.shares_memory(exact, m) and np.array_equal(exact, m)  # an exact stack is not copied
 
 
 @pytest.mark.parametrize("ell", [1, 2])

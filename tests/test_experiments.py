@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fgdist import experiments
 from fgdist.correlation import CorrelationMatrix, bures_distance
 from fgdist.dense import density_from_gamma, density_stack, fidelity_dense, trace_distance
+from fgdist.errors import GuardExceeded
 from fgdist.experiments import (
     CSV_HEADER,
     _write_csv,
@@ -351,6 +352,50 @@ def test_random_sweep_rejects_ell_outside_the_chain(monkeypatch, metric, ell):
     monkeypatch.setattr(experiments, "sample_ensemble", no_sampling)
     with pytest.raises(ValueError, match=f"cannot keep {ell} of 8 modes"):
         random_sweep(RandomEnsembleSpec(L=8, count=4), metric, [2, ell])
+
+
+# what each sweep builds first: the table it enumerates, the sector it walks
+# or the ensemble it samples
+_FIRST_BUILD = {"ising": "enumerate_spectrum", "xxz": "xxz_sector_basis", "random": "sample_ensemble"}
+
+
+def _sweep(model: str, L: int, metric: str, ells, fit: bool):
+    if model == "ising":
+        return ising_sweep(L, 1.0, metric, ells, fit=fit)
+    if model == "xxz":
+        return xxz_sweep(L, 1, 2, 1.0, metric, ells, fit=fit)
+    return random_sweep(RandomEnsembleSpec(L=L, count=4), metric, ells, fit=fit)
+
+
+@pytest.mark.parametrize("model", sorted(_FIRST_BUILD))
+@pytest.mark.parametrize(
+    "metric, ells, fit, match",
+    [
+        ("overlap", [2, 3], False, "metric must be 'bures' or 'trace', got 'overlap'"),
+        ("bures", [2, 0], False, "cannot keep 0 of 8 modes"),
+        ("trace", [2, 9], False, "cannot keep 9 of 8 modes"),
+        ("bures", [1, 2, 4], True, "need at least two points with 2 <= ell <= 3, have 1"),
+        ("trace", [], True, "need at least two points with 2 <= ell <= 3, have 0"),
+    ],
+    ids=["metric", "ell-0", "ell-9", "fit-1-point", "fit-0-points"],
+)
+def test_sweep_rejects_a_bad_request_before_building_anything(monkeypatch, model, metric, ells, fit, match):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the request was checked")
+
+    monkeypatch.setattr(experiments, _FIRST_BUILD[model], no_build)
+    with pytest.raises(ValueError, match=match):
+        _sweep(model, 8, metric, ells, fit)
+
+
+@pytest.mark.parametrize("model", sorted(_FIRST_BUILD))
+def test_trace_sweep_checks_the_dense_guard_before_building_anything(monkeypatch, model):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the request was checked")
+
+    monkeypatch.setattr(experiments, _FIRST_BUILD[model], no_build)
+    with pytest.raises(GuardExceeded):
+        _sweep(model, 14, "trace", [2, 13], False)
 
 
 # ------------------------------------------------------------------ csv export

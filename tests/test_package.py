@@ -54,7 +54,7 @@ print("scipy.linalg" in sys.modules)
 """
 
 
-def test_only_the_reduce_branch_loads_scipy(tmp_path):
+def test_no_sweep_loads_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", IMPORT_PATH_SCRIPT, str(tmp_path)], capture_output=True, text=True,
                           timeout=300, env=package_env())
     assert done.returncode == 0, done.stderr
