@@ -343,10 +343,24 @@ def canonical_form(state: CorrelationMatrix) -> np.ndarray:
     return (q * np.where(np.diag(r) < 0.0, -1.0, 1.0)).T
 
 
-def _warn_residues(residue: np.ndarray, matrices: np.ndarray, what: str):
-    """Log each residue that exceeds ROUNDING_RESIDUE_TOL times the largest
-    entry of its matrix of the stack, or times 1 if that is larger: the
-    composition adds terms of order 1 even where its result is near 0."""
+def _warn_residues(deviation: np.ndarray, matrices: np.ndarray, what: str):
+    """Log each matrix of the stack whose residue, the largest modulus of
+    its ``deviation``, exceeds ROUNDING_RESIDUE_TOL times the largest entry
+    of the matrix, or times 1 if that is larger: the composition adds terms
+    of order 1 even where its result is near 0.
+
+    The scale is at least 1, so no residue at or below ROUNDING_RESIDUE_TOL
+    can be logged, and |z| <= sqrt(2) max(|Re z|, |Im z|).  So the moduli of
+    a complex ``deviation`` are taken only when one of its real or imaginary
+    parts exceeds half of ROUNDING_RESIDUE_TOL, and the scale only when a
+    residue exceeds ROUNDING_RESIDUE_TOL: where neither is taken, nothing
+    could be logged."""
+    parts = np.ascontiguousarray(deviation).view(float) if np.iscomplexobj(deviation) else deviation
+    if not np.abs(parts).max() > ROUNDING_RESIDUE_TOL / 2:
+        return
+    residue = np.abs(deviation).max(axis=(-2, -1))
+    if not np.any(residue > ROUNDING_RESIDUE_TOL):
+        return
     scale = np.maximum(np.abs(matrices).max(axis=(-2, -1)), 1.0)
     for r, t in zip(*np.atleast_1d(residue, scale)):
         if r > ROUNDING_RESIDUE_TOL * t:
@@ -358,8 +372,10 @@ def _antisymmetrize(gamma: np.ndarray) -> np.ndarray:
     whose antisymmetry deviation exceeds ROUNDING_RESIDUE_TOL times its
     largest entry, or times 1 if that is larger."""
     flipped = np.swapaxes(gamma, -1, -2)
-    _warn_residues(np.abs(gamma + flipped).max(axis=(-2, -1)), gamma, "composite correlation antisymmetry deviation")
-    return (gamma - flipped) / 2.0
+    _warn_residues(gamma + flipped, gamma, "composite correlation antisymmetry deviation")
+    antisymmetric = gamma - flipped
+    antisymmetric /= 2.0
+    return antisymmetric
 
 
 def _split(v: np.ndarray, axis: int, inner: int):
@@ -367,8 +383,10 @@ def _split(v: np.ndarray, axis: int, inner: int):
     (axis -2) is rounded at sigma = 2^(ceil(log2 mu) + ceil((53 + log2 n) / 2)),
     mu its largest magnitude and n the inner dimension of the product, so the
     leading parts hold at most 53 - ceil((53 + log2 n) / 2) bits below the
-    top bit of their row or column."""
-    mu = np.maximum(v.max(axis=axis, keepdims=True), -v.min(axis=axis, keepdims=True))
+    top bit of their row or column.  mu is one exact reduction of |v|.  v1
+    is a multiple of the quantum sigma 2^-53 and v2 = v - v1 is exact, so
+    v1 + v2 == v."""
+    mu = np.abs(v).max(axis=axis, keepdims=True)
     frac, exp = np.frexp(mu)
     exp -= frac == 0.5  # exactly a power of two: ceil(log2 mu) is one lower
     sigma = np.ldexp(1.0, exp + math.ceil((53 + math.log2(inner)) / 2))
@@ -384,6 +402,14 @@ def _row_split(a: np.ndarray):
     if np.iscomplexobj(a):
         a = np.concatenate([np.concatenate([a.real, -a.imag], axis=-1), np.concatenate([a.imag, a.real], axis=-1)], -2)
     return _split(a, -1, a.shape[-1])
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im, written into one complex array: re + 1j * im would take
+    two complex passes over the same values."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def _residual(a1: np.ndarray, a2: np.ndarray, x: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -408,13 +434,15 @@ def _residual(a1: np.ndarray, a2: np.ndarray, x: np.ndarray, b: np.ndarray) -> n
     x1, x2 = _split(x, -2, a1.shape[-1])
     del x  # the embedded copy is not needed past the split
     r = (b - a1 @ x1) - (a1 @ x2 + a2 @ x1 + a2 @ x2)
-    return r[..., :n, :] + 1j * r[..., n:, :] if embed else r
+    return _complex(r[..., :n, :], r[..., n:, :]) if embed else r
 
 
-def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _solve_refined(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     """Solve a x = b from one inverse of a, refined on accurate residuals.
 
-    Works on single systems and on stacks (..., n, n).  x = A^{-1} b is
+    Works on single systems and on stacks (..., n, n).  ``b`` = None stands
+    for the identity: x starts from the inverse itself, which A^{-1} @ 1
+    gives entry for entry, and the residuals are 1 - a x.  x = A^{-1} b is
     refined by x += A^{-1} r.  Near-unit pair values push the condition
     number of the compose and reduction solves to ~(1-g)^{-1/2} and
     ~(1-g)^{-1}; the residuals r = b - a x are taken with the Ozaki
@@ -450,7 +478,10 @@ def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.any(s[:, -1] / s[:, 0] < INVERTIBILITY_TOL):
             raise np.linalg.LinAlgError(f"1/kappa_2 below {INVERTIBILITY_TOL:g}: matrix is numerically singular")
     a1, a2 = _row_split(a)
-    x = inverse @ b
+    if b is None:
+        x, b = inverse, np.eye(n)
+    else:
+        x = inverse @ b
     x = x + inverse @ _residual(a1, a2, x, b)
     again = n * kappa > SECOND_STEP_NKAPPA
     if again.any():
@@ -459,7 +490,7 @@ def _solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _solve_core(core: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_core(core: np.ndarray, rhs: np.ndarray | None) -> np.ndarray:
     """:func:`_solve_refined` on the core 1 + Gamma_2 Gamma_1 of a
     composition; raises ValueError where its guard finds the core singular."""
     try:
@@ -476,11 +507,13 @@ def _compose_real(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     below 1 - 4.4e-7 when the state's lie below 1 - UNIT_MODE_TOL, so there
     ||(1 - m_2 m_1)^{-1}||_2 < 2.3e6, kappa_2 < 4.5e6 and kappa_1 <= n
     kappa_2: the kappa_1 screen of :func:`_solve_refined`, kappa_1 > 1 / (n
-    INVERTIBILITY_TOL), flags nothing below n = 470, so no SVD runs."""
+    INVERTIBILITY_TOL), flags nothing below n = 470, so no SVD runs.  The
+    identity right-hand side is passed as None, and the real and imaginary
+    parts go straight into one complex array."""
     eye = np.eye(m1.shape[-1])
-    a = _solve_core(eye - m2 @ m1, eye)  # real form of 1 + Gamma_2 Gamma_1
+    a = _solve_core(eye - m2 @ m1, None)  # inverse of the real form of 1 + Gamma_2 Gamma_1
     m1a = m1 @ a
-    return (eye - a + m1a @ m2) + 1j * (a @ m2 + m1a)
+    return _complex(eye - a + m1a @ m2, a @ m2 + m1a)
 
 
 def _compose_complex(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -620,11 +653,15 @@ def _regular_fidelities(half: np.ndarray, m1: np.ndarray, m2: np.ndarray) -> np.
     in [1e-10, 1e-6], the worst error over 600 pairs was 8.3e-9 per such
     mode, and 1.2e-7 with 25 of them; with 1 - g down to 1.3e-13 it was
     9.0e-9 per mode over 120 pairs.
+
+    The sandwich state's m_z = -i Gamma_z is read straight off Gamma_z:
+    its pair values are the singular values of Im Gamma_z, and its
+    imaginary residue, which :func:`_warn_residues` reads, is |Re Gamma_z|.
     """
     product = _antisymmetrize(_compose_real(half, m2))
-    m_z = -1j * _antisymmetrize(_compose_complex(product, 1j * half))
-    _warn_residues(np.abs(m_z.imag).max(axis=(-2, -1)), m_z, "sandwich correlation matrix has imaginary residue")
-    zeta = np.linalg.svd(np.ascontiguousarray(m_z.real), compute_uv=False)[..., 0::2]
+    gamma_z = _antisymmetrize(_compose_complex(product, 1j * half))
+    _warn_residues(gamma_z.real, gamma_z, "sandwich correlation matrix has imaginary residue")
+    zeta = np.linalg.svd(np.ascontiguousarray(gamma_z.imag), compute_uv=False)[..., 0::2]
     zeta = np.minimum(zeta, 1.0)
     sign, logabs = np.linalg.slogdet((np.eye(m1.shape[-1]) - m1 @ m2) / 2.0)
     if np.any(sign <= 0.0):
@@ -734,7 +771,9 @@ def pair_fidelities(m, pairs) -> np.ndarray:
     when the first stack that holds it comes up, and its pair values from
     that eigensystem decide each pair's branch and which state is more mixed.
     A stack's regular pairs are evaluated together, with the half state of
-    each one's more mixed state from the same eigensystem.  Every other pair
+    each one's more mixed state from the same eigensystem, built once per
+    state with no unit pairs when the state is decomposed, so an all-pairs
+    sweep builds it once per state, not once per pair.  Every other pair
     goes to the scalar dispatch of :func:`fidelity`, on a state that carries
     that eigensystem and keeps its rotation for its later pairs.  A
     state's data is dropped after the last stack that holds it, so a sweep
@@ -769,7 +808,7 @@ def _pair_kernel(m, pairs, metric: bool):
     per_stack = max(1, STACK_ELEMENTS // (2 * ell) ** 2)
     last_stack = {k: p // (2 * per_stack) for p, k in enumerate(pairs.ravel().tolist())}
     largest = np.zeros(len(m))  # each state's top pair value, once decomposed
-    eigen, states = {}, {}
+    eigen, halves, states = {}, {}, {}
     for start in range(0, len(pairs), per_stack):
         stack = pairs[start : start + per_stack]
         pending = [k for k in dict.fromkeys(stack.ravel().tolist()) if k not in eigen]
@@ -777,6 +816,9 @@ def _pair_kernel(m, pairs, metric: bool):
             lam, u = _eigensystems(m[pending])
             largest[pending] = _pair_values_of(lam)[:, 0]
             eigen.update(zip(pending, zip(lam, u)))
+            # the half state of every state a regular pair can take first, once per state
+            mixed = np.flatnonzero(largest[pending] < 1.0 - UNIT_MODE_TOL)
+            halves.update(zip(np.take(pending, mixed).tolist(), _half_matrices(lam[mixed], u[mixed])))
         # a state has no unit pairs exactly when its top pair value is below 1 - UNIT_MODE_TOL
         regular = (largest[stack] < 1.0 - UNIT_MODE_TOL).all(axis=1)
         if regular.any():
@@ -784,7 +826,7 @@ def _pair_kernel(m, pairs, metric: bool):
             swap = largest[stack[:, 0]] > largest[stack[:, 1]]
             first, second = np.where(swap[:, None], stack[:, ::-1], stack)[regular].T
             at = start + np.flatnonzero(regular)
-            lam, u = map(np.stack, zip(*(eigen[k] for k in first.tolist())))
+            half = np.stack([halves[k] for k in first.tolist()])
             m1, m2 = m[first], m[second]
             if metric:
                 switch = SMALL_DISTANCE * np.sqrt(2.0 * (1.0 - largest[second]))
@@ -792,14 +834,15 @@ def _pair_kernel(m, pairs, metric: bool):
                 # ||m_2 - m_1||_F / 4: a pair above twice the switch cannot be near
                 maybe = np.linalg.norm(m2 - m1, axis=(1, 2)) / 4.0 < 2.0 * switch
                 if maybe.any():
-                    distances = _metric_distances(lam[maybe], u[maybe], m1[maybe], m2[maybe])
+                    lam, u = map(np.stack, zip(*(eigen[k] for k in first[maybe].tolist())))
+                    distances = _metric_distances(lam, u, m1[maybe], m2[maybe])
                     near = np.zeros_like(maybe)
                     near[maybe] = distances < switch[maybe]
                     values[at[near]] = distances[near[maybe]]
                     direct[at[near]] = True
-                    at, lam, u, m1, m2 = at[~near], lam[~near], u[~near], m1[~near], m2[~near]
+                    at, half, m1, m2 = at[~near], half[~near], m1[~near], m2[~near]
             if len(at):
-                values[at] = _regular_fidelities(_half_matrices(lam, u), m1, m2)
+                values[at] = _regular_fidelities(half, m1, m2)
         for p in np.flatnonzero(~regular).tolist():
             for k in stack[p].tolist():
                 if k not in states:
@@ -807,6 +850,7 @@ def _pair_kernel(m, pairs, metric: bool):
                     states[k].eigensystem = eigen[k]
             values[start + p] = _dispatch(*(states[k] for k in stack[p].tolist()))
         eigen = {k: e for k, e in eigen.items() if last_stack[k] > start // per_stack}
+        halves = {k: h for k, h in halves.items() if k in eigen}
         states = {k: state for k, state in states.items() if k in eigen}
     return values, direct
 

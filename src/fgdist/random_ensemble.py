@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import CorrelationMatrix, _block_matrix
+from .correlation import CorrelationMatrix
 
 __all__ = [
     "RandomEnsembleSpec",
@@ -57,9 +57,16 @@ def haar_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure_gamma(L: int, rng: np.random.Generator) -> CorrelationMatrix:
-    """Random pure state on L sites: m = U (sum of [[0,-1],[1,0]]) U^T."""
+    """Random pure state on L sites: m = U J U^T, J the sum of [[0,-1],[1,0]].
+
+    U J is a signed column permutation of U, columns (U_{2k+1}, -U_{2k}):
+    every entry of the product U @ J is one term times +-1 plus zeros, so
+    the permutation has its bits."""
     u = haar_orthogonal(2 * L, rng)
-    m = u @ _block_matrix(-np.ones(L)) @ u.T
+    uj = np.empty_like(u)
+    uj[:, 0::2] = u[:, 1::2]
+    uj[:, 1::2] = -u[:, 0::2]
+    m = uj @ u.T
     return CorrelationMatrix((m - m.T) / 2.0, validate=False)
 
 

@@ -23,6 +23,7 @@ from conftest import (
 from fgdist import correlation
 from fgdist.correlation import (
     ANTISYMMETRY_TOL,
+    ROUNDING_RESIDUE_TOL,
     STACK_ELEMENTS,
     UNIT_MODE_TOL,
     CorrelationMatrix,
@@ -384,6 +385,59 @@ def test_non_antisymmetric_composite_warns(caplog):
     with caplog.at_level(logging.WARNING, logger="fgdist.correlation"):
         _antisymmetrize(gamma)
     assert any("antisymmetry deviation" in record.getMessage() for record in caplog.records)
+
+
+def _logged_regular_pairs(caplog):
+    """Messages logged by the pair kernel on 12 regular pairs at ell = 3,
+    every scale 1: pair values below 0.5 keep every composite entry below 1."""
+    rng = np.random.default_rng(68)
+    states = [random_mixed_state(3, rng, gmax=0.5) for _ in range(13)]
+    with caplog.at_level(logging.WARNING, logger="fgdist.correlation"):
+        pair_fidelities(stack(states), [(i, i + 1) for i in range(12)])
+    return [record.getMessage() for record in caplog.records]
+
+
+@pytest.mark.parametrize("size", [1e-3, ROUNDING_RESIDUE_TOL])
+def test_sandwich_imaginary_residue_is_logged_above_the_tolerance(monkeypatch, caplog, size):
+    # Gamma_z with its real part replaced by an antisymmetric one of largest
+    # entry exactly ``size``: antisymmetrizing keeps it, and the warning
+    # reads it as the imaginary residue of m_z = -i Gamma_z
+    compose = correlation._compose_complex
+
+    def with_real_part(g1, g2):
+        real = np.zeros(g1.shape[-2:])
+        real[0, 1], real[1, 0] = size, -size
+        return real + 1j * compose(g1, g2).imag
+
+    monkeypatch.setattr(correlation, "_compose_complex", with_real_part)
+    messages = _logged_regular_pairs(caplog)
+    if size > ROUNDING_RESIDUE_TOL:
+        assert len(messages) == 12
+        assert all(message.startswith("sandwich correlation matrix has imaginary residue 1.000e-03") for message in messages)
+    else:
+        assert not messages
+
+
+@pytest.mark.parametrize("size", [1e-3, ROUNDING_RESIDUE_TOL])
+def test_antisymmetry_deviation_is_logged_above_the_tolerance(monkeypatch, caplog, size):
+    # the composed product made exactly antisymmetric, then given a diagonal
+    # entry size / 2, so its largest deviation |gamma + gamma^T| is exactly
+    # ``size``
+    compose = correlation._compose_real
+
+    def deviating(m1, m2):
+        gamma = compose(m1, m2)
+        gamma = (gamma - np.swapaxes(gamma, -1, -2)) / 2.0
+        gamma[..., 0, 0] += size / 2.0
+        return gamma
+
+    monkeypatch.setattr(correlation, "_compose_real", deviating)
+    messages = _logged_regular_pairs(caplog)
+    if size > ROUNDING_RESIDUE_TOL:
+        assert len(messages) == 12
+        assert all(message.startswith("composite correlation antisymmetry deviation 1.000e-03") for message in messages)
+    else:
+        assert not messages
 
 
 # ---------------------------------------------------------------- pure branch

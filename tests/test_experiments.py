@@ -291,6 +291,29 @@ def test_random_reduce_sweep_bytes_are_pinned():
     )
 
 
+def test_ising_window_sweep_bytes_are_pinned():
+    # the regular branch: the L = 10 rows and fit are those of the
+    # benchmark's ising-window sweep at its first grid field; state 2078 of
+    # the L = 12 table has a fourfold degenerate pair value at ell = 2
+    res = ising_sweep(10, 0.901, "bures", [3, 4], fit=True)
+    assert res.csv_text() == (
+        "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
+        "ising,10,0.90100000000000002,full,charges:0-1-2-3-4-5-6-7-8-9,bures,3,0.29999999999999999,0.44364308117929518,1023\n"
+        "ising,10,0.90100000000000002,full,charges:0-1-2-3-4-5-6-7-8-9,bures,4,0.40000000000000002,0.67333817507665483,1023\n"
+    )
+    assert res.sidecar_text() == (
+        '{\n  "L": 10,\n  "fit": {\n    "ell_max": 4,\n    "ell_min": 2,\n'
+        '    "intercept": -0.17355384437193727,\n    "slope": 1.6241895850010362\n  },\n'
+        '  "metric": "bures",\n  "model": "ising",\n  "ordering": "charges:0-1-2-3-4-5-6-7-8-9",\n'
+        '  "param": 0.901,\n  "rows": 2,\n  "sector": "full"\n}\n'
+    )
+    assert ising_sweep(12, 0.95, "bures", [2, 3]).csv_text() == (
+        "model,L,param,sector,ordering,metric,ell,x,average,pairs\n"
+        "ising,12,0.94999999999999996,full,charges:0-1-2-3-4-5-6-7-8-9-10-11,bures,2,0.16666666666666666,0.1434417109179015,4095\n"
+        "ising,12,0.94999999999999996,full,charges:0-1-2-3-4-5-6-7-8-9-10-11,bures,3,0.25,0.35543325151989141,4095\n"
+    )
+
+
 @pytest.mark.xfail(strict=True, reason="sqrt(2 (1 - F)) cancels on dense reduced states ulps from F = 1")
 def test_xxz_single_site_bures_average_is_zero():
     # every single-site reduced state of a translation-invariant eigenstate

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from fgdist.correlation import fidelity
+from fgdist.correlation import _block_matrix, fidelity
 from fgdist.random_ensemble import (
     RandomEnsembleSpec,
     haar_orthogonal,
@@ -35,6 +35,16 @@ def test_haar_orthogonal_column_marginal():
     draws = np.concatenate([haar_orthogonal(n, rng)[:, 0] for _ in range(80)])
     stat = scipy.stats.kstest(draws**2, scipy.stats.beta(0.5, (n - 1) / 2).cdf)
     assert stat.pvalue > 1e-3
+
+
+def test_random_pure_gamma_is_the_product_with_j_bit_for_bit():
+    # U J is a signed column permutation of U, with the bits of U @ J
+    for L in (1, 4, 17, 64, 128):
+        for seed in range(3):
+            u = haar_orthogonal(2 * L, np.random.default_rng(seed))
+            m = u @ _block_matrix(-np.ones(L)) @ u.T
+            want = (m - m.T) / 2.0
+            assert random_pure_gamma(L, np.random.default_rng(seed)).m.tobytes() == want.tobytes()
 
 
 def test_random_pure_gamma_is_pure():

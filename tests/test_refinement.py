@@ -253,6 +253,54 @@ def test_well_conditioned_solves_are_accurate(n, k, log_cond, stacked, complex_,
         assert err <= (2.0**-52 * n + 2.0**-72 * np.linalg.cond(ai)) * scale
 
 
+def test_split_is_exact_on_the_quantum_of_each_row():
+    # rows whose largest magnitude is negative (-3), an exact power of two
+    # (0.5, where ceil(log2 mu) is one below frexp's exponent), zero, and
+    # spread over 38 binades; sigma = 2^(ceil(log2 mu) + beta), and v1 lies
+    # on the row's quantum sigma 2^-53 with v2 at most one quantum.  The
+    # entry 0.7 2^-24 of the 0.5 row rounds off by 0.8 quanta, and by 1.2 of
+    # them at twice that sigma
+    v = np.array([
+        [-3.0, 0.1, 1.7, -0.2, 2.0**-30],
+        [0.5, -0.3, 0.7 * 2.0**-24, 0.1, -0.125],
+        [0.0, 0.0, 0.0, 0.0, 0.0],
+        [1e-3, -7.1e5, 3.3, 2.0**-40, -1.0],
+    ])
+    inner = 5
+    beta = math.ceil((53 + math.log2(inner)) / 2)
+    for v1, v2 in (_split(v, -1, inner), (w.T for w in _split(v.T, -2, inner))):
+        assert np.array_equal(v1 + v2, v)
+        for row, row1, row2, top in zip(v, v1, v2, [2, -1, None, 20]):
+            if top is None:
+                assert not row1.any() and not row2.any()
+                continue
+            quantum = Fraction(2) ** (top + beta - 53)
+            assert all(Fraction(x) % quantum == 0 for x in row1)
+            assert all(abs(Fraction(x)) <= quantum for x in row2)
+            assert 2.0 ** (top - 1) < np.abs(row).max() <= 2.0**top
+
+
+def test_identity_right_hand_side_is_the_inverse_bit_for_bit(monkeypatch):
+    # None stands for the identity: the solve starts from the inverse, which
+    # inverse @ 1 gives entry for entry.  The middle system has n kappa_1
+    # above SECOND_STEP_NKAPPA, so it takes the second step
+    steps = []
+    residual = correlation._residual
+
+    def counting_residual(a1, a2, x, b):
+        steps.append(x.shape[:-2])
+        return residual(a1, a2, x, b)
+
+    monkeypatch.setattr(correlation, "_residual", counting_residual)
+    a = _conditioned_stack(8, [1e2, 1e9, 10.0], np.random.default_rng(10), False)
+    assert (_n_kappa_1(a) > SECOND_STEP_NKAPPA).tolist() == [False, True, False]
+    x = _solve_refined(a, None)
+    assert steps == [(3,), (1,)]
+    assert x.tobytes() == _solve_refined(a, np.eye(8)).tobytes()
+    for ai, xi in zip(a, x):
+        assert xi.tobytes() == _solve_refined(ai, None).tobytes() == _solve_refined(ai, np.eye(8)).tobytes()
+
+
 def _two_step_solve(a, b):
     """The refined solve with two steps for every system, as before the step
     rule."""
