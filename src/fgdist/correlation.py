@@ -43,17 +43,24 @@ mode meets an empty one.  The compose and reduction solves
 solution on residuals from Ozaki-split float64 products, with no
 extended-precision type: once, and a second time only on a system with n
 kappa_1 above SECOND_STEP_NKAPPA.  Their invertibility guard screens with
-kappa_1 from the same inverse and takes an SVD only of a system the screen
-flags.
+kappa_1 from the same inverse, bounded first from the float parts of a
+complex system, and takes an SVD only of a system the screen flags.
 
-:func:`fidelity` runs this dispatch on one pair, and the reduction recurses
-into it on the smaller pair.  :func:`pair_fidelities` takes the states as
-one (n, 2 ell, 2 ell) stack of m and walks its pairs in stacks: it
-decomposes each state, in one stacked ``eigh``, when the first stack that
-needs it comes up, runs the stack's regular pairs together and hands every
-other pair to the same dispatch, on states that carry that eigensystem.  So
-both paths read a pair's branch and order from the same numbers.  A regular
-pair needs no rotation: the half state of its more mixed state comes from
+One dispatch decides a pair's branch and order, and the reduction recurses
+into it on the smaller pair.  It returns the fidelity, or the regular
+sandwich the pair comes down to: the regular pair, the more mixed state
+first, and the unit-block prefactors of the reductions on the way.
+:func:`fidelity` evaluates that sandwich on its own.
+:func:`pair_fidelities` takes the states as one (n, 2 ell, 2 ell) stack of
+m and walks its pairs in kernel stacks: it decomposes each state, in one
+stacked ``eigh``, when the first stack that needs it comes up, and hands
+every pair with unit pairs to the same dispatch, on states that carry that
+eigensystem.  Every regular-formula evaluation, a stack's regular pairs
+and the regular bulk pairs of its reduce pairs, joins a queue per matrix
+size, which runs across kernel stacks in stacks of SANDWICH_PAIRS pairs, or
+of a kernel stack's worth at small ell.  So both paths read a pair's
+branch, order and value expression from the same code.  A regular pair
+needs no rotation: the half state of its more mixed state comes from
 the eigensystem of Gamma = i m, so degenerate pair values need no care.
 Only the reduce branch rotates a state into its canonical basis: its
 ``rotation``, one QR on top of the same eigensystem from
@@ -148,6 +155,13 @@ SMALL_DISTANCE = 1e-5
 # The pair kernel takes its pairs in stacks of at most this many matrix
 # elements, pairs x (2 ell)^2, so temporaries stay small at large ell.
 STACK_ELEMENTS = 4096
+
+# The pair kernel runs the regular formula in stacks of this many pairs
+# within this many times STACK_ELEMENTS, or of a kernel stack's worth where
+# that is more; see _Sandwiches.  At n = 48 stacks of 3 and 4 pairs were
+# the fastest and 16 or more fall out of cache; each pair holds about 0.46
+# MiB of temporaries there.
+SANDWICH_PAIRS = 3
 
 
 class CorrelationMatrix:
@@ -400,7 +414,12 @@ def _row_split(a: np.ndarray):
     a itself when it is real, of its real embedding [[Re a, -Im a], [Im a,
     Re a]] when it is complex."""
     if np.iscomplexobj(a):
-        a = np.concatenate([np.concatenate([a.real, -a.imag], axis=-1), np.concatenate([a.imag, a.real], axis=-1)], -2)
+        n = a.shape[-1]
+        embedded = np.empty((*a.shape[:-2], 2 * n, 2 * n))
+        embedded[..., :n, :n] = embedded[..., n:, n:] = a.real
+        np.negative(a.imag, out=embedded[..., :n, n:])
+        embedded[..., n:, :n] = a.imag
+        a = embedded
     return _split(a, -1, a.shape[-1])
 
 
@@ -430,11 +449,61 @@ def _residual(a1: np.ndarray, a2: np.ndarray, x: np.ndarray, b: np.ndarray) -> n
     n = x.shape[-2]
     embed = np.iscomplexobj(x)
     if embed:
-        x, b = (np.concatenate([v.real, v.imag], axis=-2) for v in (x, b))
+        x = np.concatenate([x.real, x.imag], axis=-2)
     x1, x2 = _split(x, -2, a1.shape[-1])
     del x  # the embedded copy is not needed past the split
-    r = (b - a1 @ x1) - (a1 @ x2 + a2 @ x1 + a2 @ x2)
+    # (b - a1 x1) - ((a1 x2 + a2 x1) + a2 x2), accumulated in place through
+    # one product buffer, with b subtracted part by part when embedded
+    t = a1 @ x2
+    p = np.matmul(a2, x1)
+    t += p
+    t += np.matmul(a2, x2, out=p)
+    r = np.matmul(a1, x1, out=p)
+    del x1, x2
+    if embed:
+        np.subtract(b.real, r[..., :n, :], out=r[..., :n, :])
+        np.subtract(b.imag, r[..., n:, :], out=r[..., n:, :])
+    else:
+        np.subtract(b, r, out=r)
+    r -= t
+    del t
     return _complex(r[..., :n, :], r[..., n:, :]) if embed else r
+
+
+def _screen(a: np.ndarray, inverse: np.ndarray):
+    """(flagged, again) per system of :func:`_solve_refined`: whether 1 /
+    kappa_1 lies below n INVERTIBILITY_TOL (NaN is flagged too), and whether
+    n kappa_1 lies above SECOND_STEP_NKAPPA, with kappa_1 = ||a||_1
+    ||a^{-1}||_1 summed from the moduli of the entries.
+
+    A complex system is first bounded with no modulus, from the largest
+    column sum M of the absolute float parts, taken as one product with a
+    row of ones, which is faster than the reduction: M <= ||a||_1 <= 2 M,
+    since max(|Re z|, |Im z|) <= |z| <= |Re z| + |Im z|.  The bounds on
+    kappa_1 are widened by 2^-40, far beyond the rounding of these sums in
+    any order.  Where both are finite and decide both tests alike, kappa_1
+    decides them so too, and only the other systems take their moduli."""
+    n = a.shape[-1]
+
+    def decide(kappa):
+        return ~(kappa <= 1.0 / (n * INVERTIBILITY_TOL)), n * kappa > SECOND_STEP_NKAPPA
+
+    def exact(a, inverse):
+        return decide(np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inverse).sum(axis=-2).max(axis=-1))
+
+    if not np.iscomplexobj(a):
+        return exact(a, inverse)
+    shape = a.shape[:-2]
+    a, inverse = (v.reshape(-1, n, n) for v in (a, inverse))  # a stack, so that systems can be picked
+    ones = np.ones(n)
+    bound = (ones @ np.abs(np.ascontiguousarray(a).view(float))).max(axis=-1)
+    bound *= (ones @ np.abs(np.ascontiguousarray(inverse).view(float))).max(axis=-1)
+    flagged, again = decide(bound * (1.0 - 2.0**-40))
+    flagged_above, again_above = decide(bound * (4.0 * (1.0 + 2.0**-40)))
+    unsettled = ~np.isfinite(bound) | (flagged != flagged_above) | (again != again_above)
+    if unsettled.any():
+        flagged[unsettled], again[unsettled] = exact(a[unsettled], inverse[unsettled])
+    return flagged.reshape(shape), again.reshape(shape)
 
 
 def _solve_refined(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
@@ -463,16 +532,17 @@ def _solve_refined(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
 
     Raises LinAlgError when a is exactly singular, or when any system of
     the stack has 1/kappa_2 < INVERTIBILITY_TOL.  The guard reads kappa_1 =
-    ||a||_1 ||a^{-1}||_1 from the same inverse.  Since kappa_2 <= n kappa_1,
-    only a system with 1/kappa_1 < n INVERTIBILITY_TOL can fail, and only
-    such a system gets the SVD that decides.  A kappa_1 test alone would be
-    up to n^2 stricter than the kappa_2 one: it would zero reduce-branch
-    fidelities of ~2e-6 that the solve still gets right.
+    ||a||_1 ||a^{-1}||_1 from the same inverse (:func:`_screen`).  Since
+    kappa_2 <= n kappa_1, only a system with 1/kappa_1 < n
+    INVERTIBILITY_TOL can fail, and only such a system gets the SVD that
+    decides.  A kappa_1 test alone would be up to n^2 stricter than the
+    kappa_2 one: it would zero reduce-branch fidelities of ~2e-6 that the
+    solve still gets right.  The products of the residual accumulate in
+    place, so a stacked solve holds few temporaries per system.
     """
     n = a.shape[-1]
     inverse = np.linalg.inv(a)
-    kappa = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inverse).sum(axis=-2).max(axis=-1)
-    flagged = ~(kappa <= 1.0 / (n * INVERTIBILITY_TOL))  # NaN is flagged too
+    flagged, again = _screen(a, inverse)
     if flagged.any():
         s = np.linalg.svd(a[flagged], compute_uv=False)
         if np.any(s[:, -1] / s[:, 0] < INVERTIBILITY_TOL):
@@ -483,7 +553,6 @@ def _solve_refined(a: np.ndarray, b: np.ndarray | None) -> np.ndarray:
     else:
         x = inverse @ b
     x = x + inverse @ _residual(a1, a2, x, b)
-    again = n * kappa > SECOND_STEP_NKAPPA
     if again.any():
         b = np.broadcast_to(b, x.shape)
         x[again] += inverse[again] @ _residual(a1[again], a2[again], x[again], b[again])
@@ -520,7 +589,10 @@ def _compose_complex(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     """Gamma of the normalized product from complex Gamma_1, Gamma_2 (single
     or stacked), before antisymmetrization."""
     eye = np.eye(g1.shape[-1])
-    return eye - (eye - g1) @ _solve_core(eye + g2 @ g1, eye - g2)
+    core, rhs = eye + g2 @ g1, eye - g2
+    del g2  # the caller's temporary, not needed during the solve
+    solved = _solve_core(core, rhs)
+    return eye - (eye - g1) @ solved
 
 
 def gaussian_product_trace(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
@@ -723,24 +795,43 @@ def reduce_unit_modes(state_r: CorrelationMatrix, state_s: CorrelationMatrix):
     return prefactor, bulk_r, bulk_s
 
 
-def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
-    """Fidelity of one pair of equal size, in whichever branch it falls."""
+def _dispatch(state_1: CorrelationMatrix, state_2: CorrelationMatrix):
+    """Branch of one pair of equal size: its fidelity, or, where it needs
+    the regular formula, the sandwich ``(first, second, prefactors)`` that
+    :func:`_sandwich_value` turns into it.  ``first`` is the more mixed
+    state of the regular pair, which may be the bulk pair of a reduction,
+    and ``prefactors`` are the unit-block factors of the reductions on the
+    way, innermost first."""
     if state_1.ell == 1:
         return fidelity_single_mode(state_1.m[0, 1], state_2.m[0, 1])
     if not (state_1.unit_pair_count() or state_2.unit_pair_count()):
-        # the regular formula as a stack of one, the more mixed state first
+        # the more mixed state first
         if state_1.pair_values[0] > state_2.pair_values[0]:
             state_1, state_2 = state_2, state_1
-        return float(_regular_fidelities(state_1.half[None], state_1.m[None], state_2.m[None])[0])
+        return state_1, state_2, ()
     if not (state_1.is_pure() or state_2.is_pure()):
         if state_2.unit_pair_count() > state_1.unit_pair_count():
             state_1, state_2 = state_2, state_1
         prefactor, bulk_r, bulk_s = reduce_unit_modes(state_1, state_2)
         if prefactor == 0.0:
             return 0.0
-        return float(np.clip(prefactor * _dispatch(bulk_r, bulk_s), 0.0, 1.0))
+        bulk = _dispatch(bulk_r, bulk_s)
+        if isinstance(bulk, float):
+            return _sandwich_value(bulk, (prefactor,))
+        first, second, prefactors = bulk
+        return first, second, prefactors + (prefactor,)
     # one state is pure
     return float(min(np.sqrt(gaussian_product_trace(state_1, state_2)), 1.0))
+
+
+def _sandwich_value(f, prefactors) -> float:
+    """The fidelity of a pair from its regular-formula value ``f``: times
+    each prefactor in turn and clipped into [0, 1], as each reduction scales
+    the fidelity of its bulk pair."""
+    f = float(f)
+    for prefactor in prefactors:
+        f = float(np.clip(prefactor * f, 0.0, 1.0))
+    return f
 
 
 def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
@@ -752,7 +843,56 @@ def fidelity(state_1: CorrelationMatrix, state_2: CorrelationMatrix) -> float:
     """
     if state_1.ell != state_2.ell:
         raise ValueError("states must have the same number of modes")
-    return _dispatch(state_1, state_2)
+    branch = _dispatch(state_1, state_2)
+    if isinstance(branch, float):
+        return branch
+    first, second, prefactors = branch
+    return _sandwich_value(_regular_fidelities(first.half[None], first.m[None], second.m[None])[0], prefactors)
+
+
+class _Sandwiches:
+    """Regular-formula evaluations of :func:`_pair_kernel`, queued by matrix
+    size n = 2 ell and run through :func:`_regular_fidelities` in stacks:
+    of SANDWICH_PAIRS pairs within SANDWICH_PAIRS x STACK_ELEMENTS matrix
+    elements, at least one pair, or of a kernel stack's worth,
+    STACK_ELEMENTS // n^2, where that is more.  A stack runs once the queue
+    holds it, and :meth:`run` runs what is left.  A pair's value does not
+    depend on its stack, so neither does the result."""
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self.queued = {}  # n -> chunks (positions, half, m1, m2) of stacked pairs
+
+    def add(self, at, half, m1, m2):
+        """Queue the pairs at positions ``at`` of ``values``: stacks of the
+        half state of the more mixed state, its m and the other state's m."""
+        n = m1.shape[-1]
+        chunks = self.queued.setdefault(n, [])
+        chunks.append((at, half, m1, m2))
+        batch = max(1, STACK_ELEMENTS // n**2, min(SANDWICH_PAIRS, SANDWICH_PAIRS * STACK_ELEMENTS // n**2))
+        if sum(len(chunk[0]) for chunk in chunks) >= batch:
+            at, half, m1, m2 = self._take(chunks)
+            full = len(at) - len(at) % batch
+            for start in range(0, full, batch):
+                part = slice(start, start + batch)
+                self.values[at[part]] = _regular_fidelities(half[part], m1[part], m2[part])
+            if full < len(at):
+                chunks.append((at[full:], half[full:], m1[full:], m2[full:]))
+
+    def run(self):
+        """Evaluate every pair still queued."""
+        for chunks in self.queued.values():
+            if chunks:
+                at, half, m1, m2 = self._take(chunks)
+                self.values[at] = _regular_fidelities(half, m1, m2)
+
+    @staticmethod
+    def _take(chunks: list):
+        """The queued chunks as one stack each, emptying the queue, so that
+        no chunk outlives the stack it was copied into."""
+        stacked = chunks[0] if len(chunks) == 1 else tuple(np.concatenate(parts) for parts in zip(*chunks))
+        chunks.clear()
+        return stacked
 
 
 def pair_fidelities(m, pairs) -> np.ndarray:
@@ -765,21 +905,24 @@ def pair_fidelities(m, pairs) -> np.ndarray:
     :class:`CorrelationMatrix` makes its matrix, so a pair's value equals
     :func:`fidelity` of the pair bit for bit, also on a stack that deviates
     within ANTISYMMETRY_TOL.  It does not depend on the other pairs of the
-    call.  The pairs are taken in position order, in stacks of at most
-    STACK_ELEMENTS matrix elements.
+    call.  The pairs are taken in position order, in kernel stacks of at
+    most STACK_ELEMENTS matrix elements.
     Each state is decomposed once, by a stacked ``eigh`` of its Gamma = i m,
     when the first stack that holds it comes up, and its pair values from
     that eigensystem decide each pair's branch and which state is more mixed.
-    A stack's regular pairs are evaluated together, with the half state of
-    each one's more mixed state from the same eigensystem, built once per
-    state with no unit pairs when the state is decomposed, so an all-pairs
-    sweep builds it once per state, not once per pair.  Every other pair
-    goes to the scalar dispatch of :func:`fidelity`, on a state that carries
-    that eigensystem and keeps its rotation for its later pairs.  A
-    state's data is dropped after the last stack that holds it, so a sweep
-    over consecutive pairs holds about one stack's worth of decompositions,
-    and an exactly antisymmetric stack, as every sweep's is, is never
-    copied whole.
+    A stack's regular pairs take the half state of each one's more mixed
+    state from the same eigensystem, built once per state with no unit
+    pairs when the state is decomposed, so an all-pairs sweep builds it once
+    per state, not once per pair.  Every other pair goes to the dispatch of
+    :func:`fidelity`, on a state that carries that eigensystem and keeps its
+    rotation for its later pairs.  Both kinds of pair queue their
+    regular-formula evaluations, a regular pair its own and a reduce pair
+    that of its bulk pair when that is regular, and the queue runs them in
+    stacks of SANDWICH_PAIRS pairs, or of a kernel stack's worth where that
+    is more, across kernel stacks.  A state's data is dropped after the last
+    stack that holds it, so a sweep over consecutive pairs holds about one
+    stack's worth of decompositions, and an exactly antisymmetric stack, as
+    every sweep's is, is never copied whole.
     """
     return _pair_kernel(m, pairs, metric=False)[0]
 
@@ -793,7 +936,12 @@ def _pair_kernel(m, pairs, metric: bool):
     :func:`_metric_distances` lies below SMALL_DISTANCE sqrt(2 (1 - g_max)),
     g_max the largest pair value of its two states.  D_m is computed only
     where its lower bound ||m_2 - m_1||_F / 4 lies below twice that switch;
-    no other pair can be near."""
+    no other pair can be near.
+
+    Every other regular-formula evaluation goes to one :class:`_Sandwiches`
+    queue, and a reduce pair whose bulk pair is queued keeps the prefactors
+    of its reductions until the queue has run: its value is then scaled as
+    :func:`fidelity` scales it, so the queue changes no value."""
     m = _state_stack(m)
     ell = m.shape[1] // 2
     pairs = _index_pairs(pairs, len(m))
@@ -809,6 +957,8 @@ def _pair_kernel(m, pairs, metric: bool):
     last_stack = {k: p // (2 * per_stack) for p, k in enumerate(pairs.ravel().tolist())}
     largest = np.zeros(len(m))  # each state's top pair value, once decomposed
     eigen, halves, states = {}, {}, {}
+    sandwiches = _Sandwiches(values)
+    scaled = {}  # position -> prefactors of a reduce pair whose bulk pair is queued
     for start in range(0, len(pairs), per_stack):
         stack = pairs[start : start + per_stack]
         pending = [k for k in dict.fromkeys(stack.ravel().tolist()) if k not in eigen]
@@ -842,16 +992,24 @@ def _pair_kernel(m, pairs, metric: bool):
                     direct[at[near]] = True
                     at, half, m1, m2 = at[~near], half[~near], m1[~near], m2[~near]
             if len(at):
-                values[at] = _regular_fidelities(half, m1, m2)
+                sandwiches.add(at, half, m1, m2)
         for p in np.flatnonzero(~regular).tolist():
             for k in stack[p].tolist():
                 if k not in states:
                     states[k] = CorrelationMatrix(m[k], validate=False)
                     states[k].eigensystem = eigen[k]
-            values[start + p] = _dispatch(*(states[k] for k in stack[p].tolist()))
+            branch = _dispatch(*(states[k] for k in stack[p].tolist()))
+            if isinstance(branch, float):
+                values[start + p] = branch
+            else:
+                first, second, scaled[start + p] = branch
+                sandwiches.add(np.array([start + p]), first.half[None], first.m[None], second.m[None])
         eigen = {k: e for k, e in eigen.items() if last_stack[k] > start // per_stack}
         halves = {k: h for k, h in halves.items() if k in eigen}
         states = {k: state for k, state in states.items() if k in eigen}
+    sandwiches.run()
+    for p, prefactors in scaled.items():
+        values[p] = _sandwich_value(values[p], prefactors)
     return values, direct
 
 

@@ -369,7 +369,8 @@ def xxz_sweep(
 def random_sweep(spec: RandomEnsembleSpec, metric: str, ells, fit: bool = False) -> SweepResult:
     """All-pairs distance averages over a random pure Gaussian ensemble."""
     ells = _checked_ells(spec.L, metric, ells, fit)
-    m = np.stack([state.m for state in sample_ensemble(spec)])
+    top = 2 * max(ells, default=0)  # no ell reads past the leading block of the largest
+    m = np.stack([state.m[:top, :top] for state in sample_ensemble(spec)])
     pairs = [(i, j) for i in range(spec.count) for j in range(i + 1, spec.count)]
     result = SweepResult(
         model="random",

@@ -5,6 +5,7 @@ commuting inputs, from the exact per-mode product formula.
 """
 
 import logging
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -792,6 +793,98 @@ def test_degenerate_regular_state_matches_the_dense_oracle():
     for (i, j), f in zip(pairs, got):
         rho = embed_parity_blocks(density_stack(np.stack([states[i].m, states[j].m])))
         assert abs(f - fidelity_dense(rho[0], rho[1])) < 1e-12
+
+
+def _queue_cases():
+    """(m, pairs, STACK_ELEMENTS) cases for the sandwich queue: all pairs of
+    a random L = 16 ensemble at ell 9-15, where every pair reduces to a
+    bulk pair of n = 2 (L - ell), with kernel stacks of one pair, and every
+    ordered pair of planted ell = 5 states, with their branches checked,
+    in kernel stacks of three pairs of which some are regular and some
+    reduce to bulk pairs of other sizes."""
+    spec = RandomEnsembleSpec(L=16, count=8, seed=4)
+    m = np.stack([state.m for state in sample_ensemble(spec)])
+    everyone = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    cases = [(m[:, : 2 * ell, : 2 * ell], everyone, (2 * (16 - ell)) ** 2) for ell in range(9, 16)]
+    rng = np.random.default_rng(115)
+    rotation = rand_special_rotation(10, rng)
+    two_units = planted_state([1.0, 1.0, 0.5, 0.2, 0.3], rotation=rotation)
+    # a unit pair in the bulk of two_units: reduced twice, to a regular pair of two modes
+    nested = [planted_state(values, rotation=rotation) for values in
+              ([0.35, 0.44, 1.0, 0.76, 0.43], [0.61, 0.78, 1.0, 0.57, 0.31], [0.22, 0.76, 1.0, 0.65, 0.73])]
+    pure_bulk = planted_state([0.3, 0.2, 1.0, 1.0, 1.0], rotation=rotation)  # two_units' bulk is pure against it
+    orthogonal = planted_state([-1.0, 0.5, 0.3, 0.2, 0.1], rotation=rotation)  # an empty mode against an occupied one
+    planted = [two_units, *nested, pure_bulk, orthogonal, planted_state([1.0, 0.6, 0.3, 0.2, 0.1], rng=rng)]
+    planted += [random_mixed_state(5, rng) for _ in range(3)]
+    for state in nested:
+        first, _, prefactors = correlation._dispatch(two_units, state)
+        assert len(prefactors) == 2 and first.ell == 2
+        # the value of the recursive dispatch, clip(p_outer clip(p_inner F)):
+        # on these pairs the other order of the two factors rounds differently
+        outer, bulk_r, bulk_s = reduce_unit_modes(two_units, state)
+        inner, bulk_r, bulk_s = reduce_unit_modes(bulk_s, bulk_r)
+        first, second = sorted((bulk_r, bulk_s), key=lambda bulk: bulk.pair_values[0])
+        f = float(correlation._regular_fidelities(first.half[None], first.m[None], second.m[None])[0])
+        assert fidelity(two_units, state) == float(np.clip(outer * float(np.clip(inner * f, 0.0, 1.0)), 0.0, 1.0))
+    value = correlation._dispatch(two_units, pure_bulk)
+    assert isinstance(value, float) and 0.0 < value < 1.0
+    assert correlation._dispatch(two_units, orthogonal) == 0.0
+    ordered = [(i, j) for i in range(len(planted)) for j in range(len(planted)) if i != j]
+    return cases + [(stack(planted), ordered, 3 * 10**2)]
+
+
+@pytest.mark.parametrize("stacked", [1, 2, 3, 10**6])
+def test_queued_sandwiches_do_not_depend_on_their_stacks(stacked, monkeypatch):
+    # the kernel queues every regular-formula evaluation, a stack's regular
+    # pairs and the regular bulk pairs of its reduce pairs, across kernel
+    # stacks; the queue runs stacks of 1, 2, 3 pairs (at least a kernel
+    # stack's worth) or all of them at the end, and no value may move
+    cases = _queue_cases()
+    want = [[(fidelity(*pair), bures_distance(*pair)) for pair in
+             ((CorrelationMatrix(m[i], validate=False), CorrelationMatrix(m[j], validate=False)) for i, j in pairs)]
+            for m, pairs, _ in cases]
+    sizes = []
+    regular = correlation._regular_fidelities
+
+    def recording(half, m1, m2):
+        sizes.append(len(half))
+        return regular(half, m1, m2)
+
+    monkeypatch.setattr(correlation, "_regular_fidelities", recording)
+    monkeypatch.setattr(correlation, "SANDWICH_PAIRS", stacked)
+    for (m, pairs, elements), expected in zip(cases, want):
+        monkeypatch.setattr(correlation, "STACK_ELEMENTS", elements)
+        sizes.clear()
+        fidelities, distances = pair_fidelities(m, pairs), bures_distances(m, pairs)
+        assert [v.tobytes() for v in fidelities] == [np.float64(f).tobytes() for f, _ in expected]
+        assert [v.tobytes() for v in distances] == [np.float64(d).tobytes() for _, d in expected]
+        if elements == 2**2:
+            assert not sizes  # a bulk pair of one mode takes the closed form
+        elif len(m) == 8:
+            # kernel stacks of one pair; the queue runs ``stacked`` at a time
+            assert max(sizes) == min(stacked, len(pairs))
+
+
+@pytest.mark.parametrize("ell, bound_mib", [(24, 1.57 + 1.2), (40, 2.05 + 1.2)])
+def test_bures_distances_peak_memory_is_bounded(ell, bound_mib):
+    # all pairs of the benchmark's random L = 64 ensemble: at ell = 24 regular
+    # pairs of n = 48, at ell = 40 reduce pairs with bulk pairs of n = 48.
+    # With sandwich stacks of one pair the call peaked at 1.57 and 2.05 MiB
+    # (numpy 2.4, Linux).  A stack of three such pairs holds 1.4 MiB of
+    # temporaries, 1.9 MiB before the solve and residual accumulated in
+    # place; this bound breaks with those untrimmed temporaries (+1.43 MiB)
+    # and with a fourth pair (+1.41 MiB), and the change peaks at +0.90 MiB
+    m = np.stack([state.m for state in sample_ensemble(RandomEnsembleSpec(L=64, count=12, seed=0))])
+    m = np.ascontiguousarray(m[:, : 2 * ell, : 2 * ell])
+    pairs = [(i, j) for i in range(12) for j in range(i + 1, 12)]
+    bures_distances(m, pairs)  # lazy imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        bures_distances(m, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mib * 2**20
 
 
 def test_pair_kernel_rejects_other_shapes():

@@ -301,6 +301,46 @@ def test_identity_right_hand_side_is_the_inverse_bit_for_bit(monkeypatch):
         assert xi.tobytes() == _solve_refined(ai, None).tobytes() == _solve_refined(ai, np.eye(8)).tobytes()
 
 
+def _exact_screen(a, inverse):
+    """(flagged, again) from kappa_1 summed over the complex moduli, the
+    screen before its modulus-free bounds."""
+    n = a.shape[-1]
+    kappa = np.abs(a).sum(axis=-2).max(axis=-1) * np.abs(inverse).sum(axis=-2).max(axis=-1)
+    return ~(kappa <= 1.0 / (n * INVERTIBILITY_TOL)), n * kappa > SECOND_STEP_NKAPPA
+
+
+def test_complex_screen_decides_as_the_exact_moduli(monkeypatch):
+    # diagonal systems of planted kappa_1 = max|d| / min|d|, factors of 0.3
+    # to 3 from each threshold, with phases 0 and pi/4: the modulus-free
+    # bounds are a factor 4 apart, so some systems are settled by them and
+    # some straddle a threshold and take the exact moduli.  Each is also
+    # rotated by unitaries, which keeps kappa_2.  flagged, again and x must
+    # equal those of the exact-moduli screen bit for bit, on a stack and one
+    # system at a time
+    n, rng = 4, np.random.default_rng(12)
+    thresholds = [1.0 / (n * INVERTIBILITY_TOL), SECOND_STEP_NKAPPA / n]
+    kappas = [t * f for t in thresholds for f in (0.3, 0.6, 0.9, 0.99, 1.01, 1.1, 1.9, 3.0)] + [1.0, 10.0]
+    systems = []
+    for kappa in kappas:
+        for phase in (0.0, np.pi / 4):
+            d = np.exp(1j * phase) * np.geomspace(1.0, 1.0 / kappa, n)
+            systems.append(np.diag(d))
+            systems.append(_unitary(n, rng, True) @ np.diag(d) @ _unitary(n, rng, True).conj().T)
+    a = np.stack(systems)
+    inverse = np.linalg.inv(a)
+    want = _exact_screen(a, inverse)
+    for got, expected in zip(correlation._screen(a, inverse), want):
+        assert got.tolist() == expected.tolist()
+    assert all(0 < v.sum() < len(a) for v in want)  # both sides of both thresholds
+    b = rng.standard_normal((len(a), n, 2)) + 1j * rng.standard_normal((len(a), n, 2))
+    x = _solve_refined(a, b)
+    singles = [_solve_refined(ai, bi) for ai, bi in zip(a, b)]
+    monkeypatch.setattr(correlation, "_screen", _exact_screen)
+    assert x.tobytes() == _solve_refined(a, b).tobytes()
+    for ai, bi, xi in zip(a, b, singles):
+        assert xi.tobytes() == _solve_refined(ai, bi).tobytes()
+
+
 def _two_step_solve(a, b):
     """The refined solve with two steps for every system, as before the step
     rule."""
